@@ -9,7 +9,7 @@ ranges and writes deterministic JSONL/CSV reports.
 
 from .arith import PrimeContext, is_prime, jacobi, mod_pow, sqrt_mod
 from .cyclotomic import (CycloElement, CycloRing, binomial_product,
-                         cyclotomic_poly, get_ring, mul, verify_gi,
+                         cyclotomic_poly, get_ring, verify_gi,
                          verify_gi_plus, verify_tan_cross)
 from .errors import (BoundExceeded, BranchViolation, HypothesisViolation,
                      NonRealSymbol, NotRepresentable, PoleProximity,
@@ -32,7 +32,7 @@ __all__ = [
     "ResidueSet", "SignSymbol", "is_mth_residue", "residue_set",
     "residue_sum_check", "symbol_sign",
     "CycloElement", "CycloRing", "binomial_product", "cyclotomic_poly",
-    "get_ring", "mul", "verify_gi", "verify_gi_plus", "verify_tan_cross",
+    "get_ring", "verify_gi", "verify_gi_plus", "verify_tan_cross",
     "Representation", "cornacchia", "check_lemma31", "two_residue_criterion",
     "SignedMagnitude", "tan_product", "verify_theorem_main_numeric",
     "pmd_lemma_identity", "pmd_theorem14_numeric",

@@ -4,13 +4,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Deterministic Miller-Rabin witness set: correct for every n below 3.3e24,
-# which covers the full 64-bit range this library targets.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes.  The least
+# strong pseudoprime to all of them is psi_13 = 3317044064679887385961981
+# (Sorenson and Webster, 2015), so the test is proven correct below it.  The
+# first 12 primes alone stop at psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for nonnegative integers up to 64 bits."""
+    """Deterministic primality test for n < 3317044064679887385961981 (~3.3e24).
+
+    Raises ValueError for larger n, where the witness set proves nothing.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is beyond the proven primality range (< {_MR_BOUND})")
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -52,6 +60,19 @@ class PrimeContext:
 def as_prime(p: int | PrimeContext) -> PrimeContext:
     """Coerce an integer to a PrimeContext, validating primality."""
     return p if isinstance(p, PrimeContext) else PrimeContext(p)
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1 in increasing order."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def mod_pow(b: int, e: int, p: int) -> int:

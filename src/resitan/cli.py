@@ -11,10 +11,9 @@ import argparse
 import sys
 
 from .arith import PrimeContext
-from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
 from .errors import ResitanError
-from .harness import ScanConfig, run_guarded, scan
-from .numeric import pmd_lemma_identity, pmd_theorem14_numeric, verify_theorem_main_numeric
+from .harness import CHECKS, ScanConfig, run_check, scan
+from .numeric import pmd_lemma_identity, pmd_theorem14_numeric
 from .quadforms import cornacchia
 from .records import FAIL, SKIPPED
 from .residues import residue_set, symbol_sign
@@ -67,10 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _print_records(records) -> None:
+def _print_records(records) -> int:
+    """Print one line per record; return the exit code for the records."""
     for r in records:
         print(f"p={r.p} m={r.m} a={r.a} {r.check}: {r.status}  "
               f"expected={r.expected}  actual={r.actual}")
+    return _exit_code(records)
 
 
 def _exit_code(records) -> int:
@@ -80,18 +81,10 @@ def _exit_code(records) -> int:
 
 def _cmd_verify(args) -> int:
     ctx = PrimeContext(args.p)
-    recs = []
-    if args.mode in ("exact", "both"):
-        for name, fn in (("gi", verify_gi), ("gi_plus", verify_gi_plus),
-                         ("thm_main_exact", verify_tan_cross)):
-            recs.append(run_guarded(ctx, args.m, args.a, name,
-                                    lambda fn=fn: fn(ctx, args.m, args.a)))
-    if args.mode in ("numeric", "both"):
-        recs.append(run_guarded(
-            ctx, args.m, args.a, "thm_main_numeric",
-            lambda: verify_theorem_main_numeric(ctx, args.m, args.a, args.tol)))
-    _print_records(recs)
-    return _exit_code(recs)
+    recs = [run_check(ctx, args.m, args.a, name, args.tol)
+            for name, (_, _, mode) in CHECKS.items()
+            if mode and args.mode in (mode, "both")]
+    return _print_records(recs)
 
 
 def _cmd_scan(args) -> int:
@@ -130,15 +123,11 @@ def _cmd_cornacchia(args) -> int:
 
 
 def _cmd_pmd(args) -> int:
-    rec = pmd_lemma_identity(args.n, args.x, rel_tol=1e-9)
-    _print_records([rec])
-    return _exit_code([rec])
+    return _print_records([pmd_lemma_identity(args.n, args.x, rel_tol=1e-9)])
 
 
 def _cmd_pmd14(args) -> int:
-    rec = pmd_theorem14_numeric(PrimeContext(args.p), args.a)
-    _print_records([rec])
-    return _exit_code([rec])
+    return _print_records([pmd_theorem14_numeric(PrimeContext(args.p), args.a)])
 
 
 _COMMANDS = {

@@ -18,24 +18,12 @@ import cmath
 import functools
 import time
 
-from .arith import PrimeContext, as_prime
+from .arith import PrimeContext, as_prime, divisors
 from .errors import BoundExceeded, HypothesisViolation, RingMismatch
 from .records import VerificationRecord, finish
 from .residues import is_mth_residue, require_even_index, residue_set, symbol_sign
 
 DEFAULT_MAX_N = 4 * 5000
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def _mobius(n: int) -> int:
@@ -93,7 +81,7 @@ def cyclotomic_poly(n: int, max_n: int = DEFAULT_MAX_N) -> list[int]:
 def _cyclotomic_cached(n: int) -> tuple[int, ...]:
     poly = [1]
     to_divide = []
-    for d in _divisors(n):
+    for d in divisors(n):
         mu = _mobius(d)
         if mu == 1:
             poly = _mul_binomial(poly, n // d)
@@ -137,9 +125,6 @@ class CycloRing:
         for e, c in items:
             v[e % self.n] += c
         return CycloElement(self, tuple(v))
-
-    def zero(self) -> "CycloElement":
-        return self.element({})
 
     def one(self) -> "CycloElement":
         return self.element({0: 1})
@@ -274,16 +259,6 @@ class CycloElement:
         return f"<CycloElement n={self.ring.n}: {self.render()}>"
 
 
-def reduce(e: CycloElement) -> CycloElement:
-    """Canonical form: fold exponents modulo n, then reduce modulo Phi_n."""
-    return e.reduce()
-
-
-def mul(a: CycloElement, b: CycloElement) -> CycloElement:
-    """Exact canonical-equivalent product of two elements of the same ring."""
-    return a * b
-
-
 def binomial_product(ring: CycloRing, factors) -> CycloElement:
     """Left-to-right product of two-term factors s1*x^e1 + s2*x^e2.
 
@@ -334,32 +309,32 @@ def _exact_record(ctx: PrimeContext, m: int, a: int, check: str,
     return finish(ctx.p, m, a, check, expected == actual, expected, actual, t0)
 
 
+def _i_factors(ring: CycloRing, ctx: PrimeContext, members, a: int, s: int):
+    """Factors i + s*zeta_p^(ak), k in members, as (1, p, s, 4ak mod n)."""
+    return [(1, ctx.p, s, 4 * a * k % ring.n) for k in members]
+
+
+def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationRecord:
+    """prod over k in R_m(p) of (i + s*zeta_p^(ak)) = sign(2s) * i^((p-1)/(2m))."""
+    t0 = time.perf_counter()
+    ctx, ring, members = _product_context(p, m, a)
+    lhs = binomial_product(ring, _i_factors(ring, ctx, members, a, s))
+    delta = symbol_sign(2 * s, ctx, m).value
+    quarter_turns = (ctx.p_minus_1 // (2 * m)) % 4
+    rhs = ring.monomial(ctx.p * quarter_turns % ring.n, delta)
+    return _exact_record(ctx, m, a, check, lhs, rhs, t0)
+
+
 def verify_gi(p, m: int, a: int = 1) -> VerificationRecord:
     """Exact check: prod over k in R_m(p) of (i - zeta_p^(ak)) equals
     sign(-2) * i^((p-1)/(2m)), in the ring Z[zeta_4p]."""
-    t0 = time.perf_counter()
-    ctx, ring, members = _product_context(p, m, a)
-    n, q = ring.n, ctx.p
-    factors = [(1, q, -1, 4 * a * k % n) for k in members]
-    lhs = binomial_product(ring, factors)
-    delta = symbol_sign(-2, ctx, m).value
-    quarter_turns = (ctx.p_minus_1 // (2 * m)) % 4
-    rhs = ring.monomial(q * quarter_turns % n, delta)
-    return _exact_record(ctx, m, a, "gi", lhs, rhs, t0)
+    return _verify_i_product(p, m, a, -1, "gi")
 
 
 def verify_gi_plus(p, m: int, a: int = 1) -> VerificationRecord:
     """Exact check of the companion product over (i + zeta_p^(ak)), whose sign
     is the symbol of +2 instead of -2."""
-    t0 = time.perf_counter()
-    ctx, ring, members = _product_context(p, m, a)
-    n, q = ring.n, ctx.p
-    factors = [(1, q, 1, 4 * a * k % n) for k in members]
-    lhs = binomial_product(ring, factors)
-    delta = symbol_sign(2, ctx, m).value
-    quarter_turns = (ctx.p_minus_1 // (2 * m)) % 4
-    rhs = ring.monomial(q * quarter_turns % n, delta)
-    return _exact_record(ctx, m, a, "gi_plus", lhs, rhs, t0)
+    return _verify_i_product(p, m, a, 1, "gi_plus")
 
 
 def verify_tan_cross(p, m: int, a: int = 1) -> VerificationRecord:
@@ -370,10 +345,8 @@ def verify_tan_cross(p, m: int, a: int = 1) -> VerificationRecord:
     """
     t0 = time.perf_counter()
     ctx, ring, members = _product_context(p, m, a)
-    n, q = ring.n, ctx.p
-    lhs = (ring.monomial(q) - ring.one()) ** len(members)
-    factors = [(1, q, -1, 4 * a * k % n) for k in members]
+    lhs = (ring.monomial(ctx.p) - ring.one()) ** len(members)
     delta = symbol_sign(-2, ctx, m).value
     scalar = delta * (-2) ** (ctx.p_minus_1 // (2 * m))
-    rhs = binomial_product(ring, factors) * scalar
+    rhs = binomial_product(ring, _i_factors(ring, ctx, members, a, -1)) * scalar
     return _exact_record(ctx, m, a, "thm_main_exact", lhs, rhs, t0)

@@ -1,5 +1,7 @@
 """Sweep orchestration over primes, the corollary-level checks, and report I/O.
 
+Every check is one entry of the CHECKS table: the (m, a) work items it runs
+for a prime, the runner of one item, and whether `resitan verify` runs it.
 A scan walks every prime in a range and emits one VerificationRecord per
 requested (p, m, a, check) work item.  Hypothesis failures (2m not dividing
 p-1, 2 not an m-th power residue, p not representable by the relevant
@@ -18,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .arith import PrimeContext, as_prime, is_prime, mod_pow
+from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
 from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
 from .errors import HypothesisViolation, NotRepresentable
 from .numeric import (pmd_lemma_identity, pmd_theorem14_numeric,
@@ -27,21 +29,38 @@ from .quadforms import check_lemma31, cornacchia, two_residue_criterion
 from .records import PASS, SKIPPED, VerificationRecord, error_status, finish
 from .residues import residue_set, symbol_sign
 
-CHECK_NAMES = ("gi", "gi_plus", "thm_main_exact", "thm_main_numeric",
-               "lemma21", "lemma31", "criterion", "cor11", "cor12",
-               "pmd_lemma", "pmd_thm14")
-
 REPORT_FIELDS = ("p", "m", "a", "check", "status", "expected", "actual",
                  "elapsed_ms")
 
 # x grid used by the pmd_lemma check inside scans; index j maps to x = j/20
 PMD_X_GRID = tuple(j / 20 for j in range(1, 10))
 
-_TRIPLE_CHECKS = {
-    "gi": verify_gi,
-    "gi_plus": verify_gi_plus,
-    "thm_main_exact": verify_tan_cross,
-}
+
+def _corollary(p, a: int, m: int, form_exponent, side_check,
+               check: str) -> VerificationRecord:
+    """Shared outline of the corollaries for p = x^2 + m*(m*y)^2, m in {3, 4}.
+
+    The product over R_m(p) must equal (-1)^form_exponent(rep) * (-2)^((p-1)/(2m));
+    it is checked against the sign symbol of -2, the exact cross-multiplied
+    identity and side_check(ctx, rep), which returns (ok, label).
+    """
+    t0 = time.perf_counter()
+    ctx = as_prime(p)
+    if a % ctx.p == 0:
+        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    rep = cornacchia(ctx, m ** 3)
+    if rep is None:
+        raise NotRepresentable(f"p={ctx.p} has no representation x^2 + {m ** 3}*y^2")
+    power = (-2) ** (ctx.p_minus_1 // (2 * m))
+    want = (-1 if form_exponent(rep) % 2 else 1) * power
+    got = symbol_sign(-2, ctx, m).value * power
+    exact = verify_tan_cross(ctx, m, a)
+    side_ok, side_label = side_check(ctx, rep)
+    ok = want == got and exact.status == PASS and side_ok
+    actual = str(got)
+    if not (exact.status == PASS and side_ok):
+        actual += f" [exact={exact.status}, {side_label}]"
+    return finish(ctx.p, m, a, check, ok, str(want), actual, t0)
 
 
 def verify_cor11(p, a: int = 1) -> VerificationRecord:
@@ -51,27 +70,10 @@ def verify_cor11(p, a: int = 1) -> VerificationRecord:
     through the exact cross-multiplied identity, through the sign symbol of
     -2, and (for p <= 2000) through the floating evaluation as well.
     """
-    t0 = time.perf_counter()
-    ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
-    rep = cornacchia(ctx, 27)
-    if rep is None:
-        raise NotRepresentable(f"p={ctx.p} has no representation x^2 + 27*y^2")
-    sixth = ctx.p_minus_1 // 6
-    form_sign = -1 if (rep.x * rep.y // 2) % 2 else 1
-    want = form_sign * (-2) ** sixth
-    delta = symbol_sign(-2, ctx, 3).value
-    got = delta * (-2) ** sixth
-    exact = verify_tan_cross(ctx, 3, a)
-    numeric_ok = True
-    if ctx.p <= 2000:
-        numeric_ok = verify_theorem_main_numeric(ctx, 3, a).status == PASS
-    ok = want == got and exact.status == PASS and numeric_ok
-    actual = str(got)
-    if not (exact.status == PASS and numeric_ok):
-        actual += f" [exact={exact.status}, numeric={'pass' if numeric_ok else 'fail'}]"
-    return finish(ctx.p, 3, a, "cor11", ok, str(want), actual, t0)
+    def numeric(ctx, rep):
+        ok = ctx.p > 2000 or verify_theorem_main_numeric(ctx, 3, a).status == PASS
+        return ok, f"numeric={'pass' if ok else 'fail'}"
+    return _corollary(p, a, 3, lambda rep: rep.x * rep.y // 2, numeric, "cor11")
 
 
 def verify_cor12(p, a: int = 1) -> VerificationRecord:
@@ -80,25 +82,10 @@ def verify_cor12(p, a: int = 1) -> VerificationRecord:
     The product over R_4(p) must equal (-1)^y * (-2)^((p-1)/8); the congruence
     (-2)^((p-1)/8) = (-1)^y (mod p) is asserted separately as well.
     """
-    t0 = time.perf_counter()
-    ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
-    rep = cornacchia(ctx, 64)
-    if rep is None:
-        raise NotRepresentable(f"p={ctx.p} has no representation x^2 + 64*y^2")
-    eighth = ctx.p_minus_1 // 8
-    form_sign = -1 if rep.y % 2 else 1
-    want = form_sign * (-2) ** eighth
-    delta = symbol_sign(-2, ctx, 4).value
-    got = delta * (-2) ** eighth
-    congruent = mod_pow(-2, eighth, ctx.p) == (ctx.p - 1 if rep.y % 2 else 1)
-    exact = verify_tan_cross(ctx, 4, a)
-    ok = want == got and congruent and exact.status == PASS
-    actual = str(got)
-    if not (congruent and exact.status == PASS):
-        actual += f" [exact={exact.status}, congruence={congruent}]"
-    return finish(ctx.p, 4, a, "cor12", ok, str(want), actual, t0)
+    def congruence(ctx, rep):
+        ok = mod_pow(-2, ctx.p_minus_1 // 8, ctx.p) == (ctx.p - 1 if rep.y % 2 else 1)
+        return ok, f"congruence={ok}"
+    return _corollary(p, a, 4, lambda rep: rep.y, congruence, "cor12")
 
 
 @dataclass
@@ -158,8 +145,7 @@ def run_guarded(ctx: PrimeContext, m: int, a: int, check: str, thunk):
 
 def _m_grid(ctx: PrimeContext, config: ScanConfig):
     if config.m_policy == "all":
-        half = ctx.p_minus_1 // 2
-        return [m for m in range(1, half + 1) if half % m == 0]
+        return divisors(ctx.p_minus_1 // 2)
     return list(config.m_policy)
 
 
@@ -177,53 +163,65 @@ def _lemma21_record(ctx: PrimeContext, m: int) -> VerificationRecord:
                   str(target), str(total), t0)
 
 
+def _each_m_a(ctx: PrimeContext, config: ScanConfig):
+    a_grid = _a_grid(ctx, config)
+    return [(m, a) for m in _m_grid(ctx, config) for a in a_grid]
+
+
+def _each_a(m: int):
+    return lambda ctx, config: [(m, a) for a in _a_grid(ctx, config)]
+
+
+# name -> (grid, runner, verify mode).  grid(ctx, config) lists the (m, a)
+# work items of one prime, runner(ctx, m, a, tol) returns one record, and the
+# verify mode ("exact", "numeric" or None) says which `resitan verify --mode`
+# runs the check.  Runners look their function up by module-global name at
+# call time, so rebinding that name reaches every caller.
+CHECKS = {
+    "gi": (_each_m_a, lambda ctx, m, a, tol: verify_gi(ctx, m, a), "exact"),
+    "gi_plus": (_each_m_a, lambda ctx, m, a, tol: verify_gi_plus(ctx, m, a),
+                "exact"),
+    "thm_main_exact": (_each_m_a,
+                       lambda ctx, m, a, tol: verify_tan_cross(ctx, m, a), "exact"),
+    "thm_main_numeric": (
+        _each_m_a,
+        lambda ctx, m, a, tol: verify_theorem_main_numeric(ctx, m, a, tol),
+        "numeric"),
+    "lemma21": (lambda ctx, config: [(m, 0) for m in _m_grid(ctx, config)],
+                lambda ctx, m, a, tol: _lemma21_record(ctx, m), None),
+    "lemma31": (lambda ctx, config: [(3, 0)],
+                lambda ctx, m, a, tol: check_lemma31(ctx), None),
+    "criterion": (
+        lambda ctx, config: [(m, 0) for m in (3, 4) if config.m_policy == "all"
+                             or m in config.m_policy],
+        lambda ctx, m, a, tol: two_residue_criterion(ctx, m), None),
+    "cor11": (_each_a(3), lambda ctx, m, a, tol: verify_cor11(ctx, a), None),
+    "cor12": (_each_a(4), lambda ctx, m, a, tol: verify_cor12(ctx, a), None),
+    # a indexes PMD_X_GRID from 1
+    "pmd_lemma": (
+        lambda ctx, config: [(1, j) for j in range(1, len(PMD_X_GRID) + 1)],
+        lambda ctx, m, a, tol: pmd_lemma_identity(ctx.p, PMD_X_GRID[a - 1], tol),
+        None),
+    "pmd_thm14": (_each_a(1),
+                  lambda ctx, m, a, tol: pmd_theorem14_numeric(ctx, a, tol), None),
+}
+
+CHECK_NAMES = tuple(CHECKS)
+
+
+def run_check(ctx: PrimeContext, m: int, a: int, check: str,
+              tol: float) -> VerificationRecord:
+    """Run the table check `check` on one (m, a) work item, guarded."""
+    runner = CHECKS[check][1]
+    return run_guarded(ctx, m, a, check, lambda: runner(ctx, m, a, tol))
+
+
 def _scan_prime(args) -> list[VerificationRecord]:
     config, p = args
     ctx = PrimeContext(p)
-    out = []
-    a_grid = _a_grid(ctx, config)
-    for check in config.selected_checks():
-        if check in _TRIPLE_CHECKS or check == "thm_main_numeric":
-            for m in _m_grid(ctx, config):
-                for a in a_grid:
-                    if check == "thm_main_numeric":
-                        thunk = (lambda m=m, a=a:
-                                 verify_theorem_main_numeric(ctx, m, a, config.tolerance))
-                    else:
-                        fn = _TRIPLE_CHECKS[check]
-                        thunk = lambda fn=fn, m=m, a=a: fn(ctx, m, a)
-                    out.append(run_guarded(ctx, m, a, check, thunk))
-        elif check == "lemma21":
-            for m in _m_grid(ctx, config):
-                out.append(run_guarded(ctx, m, 0, check,
-                                       lambda m=m: _lemma21_record(ctx, m)))
-        elif check == "lemma31":
-            out.append(run_guarded(ctx, 3, 0, check, lambda: check_lemma31(ctx)))
-        elif check == "criterion":
-            for m in (3, 4):
-                if config.m_policy != "all" and m not in config.m_policy:
-                    continue
-                out.append(run_guarded(ctx, m, 0, check,
-                                       lambda m=m: two_residue_criterion(ctx, m)))
-        elif check == "cor11":
-            for a in a_grid:
-                out.append(run_guarded(ctx, 3, a, check,
-                                       lambda a=a: verify_cor11(ctx, a)))
-        elif check == "cor12":
-            for a in a_grid:
-                out.append(run_guarded(ctx, 4, a, check,
-                                       lambda a=a: verify_cor12(ctx, a)))
-        elif check == "pmd_lemma":
-            for j, x in enumerate(PMD_X_GRID, start=1):
-                out.append(run_guarded(
-                    ctx, 1, j, check,
-                    lambda x=x: pmd_lemma_identity(ctx.p, x, config.tolerance)))
-        elif check == "pmd_thm14":
-            for a in a_grid:
-                out.append(run_guarded(
-                    ctx, 1, a, check,
-                    lambda a=a: pmd_theorem14_numeric(ctx, a, config.tolerance)))
-    return out
+    return [run_check(ctx, m, a, check, config.tolerance)
+            for check in config.selected_checks()
+            for m, a in CHECKS[check][0](ctx, config)]
 
 
 def _thread_count() -> int:

@@ -26,7 +26,6 @@ TINY_FACTOR = 1e-12   # |1 + tan| below this degrades float precision
 POLE_EPS = 1e-9
 ZERO_CROSS = 1e-9
 
-_HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 _THREE_QUARTERS = Fraction(3, 4)
 
@@ -62,6 +61,30 @@ def _log_tolerance(rel_tol: float) -> float:
     return math.log2(1.0 + rel_tol)
 
 
+def _tan_product_mag(q: int, residues) -> SignedMagnitude:
+    """Product of (1 + tan(pi*r/q)) over residues r in [0, q), in sign/log2 form.
+
+    The factors are accumulated in the order given, so callers that keep their
+    iteration order keep every float sum bit for bit.
+    """
+    sign = 1
+    log2 = 0.0
+    for r in residues:
+        t = r / q
+        if t > 0.5:
+            t -= 1.0
+        f = 1.0 + math.tan(math.pi * t)
+        assert f != 0.0, "1 + tan(pi*r/p) cannot vanish for an odd prime p"
+        if abs(f) < TINY_FACTOR:
+            warnings.warn(
+                f"near-zero factor at residue {r} (p={q}); precision degraded",
+                RuntimeWarning, stacklevel=3)
+        if f < 0.0:
+            sign = -sign
+        log2 += math.log2(abs(f))
+    return SignedMagnitude(sign, log2)
+
+
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     """Product of (1 + tan(pi*a*k/p)) over k in R_m(p), in sign/log2 form.
 
@@ -73,24 +96,8 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     ctx = as_prime(p)
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
-    members = residue_set(ctx, m).members
     q = ctx.p
-    sign = 1
-    log2 = 0.0
-    for k in members:
-        t = (a * k % q) / q
-        if t > 0.5:
-            t -= 1.0
-        f = 1.0 + math.tan(math.pi * t)
-        assert f != 0.0, "1 + tan(pi*a*k/p) cannot vanish for an odd prime p"
-        if abs(f) < TINY_FACTOR:
-            warnings.warn(
-                f"near-zero factor at k={k} (p={q}, a={a}); precision degraded",
-                RuntimeWarning, stacklevel=2)
-        if f < 0.0:
-            sign = -sign
-        log2 += math.log2(abs(f))
-    return SignedMagnitude(sign, log2)
+    return _tan_product_mag(q, [a * k % q for k in residue_set(ctx, m).members])
 
 
 def verify_theorem_main_numeric(p, m: int, a: int = 1,
@@ -118,25 +125,25 @@ def verify_theorem_main_numeric(p, m: int, a: int = 1,
     return finish(ctx.p, m, a, "thm_main_numeric", ok, expected, actual, t0)
 
 
-def _tan_factor(arg: Fraction):
-    """(sign, log2) of 1 + tan(pi*arg), with exact pole and zero detection.
+def _tan_factor(arg: Fraction) -> SignedMagnitude:
+    """1 + tan(pi*arg) in sign/log2 form, with exact pole and zero detection.
 
-    Returns sign 0 with log2 None when the reduced argument is exactly 3/4,
-    the only zero of 1 + tan(pi*t) modulo 1.
+    Returns an exact zero when the reduced argument is exactly 3/4, the only
+    zero of 1 + tan(pi*t) modulo 1.
     """
     q = arg % 1
     if abs(float(q) - 0.5) < POLE_EPS:
         raise PoleProximity(
             f"argument {float(arg)!r} is within {POLE_EPS:g} of a tangent pole")
     if q == _THREE_QUARTERS:
-        return 0, None
+        return SignedMagnitude(0)
     t = float(q)
     if t > 0.5:
         t -= 1.0
     f = 1.0 + math.tan(math.pi * t)
     if f == 0.0:
-        return 0, None
-    return (1 if f > 0.0 else -1), math.log2(abs(f))
+        return SignedMagnitude(0)
+    return SignedMagnitude(1 if f > 0.0 else -1, math.log2(abs(f)))
 
 
 def pmd_lemma_identity(n: int, x: float,
@@ -152,17 +159,8 @@ def pmd_lemma_identity(n: int, x: float,
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
     fx = Fraction(x)  # exact: binary floats are dyadic rationals
-    args = [(fx + r) / n for r in range(n)]
-    factors = [_tan_factor(arg) for arg in args]
-
-    lhs_sign, lhs_log2 = 1, 0.0
-    for s, lg in factors:
-        if s == 0:
-            lhs_sign = 0
-            break
-        lhs_sign *= s
-        lhs_log2 += lg
-    lhs = SignedMagnitude(lhs_sign, lhs_log2 if lhs_sign else 0.0)
+    factors = [_tan_factor((fx + r) / n) for r in range(n)]
+    lhs = math.prod(factors, start=SignedMagnitude(1))
 
     s2 = jacobi(2, n)
     s1 = jacobi(-1, n)
@@ -209,25 +207,11 @@ def pmd_theorem14_numeric(p, a: int = 1,
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
     q = ctx.p
-    sign = 1
-    log2 = 0.0
-    for k in range(1, (q - 1) // 2 + 1):
-        t = (a * k * k % q) / q
-        if t > 0.5:
-            t -= 1.0
-        f = 1.0 + math.tan(math.pi * t)
-        assert f != 0.0, "1 + tan(pi*a*k^2/p) cannot vanish for an odd prime p"
-        if abs(f) < TINY_FACTOR:
-            warnings.warn(
-                f"near-zero factor at k={k} (p={q}, a={a}); precision degraded",
-                RuntimeWarning, stacklevel=2)
-        if f < 0.0:
-            sign = -sign
-        log2 += math.log2(abs(f))
+    got = _tan_product_mag(q, [a * k * k % q for k in range(1, (q - 1) // 2 + 1)])
     count = sum(1 for k in range(1, (q - 1) // 4 + 1) if jacobi(k, q) == 1)
     want_sign = -1 if count % 2 else 1
     quarter = (q - 1) // 4
-    ok = sign == want_sign and abs(log2 - quarter) <= _log_tolerance(rel_tol)
+    ok = got.sign == want_sign and \
+        abs(got.log2_mag - quarter) <= _log_tolerance(rel_tol)
     expected = f"{'+' if want_sign > 0 else '-'}2^{quarter} (rel_tol={rel_tol:g})"
-    actual = SignedMagnitude(sign, log2).render()
-    return finish(ctx.p, 1, a, "pmd_thm14", ok, expected, actual, t0)
+    return finish(ctx.p, 1, a, "pmd_thm14", ok, expected, got.render(), t0)

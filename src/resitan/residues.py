@@ -13,10 +13,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .arith import PrimeContext, as_prime, is_prime
+from .arith import PrimeContext, as_prime
 from .errors import HypothesisViolation, NonRealSymbol
-
-_TRIAL_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -60,36 +58,38 @@ def is_mth_residue(k: int, p: int | PrimeContext, m: int) -> bool:
 
 
 @functools.lru_cache(maxsize=65536)
-def _primitive_root(p: int) -> int | None:
-    """A generator of (Z/p)*, or None when p-1 resists quick factorization."""
+def _subgroup_generator(p: int, m: int) -> int:
+    """A generator of R_m(p), the subgroup of order (p-1)/m of (Z/p)*.
+
+    Only the order is factored, so this costs less than listing the subgroup;
+    c^m lies in the subgroup and generates it when c is a primitive root.
+    """
+    order = (p - 1) // m
     distinct = []
-    n = p - 1
+    n = order
     d = 2
-    while d * d <= n and d <= _TRIAL_BOUND:
+    while d * d <= n:
         if n % d == 0:
             distinct.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        if n > _TRIAL_BOUND and not is_prime(n):
-            return None
         distinct.append(n)
-    exps = [(p - 1) // q for q in distinct]
-    g = 2
+    c = 2
     while True:
-        if all(pow(g, e, p) != 1 for e in exps):
-            return g
-        g += 1
+        h = pow(c, m, p)
+        if all(pow(h, order // q, p) != 1 for q in distinct):
+            return h
+        c += 1
 
 
 def residue_set(p: int | PrimeContext, m: int) -> ResidueSet:
     """All m-th power residues in [1, p-1].
 
     Membership is defined by the exponent test k^((p-1)/m) = 1 (mod p).  The
-    set itself is built by walking the powers of g^m for a generator g, which
-    produces the same subgroup in O(p/m) multiplications; when p - 1 cannot
-    be factored quickly the O(p log p) exponent test is used directly.
+    set itself is built by walking the powers of a generator of the subgroup,
+    which produces the same set in O(p/m) multiplications.
     """
     ctx = as_prime(p)
     require_even_index(ctx, m)
@@ -97,18 +97,13 @@ def residue_set(p: int | PrimeContext, m: int) -> ResidueSet:
     count = ctx.p_minus_1 // m
     if m == 1:
         return ResidueSet(q, 1, tuple(range(1, q)))
-    g = _primitive_root(q)
-    if g is None:
-        e = count
-        members = tuple(k for k in range(1, q) if pow(k, e, q) == 1)
-    else:
-        step = pow(g, m, q)
-        out = []
-        cur = 1
-        for _ in range(count):
-            out.append(cur)
-            cur = cur * step % q
-        members = tuple(sorted(out))
+    step = _subgroup_generator(q, m)
+    out = []
+    cur = 1
+    for _ in range(count):
+        out.append(cur)
+        cur = cur * step % q
+    members = tuple(sorted(out))
     assert len(members) == count
     return ResidueSet(q, m, members)
 

@@ -34,6 +34,8 @@ class TestIsPrime:
         assert not is_prime(3215031751)
         # smallest strong pseudoprime to the first nine prime bases
         assert not is_prime(3825123056546413051)
+        # psi_12: smallest strong pseudoprime to the first twelve prime bases
+        assert not is_prime(318665857834031151167461)
 
     def test_64_bit_boundary(self):
         assert is_prime(2 ** 64 - 59)
@@ -55,7 +57,9 @@ class TestPrimeContext:
         ctx = PrimeContext(31)
         assert ctx.p == 31 and ctx.p_minus_1 == 30
 
-    @pytest.mark.parametrize("bad", [0, 1, 2, 4, 9, 561])
+    # psi_13 is the first value outside the proven Miller-Rabin range
+    @pytest.mark.parametrize("bad", [0, 1, 2, 4, 9, 561,
+                                     3317044064679887385961981])
     def test_rejects_nonprimes_and_two(self, bad):
         with pytest.raises(ValueError):
             PrimeContext(bad)

@@ -32,7 +32,9 @@ def test_cornacchia_command(capsys):
 def test_verify_command(capsys):
     assert main(["verify", "--p", "31", "--m", "3"]) == 0
     out = capsys.readouterr().out
-    assert out.count("pass") == 4  # gi, gi_plus, thm_main_exact, thm_main_numeric
+    assert out.count("pass") == 4
+    checks = [line.split()[3].rstrip(":") for line in out.splitlines()]
+    assert checks == ["gi", "gi_plus", "thm_main_exact", "thm_main_numeric"]
 
 
 def test_verify_modes(capsys):

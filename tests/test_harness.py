@@ -1,3 +1,4 @@
+import hashlib
 import random
 import string
 
@@ -152,7 +153,21 @@ class TestReports:
             parse_report(tmp_path / "x", "xml")
 
 
+# sha256 of scan(ScanConfig(3, 60, out=..., fmt=...)) with one process
+GOLDEN_SCAN_3_60 = {
+    "jsonl": "3c5fed05f1bffdede798e11f727a24363563d2f98f7ba119db8678b8b2336a4d",
+    "csv": "7212a7c73546c026f86a9fa6ed77dc2e670dba27d7df47c60f54e6536fb52fe4",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_report_bytes_match_golden(self, fmt, tmp_path, monkeypatch):
+        monkeypatch.setenv("RESITAN_THREADS", "1")
+        out = tmp_path / f"golden.{fmt}"
+        scan(ScanConfig(3, 60, out=str(out), fmt=fmt))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_3_60[fmt]
+
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_repeated_scans_byte_identical(self, fmt, tmp_path):
         out1, out2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"

@@ -51,6 +51,12 @@ class TestResidueSet:
                 ref = tuple(k for k in range(1, p) if pow(k, e, p) == 1)
                 assert residue_set(p, m).members == ref
 
+    # p - 1 = 2 * 1000003 * 1000121, and p - 1 = 2 * (a prime near 1e17):
+    # large prime factors of p - 1 must not slow the generator search down
+    @pytest.mark.parametrize("p", [2000248000727, 200000000000000363])
+    def test_two_member_subgroup_of_large_p(self, p):
+        assert residue_set(p, (p - 1) // 2).members == (1, p - 1)
+
     def test_subgroup_invariants(self):
         rng = random.Random(3)
         for p in [13, 31, 61, 113, 199]:
