@@ -9,7 +9,36 @@ Coefficients of a product of j two-term factors can reach 2^j, far past any
 machine word, which is why everything stays in Python integers.
 
 The identity checks work in n = 4p for an odd prime p: zeta_n^p is a square
-root of -1 and zeta_n^(4k) runs through the p-th roots of unity.
+root of -1 and zeta_n^(4k) runs through the p-th roots of unity.  Each check
+claims lhs = rhs in Z[zeta_n]; write d = lhs - rhs and R = R_m(p).
+
+Pass/fail is decided by a multimodular certificate, not by expanding d:
+
+- Splitting.  A prime l = 1 (mod n) splits completely in Q(zeta_n) into
+  phi(n) distinct primes, one for each t in (Z/n)*, and the residue map at
+  the t-th prime is zeta_n -> w^t in F_l, where w has exact order n.  So if
+  d maps to 0 under all phi(n) maps, d lies in every prime above l, hence in
+  their product lZ[zeta_n] (l is unramified).
+- Coset reduction.  The image of i + s*zeta_p^(ak) under zeta_n -> w^t is
+  I^u + s*w^(4akt) with I = w^p and u = t mod 4 in {1, 3}.  As k runs over R,
+  akt runs over the coset of at in (Z/p)*/R, and t mod p runs over all of
+  (Z/p)* independently of u.  So the phi(n) images of d are the 2m values
+  indexed by u and by a coset representative c of (Z/p)*/R; they do not
+  depend on a.  The representatives are the first c whose powers
+  c^((p-1)/m) mod p are distinct, since that power is the coset's label.
+- Norm bound.  Each complex embedding of a factor i +- zeta has modulus at
+  most 2, so every conjugate of d is bounded by B = 2^|R| + 1 for the
+  products of Theorem 1.2 and by B = 2^(|R|/2) + 2^(3|R|/2) for the
+  cross-multiplied tangent identity, whose right side carries the scalar
+  +-2^(|R|/2).  If d is divisible by L = l_1 * ... * l_r with L > B and
+  d != 0, then |N(d)| >= L^phi(n) > B^phi(n) >= |N(d)|, which is impossible.
+
+So d = 0 once the 2m images vanish modulo enough split primes for their
+product to pass B; that costs about 3p multiplications modulo each l.  One
+certificate per (p, m) and right side covers every a.  A check that passes
+renders both sides as the certified monomial c * i^q without building the
+ring; a check whose certificate does not close is recomputed in the dense
+ring, which renders the two sides that differ and keeps its size bound.
 """
 
 from __future__ import annotations
@@ -18,7 +47,7 @@ import cmath
 import functools
 import time
 
-from .arith import PrimeContext, as_prime, divisors
+from .arith import PrimeContext, as_prime, divisors, is_prime
 from .errors import BoundExceeded, HypothesisViolation, RingMismatch
 from .records import VerificationRecord, finish
 from .residues import is_mth_residue, require_even_index, residue_set, symbol_sign
@@ -288,17 +317,134 @@ def binomial_product(ring: CycloRing, factors) -> CycloElement:
     return CycloElement(ring, tuple(acc))
 
 
-def _product_context(p, m: int, a: int):
-    """Validate the common hypotheses and set up the ring and residue list."""
+def _product_context(p, m: int, a: int) -> PrimeContext:
+    """Validate the hypotheses shared by the exact checks."""
     ctx = as_prime(p)
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
     require_even_index(ctx, m)
     if not is_mth_residue(2, ctx, m):
         raise HypothesisViolation(f"2 is not a {m}-th power residue mod {ctx.p}")
+    return ctx
+
+
+# Certificate primes come down from 2^62, so each adds more than 61 bits to
+# the modulus and a product of two residues stays near two machine words.
+_SPLIT_TOP = 1 << 62
+_SPLIT_BITS = 61
+
+
+@functools.lru_cache(maxsize=64)
+def _split_primes(n: int) -> tuple[int, ...]:
+    """The largest primes l = 1 (mod n) below 2^62, proven by is_prime.
+
+    n = 4p, and there are enough of them for their product to pass the
+    largest bound any exact check has at p, 2^((p-1)/2) + 2^(3(p-1)/2), so
+    one list serves every m and every check.
+    """
+    p = n // 4
+    count = (3 * (p - 1) // 2 + 1) // _SPLIT_BITS + 1
+    out = []
+    candidate = (_SPLIT_TOP - 2) // n * n + 1
+    while len(out) < count and candidate > 1:
+        if is_prime(candidate):
+            out.append(candidate)
+        candidate -= n
+    return tuple(out)
+
+
+def _root_of_order(n: int, l: int) -> int:
+    """An element of exact order n = 4p in F_l, for a prime l = 1 (mod n)."""
+    e = (l - 1) // n
+    g = 2
+    while True:
+        w = pow(g, e, l)
+        # the order divides 4p; it is 4p unless it divides 2p or 4
+        if pow(w, n // 2, l) != 1 and pow(w, 4, l) != 1:
+            return w
+        g += 1
+
+
+def _orbit_certificate(p: int, m: int, s: int, scalar: int, target,
+                       bound: int) -> bool:
+    """Whether scalar * prod over k in R_m(p) of (i + s*zeta_p^k) = target(i)
+    holds in Z[zeta_4p], given that every conjugate of the difference of the
+    two sides is at most `bound` in modulus.
+
+    target(l, iu) is the right side under the embedding that sends i to iu in
+    F_l.  The argument is in the module docstring: the 2m images of the
+    difference, one per image of i and coset of R_m(p), must vanish modulo
+    split primes whose product passes `bound`.
+    """
+    members = residue_set(p, m).members
+    reps = {}   # coset label c^|R| mod p -> first c with that label
+    c = 1
+    while len(reps) < m:
+        reps.setdefault(pow(c, len(members), p), c)
+        c += 1
+    cosets = [[c * k % p for k in members] for c in reps.values()]
+    n = 4 * p
+    modulus = 1
+    for l in _split_primes(n):
+        w = _root_of_order(n, l)
+        eta = pow(w, 4, l)
+        powers = [1] * p
+        for j in range(1, p):
+            powers[j] = powers[j - 1] * eta % l
+        i_l = pow(w, p, l)
+        for iu in (i_l, l - i_l):   # t = 1 and t = 3 (mod 4)
+            want = target(l, iu) % l
+            terms = [(iu + s * x) % l for x in powers]
+            for exponents in cosets:
+                acc = scalar % l
+                for e in exponents:
+                    acc = acc * terms[e] % l
+                if acc != want:
+                    return False
+        modulus *= l
+        if modulus > bound:
+            return True
+    raise ArithmeticError(f"split primes 1 mod {n} ran out below the bound")
+
+
+@functools.lru_cache(maxsize=4096)
+def _certify_i_product(p: int, m: int, s: int, delta: int,
+                       quarter_turns: int) -> bool:
+    """Certificate for prod over k in R_m(p) of (i + s*zeta_p^(ak)) = delta * i^q,
+    for every a prime to p at once."""
+    size = (p - 1) // m
+    return _orbit_certificate(p, m, s, 1,
+                              lambda l, iu: delta * pow(iu, quarter_turns, l),
+                              2 ** size + 1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _certify_tan_cross(p: int, m: int, scalar: int) -> bool:
+    """Certificate for (i-1)^|R| = scalar * prod over k in R_m(p) of
+    (i - zeta_p^(ak)), for every a prime to p at once."""
+    size = (p - 1) // m
+    return _orbit_certificate(p, m, -1, scalar,
+                              lambda l, iu: pow(iu - 1, size, l),
+                              2 ** (size // 2) + 2 ** (3 * size // 2))
+
+
+def _render_i_power(p: int, q: int, c: int) -> str:
+    """CycloElement.render() of c * i^q in Z[zeta_4p], i = z^p, without a ring.
+
+    z^(2p) = -1 folds i^2 to -1 and i^3 to -z^p, and z^0, z^p are already
+    canonical because p < phi(4p) = 2p - 2.
+    """
+    if q % 4 >= 2:
+        c = -c
+    return f"{c}*z^{p * (q % 2)}"
+
+
+def _i_product(ctx: PrimeContext, m: int, a: int, s: int) -> CycloElement:
+    """The dense product over k in R_m(p) of (i + s*zeta_p^(ak)) in Z[zeta_4p]."""
     ring = get_ring(4 * ctx.p)
-    members = residue_set(ctx, m).members
-    return ctx, ring, members
+    factors = [(1, ctx.p, s, 4 * a * k % ring.n)
+               for k in residue_set(ctx, m).members]
+    return binomial_product(ring, factors)
 
 
 def _exact_record(ctx: PrimeContext, m: int, a: int, check: str,
@@ -309,19 +455,17 @@ def _exact_record(ctx: PrimeContext, m: int, a: int, check: str,
     return finish(ctx.p, m, a, check, expected == actual, expected, actual, t0)
 
 
-def _i_factors(ring: CycloRing, ctx: PrimeContext, members, a: int, s: int):
-    """Factors i + s*zeta_p^(ak), k in members, as (1, p, s, 4ak mod n)."""
-    return [(1, ctx.p, s, 4 * a * k % ring.n) for k in members]
-
-
 def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationRecord:
     """prod over k in R_m(p) of (i + s*zeta_p^(ak)) = sign(2s) * i^((p-1)/(2m))."""
     t0 = time.perf_counter()
-    ctx, ring, members = _product_context(p, m, a)
-    lhs = binomial_product(ring, _i_factors(ring, ctx, members, a, s))
+    ctx = _product_context(p, m, a)
     delta = symbol_sign(2 * s, ctx, m).value
     quarter_turns = (ctx.p_minus_1 // (2 * m)) % 4
-    rhs = ring.monomial(ctx.p * quarter_turns % ring.n, delta)
+    if _certify_i_product(ctx.p, m, s, delta, quarter_turns):
+        both = _render_i_power(ctx.p, quarter_turns, delta)
+        return finish(ctx.p, m, a, check, True, both, both, t0)
+    lhs = _i_product(ctx, m, a, s)
+    rhs = lhs.ring.monomial(ctx.p * quarter_turns, delta)
     return _exact_record(ctx, m, a, check, lhs, rhs, t0)
 
 
@@ -342,11 +486,17 @@ def verify_tan_cross(p, m: int, a: int = 1) -> VerificationRecord:
 
     Checks (i-1)^|R_m(p)| = [sign(-2) * (-2)^((p-1)/(2m))] * prod(i - zeta_p^(ak)),
     which is the tangent identity with the transcendental division cleared.
+    When it holds, both sides equal (i-1)^|R| = (-2)^(|R|/2) * i^(|R|/2).
     """
     t0 = time.perf_counter()
-    ctx, ring, members = _product_context(p, m, a)
-    lhs = (ring.monomial(ctx.p) - ring.one()) ** len(members)
+    ctx = _product_context(p, m, a)
+    half = ctx.p_minus_1 // (2 * m)
     delta = symbol_sign(-2, ctx, m).value
-    scalar = delta * (-2) ** (ctx.p_minus_1 // (2 * m))
-    rhs = binomial_product(ring, _i_factors(ring, ctx, members, a, -1)) * scalar
+    scalar = delta * (-2) ** half
+    if _certify_tan_cross(ctx.p, m, scalar):
+        both = _render_i_power(ctx.p, half, (-2) ** half)
+        return finish(ctx.p, m, a, "thm_main_exact", True, both, both, t0)
+    rhs = _i_product(ctx, m, a, -1) * scalar
+    ring = rhs.ring
+    lhs = (ring.monomial(ctx.p) - ring.one()) ** (2 * half)
     return _exact_record(ctx, m, a, "thm_main_exact", lhs, rhs, t0)

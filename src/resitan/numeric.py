@@ -74,7 +74,8 @@ def _tan_product_mag(q: int, residues) -> SignedMagnitude:
         if t > 0.5:
             t -= 1.0
         f = 1.0 + math.tan(math.pi * t)
-        assert f != 0.0, "1 + tan(pi*r/p) cannot vanish for an odd prime p"
+        if f == 0.0:
+            raise ArithmeticError(f"1 + tan(pi*{r}/{q}) evaluated to 0")
         if abs(f) < TINY_FACTOR:
             warnings.warn(
                 f"near-zero factor at residue {r} (p={q}); precision degraded",

@@ -103,9 +103,10 @@ def residue_set(p: int | PrimeContext, m: int) -> ResidueSet:
     for _ in range(count):
         out.append(cur)
         cur = cur * step % q
-    members = tuple(sorted(out))
-    assert len(members) == count
-    return ResidueSet(q, m, members)
+    if cur != 1:
+        raise ArithmeticError(
+            f"the walk of R_{m}({q}) did not close after {count} steps")
+    return ResidueSet(q, m, tuple(sorted(out)))
 
 
 def residue_sum_check(p: int | PrimeContext, m: int) -> bool:

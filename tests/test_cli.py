@@ -70,6 +70,19 @@ def test_scan_command(tmp_path, capsys):
     assert {json.loads(l)["check"] for l in lines} == {"gi", "lemma21"}
 
 
+def test_scan_beyond_dense_ring_bound(tmp_path, monkeypatch, capsys):
+    # n = 4p exceeds the dense ring's bound here; the exact checks certify
+    # modulo split primes and need no ring
+    monkeypatch.setenv("RESITAN_THREADS", "1")
+    out = tmp_path / "report.jsonl"
+    assert main(["scan", "--pmin", "5003", "--pmax", "5010", "--checks", "gi",
+                 "--m", "1", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 12
+    assert {(r["p"], r["status"]) for r in records} == {(5003, "pass"),
+                                                       (5009, "pass")}
+
+
 def test_scan_csv_format(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["scan", "--pmin", "5", "--pmax", "20", "--checks", "lemma21",

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from conftest import admissible_m, odd_primes_up_to
 from resitan import (BoundExceeded, HypothesisViolation, RingMismatch,
-                     binomial_product, cyclotomic_poly, jacobi, symbol_sign,
-                     verify_gi, verify_gi_plus, verify_tan_cross)
+                     SignSymbol, binomial_product, cyclotomic, cyclotomic_poly,
+                     is_mth_residue, jacobi, symbol_sign, verify_gi,
+                     verify_gi_plus, verify_tan_cross)
 from resitan.cyclotomic import get_ring
 
 
@@ -251,3 +253,72 @@ class TestVerifyTanCross:
             prod = binomial_product(ring, factors)
             half = (p - 1) // (2 * m)
             assert prod * prod == ring.constant((-1) ** half)
+
+
+def certified_pairs(p_limit):
+    """(p, m) with p below p_limit, 2m | p-1 and 2 an m-th power residue."""
+    return [(p, m) for p in odd_primes_up_to(p_limit - 1)
+            for m in admissible_m(p) if is_mth_residue(2, p, m)]
+
+
+EXACT_CHECKS = (verify_gi, verify_gi_plus, verify_tan_cross)
+
+
+def dense(monkeypatch):
+    """Turn the certificate off, so every exact check expands the product."""
+    monkeypatch.setattr(cyclotomic, "_certify_i_product", lambda *args: False)
+    monkeypatch.setattr(cyclotomic, "_certify_tan_cross", lambda *args: False)
+
+
+class TestCertificate:
+    def test_records_match_dense_ring(self, monkeypatch):
+        cases = [(fn, p, m, a) for p, m in certified_pairs(200)
+                 for a in (1, p - 1) for fn in EXACT_CHECKS]
+        certified = [fn(p, m, a) for fn, p, m, a in cases]
+        dense(monkeypatch)
+        for (fn, p, m, a), got in zip(cases, certified):
+            want = fn(p, m, a)
+            assert (got.status, got.expected, got.actual) == \
+                (want.status, want.expected, want.actual), (fn.__name__, p, m, a)
+            assert got.status == "pass"
+
+    def test_rejects_wrong_right_sides(self):
+        for p, m in certified_pairs(200):
+            half = (p - 1) // (2 * m)
+            for s in (-1, 1):
+                delta = symbol_sign(2 * s, p, m).value
+                q = half % 4
+                assert cyclotomic._certify_i_product(p, m, s, delta, q)
+                assert not cyclotomic._certify_i_product(p, m, s, -delta, q)
+                assert not cyclotomic._certify_i_product(p, m, s, delta, (q + 1) % 4)
+                assert not cyclotomic._certify_i_product(p, m, s, delta, (q - 1) % 4)
+            scalar = symbol_sign(-2, p, m).value * (-2) ** half
+            assert cyclotomic._certify_tan_cross(p, m, scalar)
+            assert not cyclotomic._certify_tan_cross(p, m, -scalar)
+
+    def test_flipped_symbol_fails_with_dense_actual(self, monkeypatch):
+        cases = [(fn, p, m, a) for p, m in [(31, 3), (113, 4), (41, 2), (73, 1)]
+                 for a in (1, 2) for fn in EXACT_CHECKS]
+        with monkeypatch.context() as mp:
+            dense(mp)
+            actual = [fn(p, m, a).actual for fn, p, m, a in cases]
+
+        def flipped(a, p, m):
+            sym = symbol_sign(a, p, m)
+            return SignSymbol(-sym.value, sym.a, sym.p, sym.order)
+        monkeypatch.setattr(cyclotomic, "symbol_sign", flipped)
+        for (fn, p, m, a), want in zip(cases, actual):
+            rec = fn(p, m, a)
+            assert rec.status == "fail", (fn.__name__, p, m, a)
+            assert rec.actual == want
+            assert rec.expected != rec.actual
+
+    def test_render_matches_ring(self):
+        coefficients = [1, -1] + [sign * 2 ** j for j in (1, 7, 64, 249)
+                                  for sign in (1, -1)]
+        for p in odd_primes_up_to(499):
+            ring = get_ring(4 * p)
+            for q in range(4):
+                for c in coefficients:
+                    assert cyclotomic._render_i_power(p, q, c) == \
+                        ring.monomial(p * q, c).render(), (p, q, c)

@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import random
 import string
+from pathlib import Path
 
 import pytest
 
+import resitan
 from resitan import (NotRepresentable, ScanConfig, VerificationRecord,
                      emit_report, parse_report, scan, verify_cor11,
                      verify_cor12)
@@ -183,3 +186,14 @@ class TestDeterminism:
         monkeypatch.setenv("RESITAN_THREADS", "2")
         scan(ScanConfig(3, 40, out=str(out2)))
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so invariants must raise explicitly
+    sources = sorted(Path(resitan.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
