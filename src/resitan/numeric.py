@@ -7,11 +7,25 @@ to tan.  For the full-residue-system identity the reduction is done in exact
 rational arithmetic, so grid points landing exactly on a zero of
 1 + tan(pi*t) are recognized symbolically instead of drowning in rounding
 noise.
+
+The products over residues of a prime q all run through one loop,
+_tan_product_mag: tan_product (used by verify_theorem_main_numeric and so
+by the corollary cor11) and pmd_theorem14_numeric.  Each factor
+1 + tan(pi*r/q) depends only on the residue r, so it is evaluated once per
+prime: a per-prime table keeps its sign and log2 magnitude, filled the
+first time a product meets r, and only the current prime's table is kept.
+The order in which a product adds its log2 terms is part of the report
+format: the terms are added left to right with plain float `+`, as a
+per-factor loop does.  sum() of floats is compensated from Python 3.12 on
+and math.fsum rounds once at the end; both change the last bits of some
+products, and with them some report bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -61,29 +75,69 @@ def _log_tolerance(rel_tol: float) -> float:
     return math.log2(1.0 + rel_tol)
 
 
-def _tan_product_mag(q: int, residues) -> SignedMagnitude:
+class _FactorTable:
+    """log2|1 + tan(pi*r/q)| and its sign, for the residues r of one prime q.
+
+    Entries are evaluated the first time a product meets their residue, so a
+    product over a small subgroup costs only its own factors.  `negative`
+    holds 1 for residues whose factor is below zero and 0 otherwise; `tiny`
+    holds the residues whose factor is below TINY_FACTOR.  A zero factor
+    raises and is never stored, so every product that meets it raises.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        self.log2: dict[int, float] = {}
+        self.negative: dict[int, int] = {}
+        self.tiny: set[int] = set()
+
+    def fill(self, residues) -> None:
+        """Evaluate the factors of the residues not in the table yet."""
+        q, log2, negative = self.q, self.log2, self.negative
+        for r in residues:
+            if r in log2:
+                continue
+            t = r / q
+            if t > 0.5:
+                t -= 1.0
+            f = 1.0 + math.tan(math.pi * t)
+            if f == 0.0:
+                raise ArithmeticError(f"1 + tan(pi*{r}/{q}) evaluated to 0")
+            if abs(f) < TINY_FACTOR:
+                self.tiny.add(r)
+            negative[r] = 1 if f < 0.0 else 0
+            log2[r] = math.log2(abs(f))
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_table(q: int) -> _FactorTable:
+    """The factor table of prime q; only the current prime's table is kept."""
+    return _FactorTable(q)
+
+
+def _tan_product_mag(q: int, residues: list[int]) -> SignedMagnitude:
     """Product of (1 + tan(pi*r/q)) over residues r in [0, q), in sign/log2 form.
 
-    The factors are accumulated in the order given, so callers that keep their
-    iteration order keep every float sum bit for bit.
+    The log2 terms are added left to right in the order given with plain
+    float `+` (not sum() or math.fsum, see the module docstring), each exactly
+    the float the per-factor evaluation gives, so every product is the same
+    float bit for bit whether the table is cold or warm.
     """
-    sign = 1
-    log2 = 0.0
-    for r in residues:
-        t = r / q
-        if t > 0.5:
-            t -= 1.0
-        f = 1.0 + math.tan(math.pi * t)
-        if f == 0.0:
-            raise ArithmeticError(f"1 + tan(pi*{r}/{q}) evaluated to 0")
-        if abs(f) < TINY_FACTOR:
-            warnings.warn(
-                f"near-zero factor at residue {r} (p={q}); precision degraded",
-                RuntimeWarning, stacklevel=3)
-        if f < 0.0:
-            sign = -sign
-        log2 += math.log2(abs(f))
-    return SignedMagnitude(sign, log2)
+    table = _factor_table(q)
+    lookup = table.log2.__getitem__
+    try:
+        log2 = functools.reduce(operator.add, map(lookup, residues), 0.0)
+    except KeyError:  # a residue met for the first time at this prime
+        table.fill(residues)
+        log2 = functools.reduce(operator.add, map(lookup, residues), 0.0)
+    negatives = sum(map(table.negative.__getitem__, residues))
+    if table.tiny:
+        for r in residues:
+            if r in table.tiny:
+                warnings.warn(
+                    f"near-zero factor at residue {r} (p={q}); precision degraded",
+                    RuntimeWarning, stacklevel=3)
+    return SignedMagnitude(-1 if negatives % 2 else 1, log2)
 
 
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
@@ -193,6 +247,12 @@ def pmd_lemma_identity(n: int, x: float,
     return finish(n, 1, 0, "pmd_lemma", ok, expected, actual, t0)
 
 
+@functools.lru_cache(maxsize=1)
+def _low_residue_count(q: int) -> int:
+    """#{1 <= k <= (q-1)/4 : (k/q) = 1}; it does not depend on a."""
+    return sum(1 for k in range(1, (q - 1) // 4 + 1) if jacobi(k, q) == 1)
+
+
 def pmd_theorem14_numeric(p, a: int = 1,
                           rel_tol: float = 1e-6) -> VerificationRecord:
     """Quadratic-residue tangent product for p = 1 (mod 8).
@@ -209,8 +269,7 @@ def pmd_theorem14_numeric(p, a: int = 1,
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
     q = ctx.p
     got = _tan_product_mag(q, [a * k * k % q for k in range(1, (q - 1) // 2 + 1)])
-    count = sum(1 for k in range(1, (q - 1) // 4 + 1) if jacobi(k, q) == 1)
-    want_sign = -1 if count % 2 else 1
+    want_sign = -1 if _low_residue_count(q) % 2 else 1
     quarter = (q - 1) // 4
     ok = got.sign == want_sign and \
         abs(got.log2_mag - quarter) <= _log_tolerance(rel_tol)

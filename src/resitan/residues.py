@@ -89,12 +89,27 @@ def residue_set(p: int | PrimeContext, m: int) -> ResidueSet:
 
     Membership is defined by the exponent test k^((p-1)/m) = 1 (mod p).  The
     set itself is built by walking the powers of a generator of the subgroup,
-    which produces the same set in O(p/m) multiplications.
+    which produces the same set in O(p/m) multiplications.  Sets are kept for
+    the most recent prime only, so every check and every a at that prime
+    shares one build per m.
     """
     ctx = as_prime(p)
     require_even_index(ctx, m)
-    q = ctx.p
-    count = ctx.p_minus_1 // m
+    sets = _residue_sets(ctx.p)
+    rs = sets.get(m)
+    if rs is None:
+        rs = sets[m] = _build_residue_set(ctx.p, m)
+    return rs
+
+
+@functools.lru_cache(maxsize=1)
+def _residue_sets(p: int) -> dict[int, ResidueSet]:
+    """The R_m(p) built so far for prime p, keyed by m."""
+    return {}
+
+
+def _build_residue_set(q: int, m: int) -> ResidueSet:
+    count = (q - 1) // m
     if m == 1:
         return ResidueSet(q, 1, tuple(range(1, q)))
     step = _subgroup_generator(q, m)

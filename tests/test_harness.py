@@ -161,6 +161,13 @@ GOLDEN_SCAN_3_60 = {
     "jsonl": "3c5fed05f1bffdede798e11f727a24363563d2f98f7ba119db8678b8b2336a4d",
     "csv": "7212a7c73546c026f86a9fa6ed77dc2e670dba27d7df47c60f54e6536fb52fe4",
 }
+# sha256 of the numeric checks up to p = 1000, where log2 magnitudes reach
+# about 500: they pin the order in which the log2 terms are added
+NUMERIC_CHECKS = ("thm_main_numeric", "pmd_thm14")
+GOLDEN_SCAN_3_1000_NUMERIC = {
+    "jsonl": "2c34a2a5f2c63ccbd9e448940678ab6562ae3cc0c59e42693c65b5c5e774a8d7",
+    "csv": "7017385d196635cdc1deca6fe52c8c363fe3224476e6afbd629998348c8261c9",
+}
 
 
 class TestDeterminism:
@@ -170,6 +177,9 @@ class TestDeterminism:
         out = tmp_path / f"golden.{fmt}"
         scan(ScanConfig(3, 60, out=str(out), fmt=fmt))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_3_60[fmt]
+        scan(ScanConfig(3, 1000, checks=NUMERIC_CHECKS, out=str(out), fmt=fmt))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            GOLDEN_SCAN_3_1000_NUMERIC[fmt]
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_repeated_scans_byte_identical(self, fmt, tmp_path):

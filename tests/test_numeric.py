@@ -5,10 +5,12 @@ import pytest
 
 from conftest import admissible_m, odd_primes_up_to
 from resitan import (BranchViolation, HypothesisViolation, PoleProximity,
-                     SignedMagnitude, is_mth_residue, jacobi,
+                     PrimeContext, SignedMagnitude, is_mth_residue, jacobi,
                      pmd_lemma_identity, pmd_theorem14_numeric, residue_set,
                      symbol_sign, tan_product, verify_tan_cross,
                      verify_theorem_main_numeric)
+from resitan import numeric
+from resitan.harness import run_check
 
 
 def float_tan_product(p, m, a):
@@ -18,6 +20,40 @@ def float_tan_product(p, m, a):
     for k in members:
         out *= 1.0 + math.tan(math.pi * (a * k % p) / p)
     return out
+
+
+def reference_tan_product_mag(q, residues):
+    """The per-factor loop the factor table replaced: tan and log2 per factor,
+    added in the order given."""
+    sign = 1
+    log2 = 0.0
+    for r in residues:
+        t = r / q
+        if t > 0.5:
+            t -= 1.0
+        f = 1.0 + math.tan(math.pi * t)
+        if f < 0.0:
+            sign = -sign
+        log2 += math.log2(abs(f))
+    return SignedMagnitude(sign, log2)
+
+
+def reference_tan_product(p, m, a):
+    members = sorted({pow(k, m, p) for k in range(1, p)})
+    return reference_tan_product_mag(p, [a * k % p for k in members])
+
+
+def reference_pmd14_strings(p, a, rel_tol=1e-6):
+    """expected and actual of pmd_theorem14_numeric, by the direct loops."""
+    got = reference_tan_product_mag(
+        p, [a * k * k % p for k in range(1, (p - 1) // 2 + 1)])
+    count = sum(1 for k in range(1, (p - 1) // 4 + 1) if jacobi(k, p) == 1)
+    expected = f"{'-' if count % 2 else '+'}2^{(p - 1) // 4} (rel_tol={rel_tol:g})"
+    return expected, got.render()
+
+
+def a_values(p):
+    return sorted({1, 2, p - 1})
 
 
 class TestSignedMagnitude:
@@ -186,3 +222,85 @@ class TestPmdTheorem14:
     def test_rejects_a_divisible_by_p(self):
         with pytest.raises(ValueError):
             pmd_theorem14_numeric(17, 34)
+
+
+class TestFactorTable:
+    """The per-prime factor table gives the direct loop's floats bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self):
+        numeric._factor_table.cache_clear()
+        yield
+        numeric._factor_table.cache_clear()
+
+    def test_tan_product_bit_identical_cold_and_warm(self):
+        for p in odd_primes_up_to(399):
+            for m in admissible_m(p):
+                for a in a_values(p):
+                    want = reference_tan_product(p, m, a)
+                    numeric._factor_table.cache_clear()
+                    assert tan_product(p, m, a) == want, (p, m, a)
+                    assert tan_product(p, m, a) == want, (p, m, a)
+
+    def test_pmd14_bit_identical_cold_and_warm(self):
+        for p in odd_primes_up_to(399):
+            if p % 8 != 1:
+                continue
+            for a in a_values(p):
+                want = reference_pmd14_strings(p, a)
+                residues = [a * k * k % p for k in range(1, (p - 1) // 2 + 1)]
+                numeric._factor_table.cache_clear()
+                for _ in range(2):
+                    rec = pmd_theorem14_numeric(p, a)
+                    assert (rec.expected, rec.actual) == want, (p, a)
+                    assert numeric._tan_product_mag(p, residues) == \
+                        reference_tan_product_mag(p, residues)
+
+    def test_interleaved_primes_do_not_share_a_table(self):
+        primes = odd_primes_up_to(399)
+        for p1, p2 in zip(primes, primes[1:]):
+            for p in (p1, p2, p1):
+                for a in a_values(p):
+                    assert tan_product(p, 1, a) == reference_tan_product(p, 1, a)
+                if p % 8 == 1:
+                    assert (pmd_theorem14_numeric(p, 2).expected,
+                            pmd_theorem14_numeric(p, 2).actual) == \
+                        reference_pmd14_strings(p, 2)
+
+    def test_fills_only_the_factors_met(self):
+        # R_504(1009) has 2 members: a cold call evaluates 2 factors, not 1008;
+        # R_252(1009) has 4 and contains R_504, so 2 more are evaluated
+        tan_product(1009, 504, 5)
+        assert len(numeric._factor_table(1009).log2) == 2
+        tan_product(1009, 252, 5)
+        assert len(numeric._factor_table(1009).log2) == 4
+
+    def test_precision_warning_on_cold_and_warm_table(self, monkeypatch):
+        assert not verify_theorem_main_numeric(31, 3, 1).actual.endswith("]")
+        monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
+        numeric._factor_table.cache_clear()
+        for _ in range(2):
+            rec = verify_theorem_main_numeric(31, 3, 1)
+            assert rec.status == "pass"
+            assert rec.actual.endswith(" [precision warning]")
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="near-zero factor"):
+                pmd_theorem14_numeric(17, 1)
+
+    def test_zero_factor_raises_on_every_call(self, monkeypatch):
+        # make the factor of residue 10 at p = 31 evaluate to exactly 0
+        p, m, a = 31, 3, 5
+        residues = [a * k % p for k in residue_set(p, m).members]
+        assert residues.index(10) > 0
+        real_tan = math.tan
+        zero_arg = math.pi * (10 / p)
+        monkeypatch.setattr(math, "tan",
+                            lambda x: -1.0 if x == zero_arg else real_tan(x))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match=r"tan\(pi\*10/31\)"):
+                tan_product(p, m, a)
+        rec = run_check(PrimeContext(p), m, a, "thm_main_numeric", 1e-6)
+        assert rec.status == "error(1 + tan(pi*10/31) evaluated to 0)"
+        monkeypatch.undo()
+        # the zero was never stored: with the real tan the product is exact
+        assert tan_product(p, m, a) == reference_tan_product(p, m, a)
