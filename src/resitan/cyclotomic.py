@@ -26,30 +26,73 @@ Pass/fail is decided by a multimodular certificate, not by expanding d:
   indexed by u and by a coset representative c of (Z/p)*/R; they do not
   depend on a.  The representatives are the first c whose powers
   c^((p-1)/m) mod p are distinct, since that power is the coset's label.
-- Norm bound.  Each complex embedding of a factor i +- zeta has modulus at
-  most 2, so every conjugate of d is bounded by B = 2^|R| + 1 for the
-  products of Theorem 1.2 and by B = 2^(|R|/2) + 2^(3|R|/2) for the
-  cross-multiplied tangent identity, whose right side carries the scalar
-  +-2^(|R|/2).  If d is divisible by L = l_1 * ... * l_r with L > B and
-  d != 0, then |N(d)| >= L^phi(n) > B^phi(n) >= |N(d)|, which is impossible.
+  The product over a coset of -I + s*w^(4x) is the product of I - s*w^(4x),
+  because |R| = (p-1)/m is even, so the images at u = 3 for one sign s are
+  those at u = 1 for the other: both signs share one table per (p, m, l).
+- Norm bound.  If every complex conjugate of d has modulus at most B, and d
+  is divisible by L = l_1 * ... * l_r with L > B and d != 0, then
+  |N(d)| >= L^phi(n) > B^phi(n) >= |N(d)|, which is impossible.  So d = 0
+  once the 2m images vanish modulo split primes whose product passes B.
+  Each prime costs about 3p multiplications modulo l.
 
-So d = 0 once the 2m images vanish modulo enough split primes for their
-product to pass B; that costs about 3p multiplications modulo each l.  One
-certificate per (p, m) and right side covers every a.  A check that passes
-renders both sides as the certified monomial c * i^q without building the
-ring; a check whose certificate does not close is recomputed in the dense
-ring, which renders the two sides that differ and keeps its size bound.
+Float bound.  Write the claim as P = c * i^q with P the product over R of
+(i + s*zeta_p^k) and c = +-1.  The complex conjugates of P are the products over a
+coset cR of (i^u + s*e^(2 pi i x/p)).  Since -1 lies in R (2m divides p-1),
+x -> -x maps cR onto itself, and |-i + s*e^(2 pi i x/p)| and
+|i - s*e^(2 pi i x/p)| both equal |i + s*e^(-2 pi i x/p)|, so neither u nor s
+changes the modulus: there are only m moduli 2^L_c, one per coset.  Each
+factor has the closed form |i + e^(2 pi i x/p)| = 2 sin(pi y/(4p)) with
+y = (4x + p) mod 4p folded to min(y, 4p - y), an odd integer below 2p, so
+the angle is reduced exactly in integers and lies in (0, pi/2].  The
+computed log2 of one factor is within 2^-40 of the true value when p < 2^40:
+  - pi*y/(4p) carries three roundings (math.pi, *, /), a relative error of
+    at most 3u (u = 2^-53), which moves log sin by at most 3u because
+    x*cot(x) <= 1 on (0, pi/2];
+  - sin and log2 are within one ulp: 2u relative for sin, and
+    2^-52 * |log2 f| for log2, where |log2 f| <= log2(p) because
+    1/p <= f = 2 sin(pi y/(4p)) <= 2;
+  - math.fsum is correctly rounded, adding at most 2^-53 * |L_c|, which is
+    at most 2^-53 * log2(p) per factor;
+  in all under 180u < 2^-45 per factor for p < 2^40, so 2^-40 leaves a
+  factor of 32 for libm error beyond one ulp.  So L_c is below the
+  computed sum plus margin = ceil(|R| * 2^-40), one bit for any feasible p,
+  and every conjugate of d = P - c * i^q is at most
+      B = 2^(ceil(max_c L_c) + margin) + 1.
+  For the products of Theorem 1.2 each L_c is 0 up to rounding, so B <= 4 + 1
+  and one prime l > 2^61 closes the certificate.  From p = 2^40 on, the crude
+  bound of one bit per factor (|i + s*zeta| <= 2) is used instead.
+
+Primes are found on demand: the l = 1 (mod 4p) below 2^62 are walked
+downwards, proven by is_prime, and kept per 4p, so a certificate that closes
+with one prime searches for no other.
+
+Sharing.  The tangent identity (i-1)^|R| = scalar * P with s = -1 carries
+the scalar eps * (-2)^half, half = |R|/2, when it holds.  Since
+(i-1)^2 = -2i, (i-1)^|R| = (-2)^half * i^half, and Z[zeta_n] has no zero
+divisors, so for scalar = eps * (-2)^half (eps = +-1) the identity is
+exactly P = eps * i^(half mod 4), the claim of gi.  That certificate is
+cached per (p, m) and right side, so gi, thm_main_exact, cor11 and cor12
+share one certificate for every a.  For any other scalar the certificate
+does not close, and the check takes the failure path below.
+
+A check that passes renders both sides as the certified monomial c * i^q
+without building the ring.  A check whose certificate does not close first
+looks for the unit c * i^q (c = +-1, q in 0..3) that the product does equal,
+with the same cached images, and renders it; only if no unit certifies is
+the check recomputed in the dense ring, which renders the two sides that
+differ and keeps its size bound.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 import time
 
 from .arith import PrimeContext, as_prime, divisors, is_prime
 from .errors import BoundExceeded, HypothesisViolation, RingMismatch
-from .records import VerificationRecord, finish
+from .records import VerificationRecord, finish, int_str
 from .residues import is_mth_residue, require_even_index, residue_set, symbol_sign
 
 DEFAULT_MAX_N = 4 * 5000
@@ -328,29 +371,40 @@ def _product_context(p, m: int, a: int) -> PrimeContext:
     return ctx
 
 
-# Certificate primes come down from 2^62, so each adds more than 61 bits to
-# the modulus and a product of two residues stays near two machine words.
+# Certificate primes come down from 2^62, so each passes 2^61 and a product
+# of two residues stays near two machine words.
 _SPLIT_TOP = 1 << 62
-_SPLIT_BITS = 61
+
+# The float bound (module docstring): below _FLOAT_P_LIMIT the computed log2
+# of one factor is within _FACTOR_ERR of the true value.
+_FACTOR_ERR = 2.0 ** -40
+_FLOAT_P_LIMIT = 1 << 40
 
 
 @functools.lru_cache(maxsize=64)
-def _split_primes(n: int) -> tuple[int, ...]:
-    """The largest primes l = 1 (mod n) below 2^62, proven by is_prime.
+def _found_split_primes(n: int) -> list[int]:
+    """The primes l = 1 (mod n) that _split_primes has found so far."""
+    return []
 
-    n = 4p, and there are enough of them for their product to pass the
-    largest bound any exact check has at p, 2^((p-1)/2) + 2^(3(p-1)/2), so
-    one list serves every m and every check.
+
+def _split_primes(n: int):
+    """Yield the primes l = 1 (mod n) below 2^62, largest first.
+
+    Each is found, and proven by is_prime, the first time a certificate
+    reaches it; later certificates for the same n reuse it.
     """
-    p = n // 4
-    count = (3 * (p - 1) // 2 + 1) // _SPLIT_BITS + 1
-    out = []
-    candidate = (_SPLIT_TOP - 2) // n * n + 1
-    while len(out) < count and candidate > 1:
-        if is_prime(candidate):
-            out.append(candidate)
-        candidate -= n
-    return tuple(out)
+    found = _found_split_primes(n)
+    j = 0
+    while True:
+        if j == len(found):
+            candidate = found[-1] - n if found else (_SPLIT_TOP - 2) // n * n + 1
+            while candidate > 1 and not is_prime(candidate):
+                candidate -= n
+            if candidate <= 1:
+                raise ArithmeticError(f"split primes 1 mod {n} ran out")
+            found.append(candidate)
+        yield found[j]
+        j += 1
 
 
 def _root_of_order(n: int, l: int) -> int:
@@ -365,67 +419,132 @@ def _root_of_order(n: int, l: int) -> int:
         g += 1
 
 
-def _orbit_certificate(p: int, m: int, s: int, scalar: int, target,
-                       bound: int) -> bool:
-    """Whether scalar * prod over k in R_m(p) of (i + s*zeta_p^k) = target(i)
-    holds in Z[zeta_4p], given that every conjugate of the difference of the
-    two sides is at most `bound` in modulus.
-
-    target(l, iu) is the right side under the embedding that sends i to iu in
-    F_l.  The argument is in the module docstring: the 2m images of the
-    difference, one per image of i and coset of R_m(p), must vanish modulo
-    split primes whose product passes `bound`.
-    """
-    members = residue_set(p, m).members
+@functools.lru_cache(maxsize=4096)
+def _coset_reps(p: int, m: int) -> tuple[int, ...]:
+    """One representative c of each coset of R_m(p) in (Z/p)*."""
+    size = (p - 1) // m
     reps = {}   # coset label c^|R| mod p -> first c with that label
     c = 1
     while len(reps) < m:
-        reps.setdefault(pow(c, len(members), p), c)
+        reps.setdefault(pow(c, size, p), c)
         c += 1
-    cosets = [[c * k % p for k in members] for c in reps.values()]
+    return tuple(reps.values())
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_log2(p: int) -> list[float]:
+    """log2 |i + zeta_p^x| for 0 <= x < p, by the closed form 2 sin(pi y/(4p))
+    with y = (4x + p) mod 4p folded into (0, 2p)."""
     n = 4 * p
-    modulus = 1
-    for l in _split_primes(n):
-        w = _root_of_order(n, l)
-        eta = pow(w, 4, l)
-        powers = [1] * p
-        for j in range(1, p):
-            powers[j] = powers[j - 1] * eta % l
-        i_l = pow(w, p, l)
-        for iu in (i_l, l - i_l):   # t = 1 and t = 3 (mod 4)
-            want = target(l, iu) % l
-            terms = [(iu + s * x) % l for x in powers]
-            for exponents in cosets:
-                acc = scalar % l
-                for e in exponents:
-                    acc = acc * terms[e] % l
-                if acc != want:
-                    return False
-        modulus *= l
-        if modulus > bound:
-            return True
-    raise ArithmeticError(f"split primes 1 mod {n} ran out below the bound")
+    out = []
+    for x in range(p):
+        y = (4 * x + p) % n
+        if y > 2 * p:
+            y = n - y
+        out.append(math.log2(2.0 * math.sin(math.pi * y / n)))
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _log2_bound(p: int, m: int) -> int:
+    """An exponent b >= 0 with |sigma(P)| <= 2^b for every complex conjugate
+    sigma(P) of P = prod over k in R_m(p) of (i +- zeta_p^k), either sign.
+
+    The float bound of the module docstring: one log2 sum per coset, plus a
+    margin from the per-factor error bound.
+    """
+    members = residue_set(p, m).members
+    if p >= _FLOAT_P_LIMIT:
+        return len(members)
+    logs = _factor_log2(p)
+    worst = max(math.fsum(logs[c * k % p] for k in members)
+                for c in _coset_reps(p, m))
+    margin = math.ceil(len(members) * _FACTOR_ERR)
+    return max(0, math.ceil(worst) + margin)
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_images(p: int, l: int) -> tuple[int, list[int], list[int]]:
+    """I, the image of i in F_l, and the images I + eta^x and I - eta^x of
+    i +- zeta_p^x for 0 <= x < p, where eta = w^4, I = w^p and w has exact
+    order 4p."""
+    w = _root_of_order(4 * p, l)
+    eta = pow(w, 4, l)
+    i_l = pow(w, p, l)
+    plus = [0] * p
+    minus = [0] * p
+    x = 1
+    for j in range(p):
+        plus[j] = (i_l + x) % l
+        minus[j] = (i_l - x) % l
+        x = x * eta % l
+    return i_l, plus, minus
+
+
+@functools.lru_cache(maxsize=4096)
+def _coset_images(p: int, m: int, l: int) -> tuple[int, tuple, tuple]:
+    """I and the products over each coset cR of R = R_m(p) of the images
+    I + eta^x and of I - eta^x in F_l, one entry per coset."""
+    i_l, plus, minus = _factor_images(p, l)
+    members = residue_set(p, m).members
+    rows = []
+    for terms in (plus, minus):
+        row = []
+        for c in _coset_reps(p, m):
+            acc = 1
+            for k in members:
+                acc = acc * terms[c * k % p] % l
+            row.append(acc)
+        rows.append(tuple(row))
+    return i_l, rows[0], rows[1]
 
 
 @functools.lru_cache(maxsize=4096)
 def _certify_i_product(p: int, m: int, s: int, delta: int,
                        quarter_turns: int) -> bool:
     """Certificate for prod over k in R_m(p) of (i + s*zeta_p^(ak)) = delta * i^q,
-    for every a prime to p at once."""
-    size = (p - 1) // m
-    return _orbit_certificate(p, m, s, 1,
-                              lambda l, iu: delta * pow(iu, quarter_turns, l),
-                              2 ** size + 1)
+    for every a prime to p at once.
+
+    The argument is in the module docstring: the 2m images of the difference
+    must vanish modulo split primes whose product passes the float bound
+    B = 2^b + 1.
+    """
+    bound = 2 ** _log2_bound(p, m) + 1
+    modulus = 1
+    for l in _split_primes(4 * p):
+        i_l, plus, minus = _coset_images(p, m, l)
+        # the image of P at i -> -I is the one of the other sign at i -> I
+        rows = (plus, minus) if s == 1 else (minus, plus)
+        for iu, row in zip((i_l, l - i_l), rows):
+            want = delta * pow(iu, quarter_turns, l) % l
+            if any(x != want for x in row):
+                return False
+        modulus *= l
+        if modulus > bound:
+            return True
 
 
-@functools.lru_cache(maxsize=4096)
 def _certify_tan_cross(p: int, m: int, scalar: int) -> bool:
     """Certificate for (i-1)^|R| = scalar * prod over k in R_m(p) of
-    (i - zeta_p^(ak)), for every a prime to p at once."""
-    size = (p - 1) // m
-    return _orbit_certificate(p, m, -1, scalar,
-                              lambda l, iu: pow(iu - 1, size, l),
-                              2 ** (size // 2) + 2 ** (3 * size // 2))
+    (i - zeta_p^(ak)), for every a prime to p at once.
+
+    (i-1)^|R| = (-2)^half * i^half, so for scalar = +-(-2)^half this is the
+    gi claim; no other scalar is certified.
+    """
+    half = (p - 1) // (2 * m)
+    power = (-2) ** half
+    return scalar in (power, -power) and \
+        _certify_i_product(p, m, -1, scalar // power, half % 4)
+
+
+def _certified_unit(p: int, m: int, s: int) -> tuple[int, int] | None:
+    """The (c, q) with prod over k in R_m(p) of (i + s*zeta_p^k) = c * i^q,
+    c = +-1 and q in 0..3, if a certificate closes for one of them."""
+    for c in (1, -1):
+        for q in range(4):
+            if _certify_i_product(p, m, s, c, q):
+                return c, q
+    return None
 
 
 def _render_i_power(p: int, q: int, c: int) -> str:
@@ -436,7 +555,7 @@ def _render_i_power(p: int, q: int, c: int) -> str:
     """
     if q % 4 >= 2:
         c = -c
-    return f"{c}*z^{p * (q % 2)}"
+    return f"{int_str(c)}*z^{p * (q % 2)}"
 
 
 def _i_product(ctx: PrimeContext, m: int, a: int, s: int) -> CycloElement:
@@ -464,6 +583,12 @@ def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationReco
     if _certify_i_product(ctx.p, m, s, delta, quarter_turns):
         both = _render_i_power(ctx.p, quarter_turns, delta)
         return finish(ctx.p, m, a, check, True, both, both, t0)
+    unit = _certified_unit(ctx.p, m, s)
+    if unit is not None:
+        c, q = unit
+        return finish(ctx.p, m, a, check, False,
+                      _render_i_power(ctx.p, quarter_turns, delta),
+                      _render_i_power(ctx.p, q, c), t0)
     lhs = _i_product(ctx, m, a, s)
     rhs = lhs.ring.monomial(ctx.p * quarter_turns, delta)
     return _exact_record(ctx, m, a, check, lhs, rhs, t0)
@@ -492,10 +617,16 @@ def verify_tan_cross(p, m: int, a: int = 1) -> VerificationRecord:
     ctx = _product_context(p, m, a)
     half = ctx.p_minus_1 // (2 * m)
     delta = symbol_sign(-2, ctx, m).value
-    scalar = delta * (-2) ** half
+    power = (-2) ** half
+    scalar = delta * power
+    lhs_text = _render_i_power(ctx.p, half, power)   # (i-1)^|R|
     if _certify_tan_cross(ctx.p, m, scalar):
-        both = _render_i_power(ctx.p, half, (-2) ** half)
-        return finish(ctx.p, m, a, "thm_main_exact", True, both, both, t0)
+        return finish(ctx.p, m, a, "thm_main_exact", True, lhs_text, lhs_text, t0)
+    unit = _certified_unit(ctx.p, m, -1)
+    if unit is not None:
+        c, q = unit
+        return finish(ctx.p, m, a, "thm_main_exact", False,
+                      _render_i_power(ctx.p, q, scalar * c), lhs_text, t0)
     rhs = _i_product(ctx, m, a, -1) * scalar
     ring = rhs.ring
     lhs = (ring.monomial(ctx.p) - ring.one()) ** (2 * half)

@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
@@ -26,8 +25,9 @@ from .errors import HypothesisViolation, NotRepresentable
 from .numeric import (pmd_lemma_identity, pmd_theorem14_numeric,
                       verify_theorem_main_numeric)
 from .quadforms import check_lemma31, cornacchia, two_residue_criterion
-from .records import PASS, SKIPPED, VerificationRecord, error_status, finish
-from .residues import residue_set, symbol_sign
+from .records import (PASS, SKIPPED, VerificationRecord, error_status, finish,
+                      int_str)
+from .residues import symbol_sign, verify_residue_sum
 
 REPORT_FIELDS = ("p", "m", "a", "check", "status", "expected", "actual",
                  "elapsed_ms")
@@ -57,10 +57,10 @@ def _corollary(p, a: int, m: int, form_exponent, side_check,
     exact = verify_tan_cross(ctx, m, a)
     side_ok, side_label = side_check(ctx, rep)
     ok = want == got and exact.status == PASS and side_ok
-    actual = str(got)
+    actual = int_str(got)
     if not (exact.status == PASS and side_ok):
         actual += f" [exact={exact.status}, {side_label}]"
-    return finish(ctx.p, m, a, check, ok, str(want), actual, t0)
+    return finish(ctx.p, m, a, check, ok, int_str(want), actual, t0)
 
 
 def verify_cor11(p, a: int = 1) -> VerificationRecord:
@@ -155,14 +155,6 @@ def _a_grid(ctx: PrimeContext, config: ScanConfig):
     return sorted(grid)
 
 
-def _lemma21_record(ctx: PrimeContext, m: int) -> VerificationRecord:
-    t0 = time.perf_counter()
-    target = ctx.p * ctx.p_minus_1 // (2 * m)
-    total = sum(residue_set(ctx, m).members)
-    return finish(ctx.p, m, 0, "lemma21", total == target,
-                  str(target), str(total), t0)
-
-
 def _each_m_a(ctx: PrimeContext, config: ScanConfig):
     a_grid = _a_grid(ctx, config)
     return [(m, a) for m in _m_grid(ctx, config) for a in a_grid]
@@ -188,7 +180,7 @@ CHECKS = {
         lambda ctx, m, a, tol: verify_theorem_main_numeric(ctx, m, a, tol),
         "numeric"),
     "lemma21": (lambda ctx, config: [(m, 0) for m in _m_grid(ctx, config)],
-                lambda ctx, m, a, tol: _lemma21_record(ctx, m), None),
+                lambda ctx, m, a, tol: verify_residue_sum(ctx, m), None),
     "lemma31": (lambda ctx, config: [(3, 0)],
                 lambda ctx, m, a, tol: check_lemma31(ctx), None),
     "criterion": (
@@ -244,6 +236,9 @@ def scan(config: ScanConfig) -> list[VerificationRecord]:
               if is_prime(p)]
     threads = _thread_count()
     if threads > 1 and len(primes) > 1:
+        # imported here so that `import resitan.cli`, and with it every
+        # `resitan verify`, does not load the process pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_scan_prime, [(config, p) for p in primes]))
     else:

@@ -10,6 +10,32 @@ FAIL = "fail"
 SKIPPED = "skipped(hypothesis)"
 
 
+# 10^500 has fewer digits than the smallest limit CPython allows on str(int)
+# (640), so every chunk of int_str converts under any limit setting.
+_CHUNK_DIGITS = 500
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def int_str(c: int) -> str:
+    """str(c) for an integer of any size.
+
+    str() refuses integers with more digits than sys.get_int_max_str_digits()
+    (4300 by default), which (-2)^((p-1)/(2m)) passes from p of about 28,600
+    at m = 1.  The limit is process-wide, so it is left alone: the digits are
+    produced in chunks of 500, each small enough for str().
+    """
+    if -_CHUNK < c < _CHUNK:
+        return str(c)
+    sign = "-" if c < 0 else ""
+    c = abs(c)
+    chunks = []
+    while c:
+        c, r = divmod(c, _CHUNK)
+        chunks.append(r)
+    head = str(chunks.pop())
+    return sign + head + "".join(f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
+
+
 def error_status(message) -> str:
     """Status string for an unexpected error, collapsed to a single line."""
     return "error(%s)" % " ".join(str(message).split())

@@ -11,10 +11,12 @@ deliberately does not make.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 
 from .arith import PrimeContext, as_prime
 from .errors import HypothesisViolation, NonRealSymbol
+from .records import PASS, VerificationRecord, finish
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,20 @@ def _build_residue_set(q: int, m: int) -> ResidueSet:
     return ResidueSet(q, m, tuple(sorted(out)))
 
 
+def verify_residue_sum(p: int | PrimeContext, m: int) -> VerificationRecord:
+    """Lemma 2.1 as a lemma21 record: the members of R_m(p) sum to
+    p(p-1)/(2m)."""
+    t0 = time.perf_counter()
+    ctx = as_prime(p)
+    target = ctx.p * ctx.p_minus_1 // (2 * m)
+    total = sum(residue_set(ctx, m).members)
+    return finish(ctx.p, m, 0, "lemma21", total == target,
+                  str(target), str(total), t0)
+
+
 def residue_sum_check(p: int | PrimeContext, m: int) -> bool:
     """Whether the members of R_m(p) sum to p(p-1)/(2m)."""
-    ctx = as_prime(p)
-    rs = residue_set(ctx, m)
-    return sum(rs.members) == ctx.p * ctx.p_minus_1 // (2 * m)
+    return verify_residue_sum(p, m).status == PASS
 
 
 def symbol_sign(a: int, p: int | PrimeContext, m: int) -> SignSymbol:

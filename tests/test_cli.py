@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import resitan
 from resitan.cli import main
 
 
@@ -43,6 +48,22 @@ def test_verify_modes(capsys):
     assert main(["verify", "--p", "31", "--m", "3", "--mode", "numeric",
                  "--tol", "1e-8"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_verify_large_prime_exact(capsys):
+    # (-2)^50001 has 15052 digits, past str()'s default limit of 4300
+    assert main(["verify", "--p", "100003", "--m", "1", "--a", "2",
+                 "--mode", "exact"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[4] for line in lines] == ["pass"] * 3
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(resitan.__file__).resolve().parent.parent)
+    code = "import sys, resitan.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_hypothesis_skip_is_clean(capsys):

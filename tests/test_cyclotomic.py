@@ -1,3 +1,6 @@
+import cmath
+import decimal
+import math
 import random
 
 import pytest
@@ -5,9 +8,12 @@ import pytest
 from conftest import admissible_m, odd_primes_up_to
 from resitan import (BoundExceeded, HypothesisViolation, RingMismatch,
                      SignSymbol, binomial_product, cyclotomic, cyclotomic_poly,
-                     is_mth_residue, jacobi, symbol_sign, verify_gi,
+                     is_mth_residue, jacobi, residue_set, symbol_sign, verify_gi,
                      verify_gi_plus, verify_tan_cross)
+from resitan.arith import PrimeContext
 from resitan.cyclotomic import get_ring
+from resitan.harness import run_check
+from resitan.records import int_str
 
 
 def poly_divmod(num, den):
@@ -322,3 +328,133 @@ class TestCertificate:
                 for c in coefficients:
                     assert cyclotomic._render_i_power(p, q, c) == \
                         ring.monomial(p * q, c).render(), (p, q, c)
+
+
+def flip_symbol(monkeypatch):
+    """Make the exact checks use the wrong sign symbol, so every right side
+    is wrong."""
+    def flipped(a, p, m):
+        sym = symbol_sign(a, p, m)
+        return SignSymbol(-sym.value, sym.a, sym.p, sym.order)
+    monkeypatch.setattr(cyclotomic, "symbol_sign", flipped)
+
+
+def i_product(p, m, s):
+    ring = get_ring(4 * p)
+    factors = [(1, p, s, 4 * k % ring.n) for k in residue_set(p, m).members]
+    return binomial_product(ring, factors)
+
+
+def conjugates(elem):
+    """All phi(n) complex conjugates of elem, from its canonical coefficients
+    (small integers for every element here, so floats evaluate them to about
+    1e-12)."""
+    n = elem.ring.n
+    roots = [cmath.exp(2j * cmath.pi * e / n) for e in range(n)]
+    terms = [(e, c) for e, c in enumerate(elem.canonical()) if c]
+    return [sum(c * roots[e * t % n] for e, c in terms)
+            for t in range(1, n) if math.gcd(t, n) == 1]
+
+
+def count_draws(monkeypatch):
+    """Record every split prime a certificate draws, in a list returned."""
+    draws = []
+    real = cyclotomic._split_primes
+
+    def counting(n):
+        for l in real(n):
+            draws.append(l)
+            yield l
+    monkeypatch.setattr(cyclotomic, "_split_primes", counting)
+    return draws
+
+
+class TestFloatBound:
+    def test_bound_covers_every_conjugate(self):
+        # every 2m | p-1, also where 2 is not an m-th power residue and the
+        # product is not a unit, so the bound is not met with equality by luck
+        for p in odd_primes_up_to(99):
+            ring = get_ring(4 * p)
+            for m in admissible_m(p):
+                b = cyclotomic._log2_bound(p, m)
+                for s in (-1, 1):
+                    prod = i_product(p, m, s)
+                    assert max(map(abs, conjugates(prod))) <= 2 ** b, (p, m, s)
+                    for c in (1, -1):
+                        for q in range(4):
+                            diff = prod - ring.monomial(p * q, c)
+                            assert max(map(abs, conjugates(diff))) <= 2 ** b + 1
+
+    def test_unit_products_need_few_bits(self):
+        for p, m in certified_pairs(400):
+            assert cyclotomic._log2_bound(p, m) <= 2, (p, m)
+
+    def test_each_certificate_draws_one_prime(self, monkeypatch):
+        draws = count_draws(monkeypatch)
+        for p, m in certified_pairs(1100):
+            half = (p - 1) // (2 * m)
+            claims = [(cyclotomic._certify_i_product,
+                       (p, m, s, symbol_sign(2 * s, p, m).value, half % 4))
+                      for s in (-1, 1)]
+            claims.append((cyclotomic._certify_tan_cross,
+                           (p, m, symbol_sign(-2, p, m).value * (-2) ** half)))
+            for certify, args in claims:
+                cyclotomic._certify_i_product.cache_clear()
+                draws.clear()
+                assert certify(*args), (certify.__name__, args)
+                assert len(draws) == 1, (certify.__name__, p, m, len(draws))
+        # lazy: every certificate so far was served by the first prime
+        assert len(cyclotomic._found_split_primes(4 * 1093)) == 1
+
+
+class TestFailurePath:
+    def test_failure_records_match_dense_ring(self, monkeypatch):
+        cases = [(fn, p, m, a) for p, m in certified_pairs(200)
+                 for a in (1, p - 1) for fn in EXACT_CHECKS]
+        flip_symbol(monkeypatch)
+        unit = [fn(p, m, a) for fn, p, m, a in cases]
+        dense(monkeypatch)
+        for (fn, p, m, a), got in zip(cases, unit):
+            want = fn(p, m, a)
+            assert (got.status, got.expected, got.actual) == \
+                (want.status, want.expected, want.actual), (fn.__name__, p, m, a)
+            assert got.status == "fail"
+
+    def test_flipped_symbol_above_dense_bound_fails_with_true_unit(self, monkeypatch):
+        ctx = PrimeContext(5009)
+        checks = ("gi", "gi_plus", "thm_main_exact")
+        good = {c: run_check(ctx, 1, 1, c, 1e-6) for c in checks}
+        assert all(rec.status == "pass" for rec in good.values())
+        flip_symbol(monkeypatch)
+        for check in checks:
+            rec = run_check(ctx, 1, 1, check, 1e-6)
+            assert rec.status == "fail", (check, rec.status)
+            assert rec.expected != rec.actual
+        # gi and gi_plus: actual is the true unit, which passing records show
+        for check in ("gi", "gi_plus"):
+            assert run_check(ctx, 1, 1, check, 1e-6).actual == good[check].actual
+        # thm_main_exact: actual is (i-1)^|R|, expected the flipped scalar
+        # times the true product, which is -(i-1)^|R|
+        rec = run_check(ctx, 1, 1, "thm_main_exact", 1e-6)
+        assert rec.actual == good["thm_main_exact"].actual
+        assert rec.expected == cyclotomic._render_i_power(5009, 2504, -(-2) ** 2504)
+
+
+class TestLargeIntegers:
+    def test_render_beyond_int_str_limit(self):
+        # (-2)^15005 has 4518 digits, past str()'s default limit of 4300
+        c = (-2) ** 15005
+        digits = str(decimal.Decimal(c))
+        for q in range(4):
+            sign = -1 if q >= 2 else 1
+            want = str(decimal.Decimal(sign * c)) + f"*z^{30011 * (q % 2)}"
+            assert cyclotomic._render_i_power(30011, q, c) == want
+        assert len(digits) == 4518
+
+    def test_int_str_matches_decimal(self):
+        rng = random.Random(5)
+        values = [0, 1, -1, 10 ** 500 - 1, 10 ** 500, -10 ** 500, 10 ** 1000,
+                  2 ** 20000, -(3 ** 12000) + 1]
+        values += [rng.randrange(-10 ** 3000, 10 ** 3000) for _ in range(20)]
+        for c in values:
+            assert int_str(c) == str(decimal.Decimal(c))

@@ -1,4 +1,5 @@
 import ast
+import decimal
 import hashlib
 import random
 import string
@@ -32,6 +33,13 @@ class TestCor11:
     def test_not_representable(self):
         with pytest.raises(NotRepresentable):
             verify_cor11(7, 1)
+
+    def test_value_beyond_int_str_limit(self):
+        # 90001 = x^2 + 27y^2; (-2)^15000 has 4516 digits, past str()'s
+        # default limit of 4300
+        rec = verify_cor11(90001, 2)
+        assert rec.status == "pass"
+        assert rec.expected == rec.actual == str(decimal.Decimal((-2) ** 15000))
 
 
 class TestCor12:

@@ -5,6 +5,7 @@ import pytest
 from conftest import admissible_m, odd_primes_up_to
 from resitan import (HypothesisViolation, NonRealSymbol, is_mth_residue,
                      jacobi, residue_set, residue_sum_check, symbol_sign)
+from resitan.residues import verify_residue_sum
 
 
 class TestIsMthResidue:
@@ -78,6 +79,11 @@ class TestResidueSumCheck:
         assert residue_sum_check(31, 3)
         assert residue_sum_check(13, 3)  # 1+5+8+12 = 26 = 13*12/6
         assert residue_sum_check(5, 1)   # 1+2+3+4 = 10
+
+    def test_record(self):
+        rec = verify_residue_sum(13, 3)
+        assert (rec.p, rec.m, rec.a, rec.check) == (13, 3, 0, "lemma21")
+        assert (rec.status, rec.expected, rec.actual) == ("pass", "26", "26")
 
 
 class TestSymbolSign:
