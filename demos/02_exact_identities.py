@@ -5,11 +5,15 @@ Everything here is integer arithmetic: zeta_4p^p acts as i, zeta_4p^(4k)
 realizes e^(2*pi*i*k/p), and products of the sparse binomials (i - zeta^(4ak))
 collapse to a single signed power of i once reduced modulo Phi_4p.  The
 renders below are canonical forms, so string equality is ring equality.
+
+The first product is expanded in the reference ring of resitan.ring; the
+checks after it are decided by certificates modulo split primes and never
+expand a product.
 """
 
 from resitan import symbol_sign, verify_gi, verify_gi_plus, verify_tan_cross
-from resitan.cyclotomic import binomial_product, get_ring
 from resitan.residues import residue_set
+from resitan.ring import binomial_product, get_ring
 
 p, m, a = 31, 3, 1
 ring = get_ring(4 * p)

@@ -1,19 +1,18 @@
 """Exact and floating-point verification of tangent and root-of-unity product
 identities over m-th power residue classes modulo primes.
 
-The exact layer works in Z[zeta_4p] with arbitrary-precision integers and is
-the ground truth; the numeric layer evaluates the same products in sign and
-log2-magnitude form as an independent sanity check.  The harness sweeps prime
+The exact layer decides the identities in Z[zeta_4p] by certificates modulo
+split primes and is the ground truth; `ring` holds the dense ring Z[zeta_n]
+as a reference for tests.  The numeric layer evaluates the same products in
+sign and log2-magnitude form as an independent sanity check.  The harness sweeps prime
 ranges and writes deterministic JSONL/CSV reports.
 """
 
 from .arith import PrimeContext, is_prime, jacobi, mod_pow, sqrt_mod
-from .cyclotomic import (CycloElement, CycloRing, binomial_product,
-                         cyclotomic_poly, get_ring, verify_gi,
-                         verify_gi_plus, verify_tan_cross)
-from .errors import (BoundExceeded, BranchViolation, HypothesisViolation,
-                     NonRealSymbol, NotRepresentable, PoleProximity,
-                     ResitanError, RingMismatch)
+from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
+from .errors import (BranchViolation, HypothesisViolation, NonRealSymbol,
+                     NotRepresentable, PoleProximity, ResitanError,
+                     RingMismatch)
 from .harness import (CHECK_NAMES, ScanConfig, emit_report, parse_report,
                       scan, verify_cor11, verify_cor12)
 from .numeric import (SignedMagnitude, pmd_lemma_identity,
@@ -24,6 +23,8 @@ from .quadforms import (Representation, check_lemma31, cornacchia,
 from .records import VerificationRecord
 from .residues import (ResidueSet, SignSymbol, is_mth_residue, residue_set,
                        residue_sum_check, symbol_sign)
+from .ring import (CycloElement, CycloRing, binomial_product, cyclotomic_poly,
+                   get_ring)
 
 __version__ = "0.1.0"
 
@@ -39,5 +40,5 @@ __all__ = [
     "VerificationRecord", "ScanConfig", "scan", "emit_report", "parse_report",
     "verify_cor11", "verify_cor12", "CHECK_NAMES",
     "ResitanError", "HypothesisViolation", "NonRealSymbol", "NotRepresentable",
-    "BranchViolation", "PoleProximity", "BoundExceeded", "RingMismatch",
+    "BranchViolation", "PoleProximity", "RingMismatch",
 ]

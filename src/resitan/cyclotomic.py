@@ -1,14 +1,6 @@
-"""Exact arithmetic in Z[zeta_n] and the exact product-identity checks.
+"""The exact product-identity checks, decided modulo split primes.
 
-An element is a dense vector of arbitrary-precision integer coefficients over
-the exponent basis zeta_n^0, ..., zeta_n^(n-1).  Products fold exponents
-modulo n (zeta_n^n = 1), so intermediates never leave the vector; the
-canonical form, i.e. the remainder modulo the n-th cyclotomic polynomial with
-degree below phi(n), is computed only for equality tests and rendering.
-Coefficients of a product of j two-term factors can reach 2^j, far past any
-machine word, which is why everything stays in Python integers.
-
-The identity checks work in n = 4p for an odd prime p: zeta_n^p is a square
+The checks work in Z[zeta_n], n = 4p, for an odd prime p: zeta_n^p is a square
 root of -1 and zeta_n^(4k) runs through the p-th roots of unity.  Each check
 claims lhs = rhs in Z[zeta_n]; write d = lhs - rhs and R = R_m(p).
 
@@ -66,298 +58,38 @@ Primes are found on demand: the l = 1 (mod 4p) below 2^62 are walked
 downwards, proven by is_prime, and kept per 4p, so a certificate that closes
 with one prime searches for no other.
 
-Sharing.  The tangent identity (i-1)^|R| = scalar * P with s = -1 carries
-the scalar eps * (-2)^half, half = |R|/2, when it holds.  Since
-(i-1)^2 = -2i, (i-1)^|R| = (-2)^half * i^half, and Z[zeta_n] has no zero
-divisors, so for scalar = eps * (-2)^half (eps = +-1) the identity is
-exactly P = eps * i^(half mod 4), the claim of gi.  That certificate is
-cached per (p, m) and right side, so gi, thm_main_exact, cor11 and cor12
-share one certificate for every a.  For any other scalar the certificate
-does not close, and the check takes the failure path below.
+One exponent per product.  Every check is a claim about
+P = prod over k in R of (i + s*zeta_p^(ak)): gi and gi_plus claim
+P = delta * i^half with delta = sign(2s) and half = |R|/2, and the tangent
+identity (i-1)^|R| = scalar * P with s = -1 and scalar = delta * (-2)^half is
+the same claim, because (i-1)^2 = -2i and Z[zeta_n] has no zero divisors.
+The units c * i^q (c = +-1, q in 0..3) are only the four powers i^e, since
+-1 = i^2, and their images I^e in F_l are distinct.  So the image of P at
+the first split prime l, under zeta_n -> w (u = 1, the coset of 1), matches
+at most one I^e; that e is certified as above, and the check passes iff e
+is the claimed exponent (half + 1 - delta) mod 4.  The certificate is cached
+per (p, m, s, e), so gi, thm_main_exact, cor11 and cor12 share one for
+every a.
 
-A check that passes renders both sides as the certified monomial c * i^q
-without building the ring.  A check whose certificate does not close first
-looks for the unit c * i^q (c = +-1, q in 0..3) that the product does equal,
-with the same cached images, and renders it; only if no unit certifies is
-the check recomputed in the dense ring, which renders the two sides that
-differ and keeps its size bound.
+A rejected certificate is a proof, not a doubt: it rejects only when an
+image differs modulo a split prime, and equal elements have equal images.
+So when the certificate rejects, or no I^e matches, P is no power of i and
+the record fails with "not a power of i" in place of the product.  A check
+whose product is i^e with e not the claimed exponent fails and renders i^e.
+Either way no ring is built and no size limit applies; the dense ring of
+ring.py is kept only as the tests' reference.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import time
 
-from .arith import PrimeContext, as_prime, divisors, is_prime
-from .errors import BoundExceeded, HypothesisViolation, RingMismatch
+from .arith import PrimeContext, as_prime, is_prime
+from .errors import HypothesisViolation
 from .records import VerificationRecord, finish, int_str
 from .residues import is_mth_residue, require_even_index, residue_set, symbol_sign
-
-DEFAULT_MAX_N = 4 * 5000
-
-
-def _mobius(n: int) -> int:
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def _mul_binomial(poly: list[int], k: int) -> list[int]:
-    # multiply by x^k - 1
-    out = [-c for c in poly] + [0] * k
-    for i, c in enumerate(poly):
-        out[i + k] += c
-    return out
-
-
-def _div_binomial(poly: list[int], k: int) -> list[int]:
-    # exact division by x^k - 1; quotient satisfies q[j-k] = poly[j] + q[j]
-    deg = len(poly) - 1
-    q = [0] * (deg - k + 1)
-    for j in range(deg, k - 1, -1):
-        upper = q[j] if j <= deg - k else 0
-        q[j - k] = poly[j] + upper
-    for j in range(k):
-        upper = q[j] if j <= deg - k else 0
-        if poly[j] + upper != 0:
-            raise ArithmeticError(f"division by x^{k} - 1 left a remainder")
-    return q
-
-
-def cyclotomic_poly(n: int, max_n: int = DEFAULT_MAX_N) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first.
-
-    Moebius product formula: multiply out (x^(n/d) - 1) over the squarefree
-    divisors d of n with mu(d) = +1, then divide the mu(d) = -1 factors back
-    out with exact integer polynomial division.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > max_n:
-        raise BoundExceeded(f"n={n} exceeds the configured bound {max_n}")
-    return list(_cyclotomic_cached(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_cached(n: int) -> tuple[int, ...]:
-    poly = [1]
-    to_divide = []
-    for d in divisors(n):
-        mu = _mobius(d)
-        if mu == 1:
-            poly = _mul_binomial(poly, n // d)
-        elif mu == -1:
-            to_divide.append(n // d)
-    for k in to_divide:
-        poly = _div_binomial(poly, k)
-    return tuple(poly)
-
-
-@functools.lru_cache(maxsize=None)
-def get_ring(n: int) -> "CycloRing":
-    """Shared, cached ring descriptor for Z[zeta_n]."""
-    return CycloRing(n)
-
-
-class CycloRing:
-    """Ring descriptor for fixed n: the value n, phi(n), and Phi_n itself."""
-
-    __slots__ = ("n", "phi_n", "cyclo_poly")
-
-    def __init__(self, n: int, max_n: int = DEFAULT_MAX_N):
-        coeffs = cyclotomic_poly(n, max_n)
-        self.n = n
-        self.cyclo_poly = tuple(coeffs)
-        self.phi_n = len(coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, CycloRing) and other.n == self.n
-
-    def __hash__(self):
-        return hash((CycloRing, self.n))
-
-    def __repr__(self):
-        return f"CycloRing(n={self.n}, phi={self.phi_n})"
-
-    def element(self, data) -> "CycloElement":
-        """Element from a coefficient sequence or an {exponent: coefficient} map."""
-        v = [0] * self.n
-        items = data.items() if isinstance(data, dict) else enumerate(data)
-        for e, c in items:
-            v[e % self.n] += c
-        return CycloElement(self, tuple(v))
-
-    def one(self) -> "CycloElement":
-        return self.element({0: 1})
-
-    def constant(self, c: int) -> "CycloElement":
-        return self.element({0: c})
-
-    def monomial(self, e: int, c: int = 1) -> "CycloElement":
-        return self.element({e: c})
-
-
-def _canonical(ring: CycloRing, coeffs) -> tuple[int, ...]:
-    v = list(coeffs)
-    n = ring.n
-    if n % 2 == 0:
-        half = n // 2
-        v = [v[j] - v[j + half] for j in range(half)]  # zeta^(n/2) = -1
-    phi = ring.phi_n
-    poly = ring.cyclo_poly
-    for j in range(len(v) - 1, phi - 1, -1):
-        c = v[j]
-        if c:
-            v[j] = 0
-            base = j - phi
-            for t in range(phi):
-                v[base + t] -= c * poly[t]
-    return tuple(v[:phi])
-
-
-class CycloElement:
-    """Immutable element of Z[zeta_n] over the exponent basis of zeta_n."""
-
-    __slots__ = ("ring", "coeffs", "_canon")
-
-    def __init__(self, ring: CycloRing, coeffs: tuple[int, ...]):
-        if len(coeffs) != ring.n:
-            raise ValueError("coefficient vector must have length n")
-        self.ring = ring
-        self.coeffs = coeffs
-        self._canon = None
-
-    def canonical(self) -> tuple[int, ...]:
-        """Coefficients of the canonical form (degree below phi(n))."""
-        if self._canon is None:
-            self._canon = _canonical(self.ring, self.coeffs)
-        return self._canon
-
-    def reduce(self) -> "CycloElement":
-        """The canonical representative of this element."""
-        can = self.canonical()
-        return CycloElement(self.ring, can + (0,) * (self.ring.n - len(can)))
-
-    def is_zero(self) -> bool:
-        return not any(self.canonical())
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.constant(other)
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return other.ring == self.ring and other.canonical() == self.canonical()
-
-    __hash__ = None
-
-    def __add__(self, other: "CycloElement") -> "CycloElement":
-        self._check_ring(other)
-        return CycloElement(self.ring,
-                            tuple(u + v for u, v in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycloElement") -> "CycloElement":
-        self._check_ring(other)
-        return CycloElement(self.ring,
-                            tuple(u - v for u, v in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycloElement":
-        return CycloElement(self.ring, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloElement(self.ring, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        self._check_ring(other)
-        n = self.ring.n
-        terms_a = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        terms_b = [(j, d) for j, d in enumerate(other.coeffs) if d]
-        if len(terms_b) < len(terms_a):
-            terms_a, terms_b = terms_b, terms_a
-        out = [0] * n
-        for i, c in terms_a:
-            for j, d in terms_b:
-                k = i + j
-                if k >= n:
-                    k -= n
-                out[k] += c * d
-        return CycloElement(self.ring, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CycloElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined in Z[zeta_n]")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def _check_ring(self, other: "CycloElement") -> None:
-        if other.ring != self.ring:
-            raise RingMismatch(
-                f"elements of n={self.ring.n} and n={other.ring.n} cannot be combined")
-
-    def embed(self) -> complex:
-        """Numeric embedding: evaluate at zeta_n = exp(2*pi*i/n) in floats."""
-        n = self.ring.n
-        return sum((c * cmath.exp(2j * cmath.pi * e / n)
-                    for e, c in enumerate(self.coeffs) if c), complex(0))
-
-    def render(self) -> str:
-        """Sparse 'c*z^e' rendering of the canonical form, decreasing exponents."""
-        terms = [(e, c) for e, c in enumerate(self.canonical()) if c]
-        if not terms:
-            return "0"
-        return " + ".join(f"{c}*z^{e}" for e, c in reversed(terms))
-
-    def __repr__(self):
-        return f"<CycloElement n={self.ring.n}: {self.render()}>"
-
-
-def binomial_product(ring: CycloRing, factors) -> CycloElement:
-    """Left-to-right product of two-term factors s1*x^e1 + s2*x^e2.
-
-    Exponents are folded modulo x^n - 1 after every step, so each step is a
-    pair of cyclic shifts plus one vector add; the result is not canonicalized
-    here (equality tests canonicalize lazily).
-    """
-    n = ring.n
-    acc = [0] * n
-    acc[0] = 1
-    for s1, e1, s2, e2 in factors:
-        if s1 not in (1, -1) or s2 not in (1, -1):
-            raise ValueError("factor signs must be +1 or -1")
-        if not (0 <= e1 < n and 0 <= e2 < n):
-            raise ValueError("factor exponents must lie in [0, n)")
-        r1 = acc[n - e1:] + acc[:n - e1]
-        r2 = acc[n - e2:] + acc[:n - e2]
-        if s1 == 1:
-            if s2 == 1:
-                acc = [u + v for u, v in zip(r1, r2)]
-            else:
-                acc = [u - v for u, v in zip(r1, r2)]
-        elif s2 == 1:
-            acc = [v - u for u, v in zip(r1, r2)]
-        else:
-            acc = [-u - v for u, v in zip(r1, r2)]
-    return CycloElement(ring, tuple(acc))
 
 
 def _product_context(p, m: int, a: int) -> PrimeContext:
@@ -524,31 +256,24 @@ def _certify_i_product(p: int, m: int, s: int, delta: int,
             return True
 
 
-def _certify_tan_cross(p: int, m: int, scalar: int) -> bool:
-    """Certificate for (i-1)^|R| = scalar * prod over k in R_m(p) of
-    (i - zeta_p^(ak)), for every a prime to p at once.
+def _unit_exponent(p: int, m: int, s: int) -> int | None:
+    """The e in 0..3 with prod over k in R_m(p) of (i + s*zeta_p^k) = i^e,
+    certified, or None if the product is no power of i.
 
-    (i-1)^|R| = (-2)^half * i^half, so for scalar = +-(-2)^half this is the
-    gi claim; no other scalar is certified.
+    Its image at the first split prime is I^e for at most one e.
     """
-    half = (p - 1) // (2 * m)
-    power = (-2) ** half
-    return scalar in (power, -power) and \
-        _certify_i_product(p, m, -1, scalar // power, half % 4)
-
-
-def _certified_unit(p: int, m: int, s: int) -> tuple[int, int] | None:
-    """The (c, q) with prod over k in R_m(p) of (i + s*zeta_p^k) = c * i^q,
-    c = +-1 and q in 0..3, if a certificate closes for one of them."""
-    for c in (1, -1):
-        for q in range(4):
-            if _certify_i_product(p, m, s, c, q):
-                return c, q
+    l = next(_split_primes(4 * p))
+    i_l, plus, minus = _coset_images(p, m, l)
+    image = (plus if s == 1 else minus)[0]
+    for e in range(4):
+        if pow(i_l, e, l) == image:
+            return e if _certify_i_product(p, m, s, 1, e) else None
     return None
 
 
 def _render_i_power(p: int, q: int, c: int) -> str:
-    """CycloElement.render() of c * i^q in Z[zeta_4p], i = z^p, without a ring.
+    """ring.CycloElement.render() of c * i^q in Z[zeta_4p], i = z^p, built
+    without the ring.
 
     z^(2p) = -1 folds i^2 to -1 and i^3 to -z^p, and z^0, z^p are already
     canonical because p < phi(4p) = 2p - 2.
@@ -558,40 +283,29 @@ def _render_i_power(p: int, q: int, c: int) -> str:
     return f"{int_str(c)}*z^{p * (q % 2)}"
 
 
-def _i_product(ctx: PrimeContext, m: int, a: int, s: int) -> CycloElement:
-    """The dense product over k in R_m(p) of (i + s*zeta_p^(ak)) in Z[zeta_4p]."""
-    ring = get_ring(4 * ctx.p)
-    factors = [(1, ctx.p, s, 4 * a * k % ring.n)
-               for k in residue_set(ctx, m).members]
-    return binomial_product(ring, factors)
-
-
-def _exact_record(ctx: PrimeContext, m: int, a: int, check: str,
-                  actual_elem: CycloElement, expected_elem: CycloElement,
-                  t0: float) -> VerificationRecord:
-    expected = expected_elem.render()
-    actual = actual_elem.render()
-    return finish(ctx.p, m, a, check, expected == actual, expected, actual, t0)
+NOT_A_UNIT = "not a power of i"
 
 
 def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationRecord:
-    """prod over k in R_m(p) of (i + s*zeta_p^(ak)) = sign(2s) * i^((p-1)/(2m))."""
+    """scale * prod over k in R_m(p) of (i + s*zeta_p^(ak)) = scale * sign(2s) *
+    i^half with half = (p-1)/(2m); scale is 1, or for thm_main_exact the scalar
+    sign(-2) * (-2)^half, which makes the right side (i-1)^|R|.
+
+    thm_main_exact puts the scaled product in expected and (i-1)^|R| in
+    actual; gi and gi_plus put the claim in expected and the product in actual.
+    """
     t0 = time.perf_counter()
     ctx = _product_context(p, m, a)
+    half = ctx.p_minus_1 // (2 * m)
     delta = symbol_sign(2 * s, ctx, m).value
-    quarter_turns = (ctx.p_minus_1 // (2 * m)) % 4
-    if _certify_i_product(ctx.p, m, s, delta, quarter_turns):
-        both = _render_i_power(ctx.p, quarter_turns, delta)
-        return finish(ctx.p, m, a, check, True, both, both, t0)
-    unit = _certified_unit(ctx.p, m, s)
-    if unit is not None:
-        c, q = unit
-        return finish(ctx.p, m, a, check, False,
-                      _render_i_power(ctx.p, quarter_turns, delta),
-                      _render_i_power(ctx.p, q, c), t0)
-    lhs = _i_product(ctx, m, a, s)
-    rhs = lhs.ring.monomial(ctx.p * quarter_turns, delta)
-    return _exact_record(ctx, m, a, check, lhs, rhs, t0)
+    tangent = check == "thm_main_exact"
+    scale = delta * (-2) ** half if tangent else 1
+    e = _unit_exponent(ctx.p, m, s)
+    claim = _render_i_power(ctx.p, half, scale * delta)
+    product = NOT_A_UNIT if e is None else _render_i_power(ctx.p, e, scale)
+    expected, actual = (product, claim) if tangent else (claim, product)
+    return finish(ctx.p, m, a, check, e == (half + 1 - delta) % 4,
+                  expected, actual, t0)
 
 
 def verify_gi(p, m: int, a: int = 1) -> VerificationRecord:
@@ -613,21 +327,4 @@ def verify_tan_cross(p, m: int, a: int = 1) -> VerificationRecord:
     which is the tangent identity with the transcendental division cleared.
     When it holds, both sides equal (i-1)^|R| = (-2)^(|R|/2) * i^(|R|/2).
     """
-    t0 = time.perf_counter()
-    ctx = _product_context(p, m, a)
-    half = ctx.p_minus_1 // (2 * m)
-    delta = symbol_sign(-2, ctx, m).value
-    power = (-2) ** half
-    scalar = delta * power
-    lhs_text = _render_i_power(ctx.p, half, power)   # (i-1)^|R|
-    if _certify_tan_cross(ctx.p, m, scalar):
-        return finish(ctx.p, m, a, "thm_main_exact", True, lhs_text, lhs_text, t0)
-    unit = _certified_unit(ctx.p, m, -1)
-    if unit is not None:
-        c, q = unit
-        return finish(ctx.p, m, a, "thm_main_exact", False,
-                      _render_i_power(ctx.p, q, scalar * c), lhs_text, t0)
-    rhs = _i_product(ctx, m, a, -1) * scalar
-    ring = rhs.ring
-    lhs = (ring.monomial(ctx.p) - ring.one()) ** (2 * half)
-    return _exact_record(ctx, m, a, "thm_main_exact", lhs, rhs, t0)
+    return _verify_i_product(p, m, a, -1, "thm_main_exact")

@@ -25,9 +25,5 @@ class PoleProximity(ResitanError, ValueError):
     """A tangent argument is too close to a pole of tan."""
 
 
-class BoundExceeded(ResitanError, ValueError):
-    """A cyclotomic index exceeds the configured bound."""
-
-
 class RingMismatch(ResitanError, ValueError):
     """Elements of two different cyclotomic rings were combined."""

@@ -92,8 +92,8 @@ def test_scan_command(tmp_path, capsys):
 
 
 def test_scan_beyond_dense_ring_bound(tmp_path, monkeypatch, capsys):
-    # n = 4p exceeds the dense ring's bound here; the exact checks certify
-    # modulo split primes and need no ring
+    # n = 4p = 20012 and 20036: a dense Z[zeta_n] would hold 20000-term
+    # vectors; the exact checks certify modulo split primes and build no ring
     monkeypatch.setenv("RESITAN_THREADS", "1")
     out = tmp_path / "report.jsonl"
     assert main(["scan", "--pmin", "5003", "--pmax", "5010", "--checks", "gi",

@@ -6,14 +6,14 @@ import random
 import pytest
 
 from conftest import admissible_m, odd_primes_up_to
-from resitan import (BoundExceeded, HypothesisViolation, RingMismatch,
-                     SignSymbol, binomial_product, cyclotomic, cyclotomic_poly,
+from resitan import (HypothesisViolation, RingMismatch, SignSymbol,
+                     binomial_product, cyclotomic, cyclotomic_poly,
                      is_mth_residue, jacobi, residue_set, symbol_sign, verify_gi,
                      verify_gi_plus, verify_tan_cross)
 from resitan.arith import PrimeContext
-from resitan.cyclotomic import get_ring
 from resitan.harness import run_check
 from resitan.records import int_str
+from resitan.ring import get_ring
 
 
 def poly_divmod(num, den):
@@ -61,8 +61,6 @@ class TestCyclotomicPoly:
             assert all(c == 0 for c in rem), n
 
     def test_bound(self):
-        with pytest.raises(BoundExceeded):
-            cyclotomic_poly(4 * 5000 + 1)
         with pytest.raises(ValueError):
             cyclotomic_poly(0)
 
@@ -270,22 +268,45 @@ def certified_pairs(p_limit):
 EXACT_CHECKS = (verify_gi, verify_gi_plus, verify_tan_cross)
 
 
-def dense(monkeypatch):
-    """Turn the certificate off, so every exact check expands the product."""
-    monkeypatch.setattr(cyclotomic, "_certify_i_product", lambda *args: False)
-    monkeypatch.setattr(cyclotomic, "_certify_tan_cross", lambda *args: False)
+def i_product(p, m, s, a=1):
+    """prod over k in R_m(p) of (i + s*zeta_p^(ak)), expanded in the reference
+    ring Z[zeta_4p]."""
+    ring = get_ring(4 * p)
+    factors = [(1, p, s, 4 * a * k % ring.n) for k in residue_set(p, m).members]
+    return binomial_product(ring, factors)
+
+
+def dense_fields(fn, p, m, a):
+    """(status, expected, actual) of the exact check fn with both sides
+    expanded and rendered in the reference ring, as the checks rendered them
+    when they computed in the ring.  The sign symbol is looked up in
+    cyclotomic at call time, so a patched symbol reaches both paths."""
+    ring = get_ring(4 * p)
+    half = (p - 1) // (2 * m)
+    s = 1 if fn is verify_gi_plus else -1
+    delta = cyclotomic.symbol_sign(2 * s, p, m).value
+    product = i_product(p, m, s, a)
+    if fn is verify_tan_cross:
+        lhs = (ring.monomial(p) - ring.one()) ** (2 * half)   # (i-1)^|R|
+        expected = (product * (delta * (-2) ** half)).render()
+        actual = lhs.render()
+    else:
+        expected = ring.monomial(p * half, delta).render()
+        actual = product.render()
+    return ("pass" if expected == actual else "fail"), expected, actual
+
+
+def fields(rec):
+    return rec.status, rec.expected, rec.actual
 
 
 class TestCertificate:
-    def test_records_match_dense_ring(self, monkeypatch):
+    def test_records_match_dense_ring(self):
         cases = [(fn, p, m, a) for p, m in certified_pairs(200)
                  for a in (1, p - 1) for fn in EXACT_CHECKS]
-        certified = [fn(p, m, a) for fn, p, m, a in cases]
-        dense(monkeypatch)
-        for (fn, p, m, a), got in zip(cases, certified):
-            want = fn(p, m, a)
-            assert (got.status, got.expected, got.actual) == \
-                (want.status, want.expected, want.actual), (fn.__name__, p, m, a)
+        for fn, p, m, a in cases:
+            got = fn(p, m, a)
+            assert fields(got) == dense_fields(fn, p, m, a), (fn.__name__, p, m, a)
             assert got.status == "pass"
 
     def test_rejects_wrong_right_sides(self):
@@ -298,16 +319,11 @@ class TestCertificate:
                 assert not cyclotomic._certify_i_product(p, m, s, -delta, q)
                 assert not cyclotomic._certify_i_product(p, m, s, delta, (q + 1) % 4)
                 assert not cyclotomic._certify_i_product(p, m, s, delta, (q - 1) % 4)
-            scalar = symbol_sign(-2, p, m).value * (-2) ** half
-            assert cyclotomic._certify_tan_cross(p, m, scalar)
-            assert not cyclotomic._certify_tan_cross(p, m, -scalar)
 
     def test_flipped_symbol_fails_with_dense_actual(self, monkeypatch):
         cases = [(fn, p, m, a) for p, m in [(31, 3), (113, 4), (41, 2), (73, 1)]
                  for a in (1, 2) for fn in EXACT_CHECKS]
-        with monkeypatch.context() as mp:
-            dense(mp)
-            actual = [fn(p, m, a).actual for fn, p, m, a in cases]
+        actual = [dense_fields(fn, p, m, a)[2] for fn, p, m, a in cases]
 
         def flipped(a, p, m):
             sym = symbol_sign(a, p, m)
@@ -337,12 +353,6 @@ def flip_symbol(monkeypatch):
         sym = symbol_sign(a, p, m)
         return SignSymbol(-sym.value, sym.a, sym.p, sym.order)
     monkeypatch.setattr(cyclotomic, "symbol_sign", flipped)
-
-
-def i_product(p, m, s):
-    ring = get_ring(4 * p)
-    factors = [(1, p, s, 4 * k % ring.n) for k in residue_set(p, m).members]
-    return binomial_product(ring, factors)
 
 
 def conjugates(elem):
@@ -393,16 +403,17 @@ class TestFloatBound:
         draws = count_draws(monkeypatch)
         for p, m in certified_pairs(1100):
             half = (p - 1) // (2 * m)
-            claims = [(cyclotomic._certify_i_product,
-                       (p, m, s, symbol_sign(2 * s, p, m).value, half % 4))
-                      for s in (-1, 1)]
-            claims.append((cyclotomic._certify_tan_cross,
-                           (p, m, symbol_sign(-2, p, m).value * (-2) ** half)))
-            for certify, args in claims:
-                cyclotomic._certify_i_product.cache_clear()
-                draws.clear()
-                assert certify(*args), (certify.__name__, args)
-                assert len(draws) == 1, (certify.__name__, p, m, len(draws))
+            for s in (-1, 1):
+                delta = symbol_sign(2 * s, p, m).value
+                claims = [
+                    (cyclotomic._certify_i_product, (p, m, s, delta, half % 4), True),
+                    (cyclotomic._unit_exponent, (p, m, s), (half + 1 - delta) % 4)]
+                for fn, args, want in claims:
+                    cyclotomic._certify_i_product.cache_clear()
+                    draws.clear()
+                    assert fn(*args) == want, (fn.__name__, args)
+                    # _unit_exponent reads the first prime, then certifies there
+                    assert len(set(draws)) == 1, (fn.__name__, p, m, draws)
         # lazy: every certificate so far was served by the first prime
         assert len(cyclotomic._found_split_primes(4 * 1093)) == 1
 
@@ -412,12 +423,9 @@ class TestFailurePath:
         cases = [(fn, p, m, a) for p, m in certified_pairs(200)
                  for a in (1, p - 1) for fn in EXACT_CHECKS]
         flip_symbol(monkeypatch)
-        unit = [fn(p, m, a) for fn, p, m, a in cases]
-        dense(monkeypatch)
-        for (fn, p, m, a), got in zip(cases, unit):
-            want = fn(p, m, a)
-            assert (got.status, got.expected, got.actual) == \
-                (want.status, want.expected, want.actual), (fn.__name__, p, m, a)
+        for fn, p, m, a in cases:
+            got = fn(p, m, a)
+            assert fields(got) == dense_fields(fn, p, m, a), (fn.__name__, p, m, a)
             assert got.status == "fail"
 
     def test_flipped_symbol_above_dense_bound_fails_with_true_unit(self, monkeypatch):
@@ -438,6 +446,58 @@ class TestFailurePath:
         rec = run_check(ctx, 1, 1, "thm_main_exact", 1e-6)
         assert rec.actual == good["thm_main_exact"].actual
         assert rec.expected == cyclotomic._render_i_power(5009, 2504, -(-2) ** 2504)
+
+    def test_no_unit_fails_with_marker(self, monkeypatch):
+        # a product no unit certifies is shown as not a power of i at any p;
+        # no ring is built, so p = 5009 (n = 20036) fails like p = 31
+        monkeypatch.setattr(cyclotomic, "_certify_i_product", lambda *args: False)
+        for p, m in [(31, 3), (5009, 1)]:
+            ctx = PrimeContext(p)
+            for check in ("gi", "gi_plus", "thm_main_exact"):
+                rec = run_check(ctx, m, 1, check, 1e-6)
+                shown = rec.expected if check == "thm_main_exact" else rec.actual
+                assert (rec.status, shown) == ("fail", cyclotomic.NOT_A_UNIT), \
+                    (check, p, rec.status)
+
+
+@pytest.fixture
+def fresh_certificates():
+    """Clear the certificate cache around a test that patches what the
+    certificates read, so no verdict reached under the patch outlives it."""
+    cyclotomic._certify_i_product.cache_clear()
+    yield
+    cyclotomic._certify_i_product.cache_clear()
+
+
+class TestUnitExponent:
+    def test_picker_certifies_what_it_picks(self, monkeypatch, fresh_certificates):
+        pairs = certified_pairs(200)
+        for p, m in pairs:
+            half = (p - 1) // (2 * m)
+            for s in (-1, 1):
+                delta = symbol_sign(2 * s, p, m).value
+                assert cyclotomic._unit_exponent(p, m, s) == (half + 1 - delta) % 4
+
+        # the second coset's images times I: the product no longer is a
+        # power of i, but its first image, which picks e, still says it is
+        real = cyclotomic._coset_images
+
+        def skewed(p, m, l):
+            i_l, plus, minus = real(p, m, l)
+            return (i_l, plus[:1] + (plus[1] * i_l % l,) + plus[2:],
+                    minus[:1] + (minus[1] * i_l % l,) + minus[2:])
+        cyclotomic._certify_i_product.cache_clear()
+        monkeypatch.setattr(cyclotomic, "_coset_images", skewed)
+        for p, m in pairs:
+            if m == 1:
+                continue   # a single coset: there is no second one to skew
+            for s in (-1, 1):
+                assert cyclotomic._unit_exponent(p, m, s) is None, (p, m, s)
+            for fn in EXACT_CHECKS:
+                rec = fn(p, m, 1)
+                shown = rec.expected if fn is verify_tan_cross else rec.actual
+                assert (rec.status, shown) == ("fail", cyclotomic.NOT_A_UNIT), \
+                    (fn.__name__, p, m)
 
 
 class TestLargeIntegers:

@@ -215,3 +215,33 @@ def test_package_has_no_assert_statements():
         lines = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def imported_modules(tree):
+    """The dotted names an AST imports, both as modules and as module.name
+    (so `from . import ring` reads "ring"), with a leading "resitan."
+    dropped."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            name = name.strip(".")
+            yield name[len("resitan."):] if name.startswith("resitan.") else name
+
+
+def test_only_the_package_root_imports_the_reference_ring():
+    # the dense ring is a reference for tests: no check path may reach it
+    root = Path(resitan.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        ring = [name for name in imported_modules(tree)
+                if name.split(".")[0] == "ring"]
+        if path.name == "__init__.py":
+            assert ring, "the package root re-exports the ring"
+        else:
+            assert not ring, f"{path.name} imports {ring}"
