@@ -3,10 +3,12 @@
 True product values grow like 2^((p-1)/2), which overflows doubles near
 p = 2100, so products are accumulated as a sign and a base-2 logarithm.
 Every tangent argument is reduced modulo 1 into (-1/2, 1/2] before the call
-to tan.  For the full-residue-system identity the reduction is done in exact
-rational arithmetic, so grid points landing exactly on a zero of
-1 + tan(pi*t) are recognized symbolically instead of drowning in rounding
-noise.
+to tan.  For the full-residue-system identity the reduction is exact in
+plain integers: a finite float x is N/D with D = 2^k (x.as_integer_ratio()),
+so (x + r)/n modulo 1 is num/(n*D) with num = (N + r*D) mod n*D.  Python's
+int true division rounds correctly, so num / (n*D) is the nearest float to
+the exact angle, and a zero of 1 + tan(pi*t) is recognized as
+4*num == 3*n*D instead of drowning in rounding noise.
 
 The products over residues of a prime q all run through one loop,
 _tan_product_mag: tan_product (used by verify_theorem_main_numeric and so
@@ -29,7 +31,6 @@ import operator
 import time
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import as_prime, jacobi
 from .errors import BranchViolation, HypothesisViolation, PoleProximity
@@ -39,9 +40,6 @@ from .residues import is_mth_residue, residue_set, symbol_sign
 TINY_FACTOR = 1e-12   # |1 + tan| below this degrades float precision
 POLE_EPS = 1e-9
 ZERO_CROSS = 1e-9
-
-_QUARTER = Fraction(1, 4)
-_THREE_QUARTERS = Fraction(3, 4)
 
 
 @dataclass(frozen=True)
@@ -180,27 +178,6 @@ def verify_theorem_main_numeric(p, m: int, a: int = 1,
     return finish(ctx.p, m, a, "thm_main_numeric", ok, expected, actual, t0)
 
 
-def _tan_factor(arg: Fraction) -> SignedMagnitude:
-    """1 + tan(pi*arg) in sign/log2 form, with exact pole and zero detection.
-
-    Returns an exact zero when the reduced argument is exactly 3/4, the only
-    zero of 1 + tan(pi*t) modulo 1.
-    """
-    q = arg % 1
-    if abs(float(q) - 0.5) < POLE_EPS:
-        raise PoleProximity(
-            f"argument {float(arg)!r} is within {POLE_EPS:g} of a tangent pole")
-    if q == _THREE_QUARTERS:
-        return SignedMagnitude(0)
-    t = float(q)
-    if t > 0.5:
-        t -= 1.0
-    f = 1.0 + math.tan(math.pi * t)
-    if f == 0.0:
-        return SignedMagnitude(0)
-    return SignedMagnitude(1 if f > 0.0 else -1, math.log2(abs(f)))
-
-
 def pmd_lemma_identity(n: int, x: float,
                        rel_tol: float = 1e-9) -> VerificationRecord:
     """Full residue-system tangent product for odd n against its closed form.
@@ -213,22 +190,40 @@ def pmd_lemma_identity(n: int, x: float,
     t0 = time.perf_counter()
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
-    fx = Fraction(x)  # exact: binary floats are dyadic rationals
-    factors = [_tan_factor((fx + r) / n) for r in range(n)]
-    lhs = math.prod(factors, start=SignedMagnitude(1))
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    N, D = x.as_integer_ratio()
+    nD = n * D
+    sign, log2 = 1, 0.0
+    for r in range(n):
+        num = (N + r * D) % nD
+        t = num / nD
+        if abs(t - 0.5) < POLE_EPS:
+            raise PoleProximity(f"argument {(N + r * D) / nD!r} is within "
+                                f"{POLE_EPS:g} of a tangent pole")
+        if sign == 0:  # a zero factor: later factors still check for poles
+            continue
+        if 4 * num == 3 * nD:  # 3/4, the only zero of 1 + tan(pi*t) mod 1
+            f = 0.0
+        else:
+            f = 1.0 + math.tan(math.pi * (t - 1.0 if t > 0.5 else t))
+        if f == 0.0:
+            sign, log2 = 0, 0.0
+        else:
+            sign = -sign if f < 0.0 else sign
+            log2 += math.log2(abs(f))
+    lhs = SignedMagnitude(sign, log2)
 
     s2 = jacobi(2, n)
     s1 = jacobi(-1, n)
-    qx = fx % 1
-    if abs(float(qx) - 0.5) < POLE_EPS:
+    qn = N % D  # x mod 1 = qn/D
+    t = qn / D
+    if abs(t - 0.5) < POLE_EPS:
         raise PoleProximity(f"x={x!r} is within {POLE_EPS:g} of a tangent pole")
-    if (s1 == 1 and qx == _THREE_QUARTERS) or (s1 == -1 and qx == _QUARTER):
+    if (s1 == 1 and 4 * qn == 3 * D) or (s1 == -1 and 4 * qn == D):
         rhs = SignedMagnitude(0)
     else:
-        t = float(qx)
-        if t > 0.5:
-            t -= 1.0
-        base = 1.0 + s1 * math.tan(math.pi * t)
+        base = 1.0 + s1 * math.tan(math.pi * (t - 1.0 if t > 0.5 else t))
         if base == 0.0:
             rhs = SignedMagnitude(0)
         else:

@@ -66,6 +66,16 @@ def test_import_loads_no_process_pool():
     assert out.stdout.strip() == "False"
 
 
+def test_import_loads_no_fractions_or_decimal():
+    # exact angle reduction is plain integer arithmetic
+    src = str(Path(resitan.__file__).resolve().parent.parent)
+    code = ("import sys, resitan.cli; "
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False False"
+
+
 def test_verify_hypothesis_skip_is_clean(capsys):
     assert main(["verify", "--p", "13", "--m", "2"]) == 0
     assert "skipped(hypothesis)" in capsys.readouterr().out
@@ -114,6 +124,12 @@ def test_scan_csv_format(tmp_path):
 def test_pmd_command(capsys):
     assert main(["pmd", "--n", "9", "--x", "0.2"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_pmd_rejects_non_finite_x(capsys):
+    for x in ("inf", "nan"):
+        assert main(["pmd", "--n", "3", "--x", x]) == 1
+        assert capsys.readouterr().err.strip() == "error: x must be finite"
 
 
 def test_pmd14_command(capsys):

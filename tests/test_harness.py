@@ -177,6 +177,13 @@ GOLDEN_SCAN_3_1000_NUMERIC = {
     "csv": "7017385d196635cdc1deca6fe52c8c363fe3224476e6afbd629998348c8261c9",
 }
 
+# sha256 of pmd_lemma over the primes up to 400, taken with the Fraction
+# implementation that test_numeric keeps as reference_pmd_lemma
+GOLDEN_SCAN_3_400_PMD = {
+    "jsonl": "5887f1a51e4143ff6f5a975022e8024d5eb6ea3fdc5ec412a4314ca3dda726f9",
+    "csv": "dd17bd54a0ad47ca85d7c74de7e0d451ce9e9eba8f5bf672d1216701680a4ca7",
+}
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -188,6 +195,9 @@ class TestDeterminism:
         scan(ScanConfig(3, 1000, checks=NUMERIC_CHECKS, out=str(out), fmt=fmt))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             GOLDEN_SCAN_3_1000_NUMERIC[fmt]
+        scan(ScanConfig(3, 400, checks=("pmd_lemma",), out=str(out), fmt=fmt))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            GOLDEN_SCAN_3_400_PMD[fmt]
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_repeated_scans_byte_identical(self, fmt, tmp_path):

@@ -1,6 +1,9 @@
 import math
 import random
+import time
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from conftest import admissible_m, odd_primes_up_to
@@ -10,7 +13,9 @@ from resitan import (BranchViolation, HypothesisViolation, PoleProximity,
                      symbol_sign, tan_product, verify_tan_cross,
                      verify_theorem_main_numeric)
 from resitan import numeric
-from resitan.harness import run_check
+from resitan.harness import PMD_X_GRID, run_check
+from resitan.numeric import POLE_EPS, ZERO_CROSS, _log_tolerance
+from resitan.records import finish
 
 
 def float_tan_product(p, m, a):
@@ -50,6 +55,71 @@ def reference_pmd14_strings(p, a, rel_tol=1e-6):
     count = sum(1 for k in range(1, (p - 1) // 4 + 1) if jacobi(k, p) == 1)
     expected = f"{'-' if count % 2 else '+'}2^{(p - 1) // 4} (rel_tol={rel_tol:g})"
     return expected, got.render()
+
+
+_QUARTER = Fraction(1, 4)
+_THREE_QUARTERS = Fraction(3, 4)
+
+
+def _reference_tan_factor(arg: Fraction) -> SignedMagnitude:
+    """1 + tan(pi*arg) in sign/log2 form, with exact pole and zero detection.
+
+    Returns an exact zero when the reduced argument is exactly 3/4, the only
+    zero of 1 + tan(pi*t) modulo 1.
+    """
+    q = arg % 1
+    if abs(float(q) - 0.5) < POLE_EPS:
+        raise PoleProximity(
+            f"argument {float(arg)!r} is within {POLE_EPS:g} of a tangent pole")
+    if q == _THREE_QUARTERS:
+        return SignedMagnitude(0)
+    t = float(q)
+    if t > 0.5:
+        t -= 1.0
+    f = 1.0 + math.tan(math.pi * t)
+    if f == 0.0:
+        return SignedMagnitude(0)
+    return SignedMagnitude(1 if f > 0.0 else -1, math.log2(abs(f)))
+
+
+def reference_pmd_lemma(n, x, rel_tol=1e-9):
+    """pmd_lemma_identity in exact Fraction arithmetic, as it was before the
+    reduction moved to plain integers."""
+    t0 = time.perf_counter()
+    if n < 1 or n % 2 == 0:
+        raise ValueError("n must be odd and positive")
+    fx = Fraction(x)  # exact: binary floats are dyadic rationals
+    factors = [_reference_tan_factor((fx + r) / n) for r in range(n)]
+    lhs = math.prod(factors, start=SignedMagnitude(1))
+
+    s2 = jacobi(2, n)
+    s1 = jacobi(-1, n)
+    qx = fx % 1
+    if abs(float(qx) - 0.5) < POLE_EPS:
+        raise PoleProximity(f"x={x!r} is within {POLE_EPS:g} of a tangent pole")
+    if (s1 == 1 and qx == _THREE_QUARTERS) or (s1 == -1 and qx == _QUARTER):
+        rhs = SignedMagnitude(0)
+    else:
+        t = float(qx)
+        if t > 0.5:
+            t -= 1.0
+        base = 1.0 + s1 * math.tan(math.pi * t)
+        if base == 0.0:
+            rhs = SignedMagnitude(0)
+        else:
+            rhs = SignedMagnitude(s2 * (1 if base > 0.0 else -1),
+                                  (n - 1) / 2 + math.log2(abs(base)))
+
+    if lhs.sign == 0 and rhs.sign == 0:
+        ok = True
+    elif abs(rhs.value()) < ZERO_CROSS:
+        ok = abs(lhs.value() - rhs.value()) <= ZERO_CROSS
+    else:
+        ok = lhs.sign == rhs.sign and \
+            abs(lhs.log2_mag - rhs.log2_mag) <= _log_tolerance(rel_tol)
+    expected = f"x={x:g}: {rhs.render()} (rel_tol={rel_tol:g})"
+    actual = f"x={x:g}: {lhs.render()}"
+    return finish(n, 1, 0, "pmd_lemma", ok, expected, actual, t0)
 
 
 def a_values(p):
@@ -193,6 +263,44 @@ class TestPmdLemmaIdentity:
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
             pmd_lemma_identity(4, 0.1)
+
+    # zeros (0.25, 0.75, -0.25), poles (0.5, 1.5 + 3e-10, and -1.5, whose
+    # message shows the unreduced argument), a signed zero, an int, a
+    # non-dyadic x and the extremes of the float range
+    EXTRA_X = (0.25, 0.75, -0.25, 0.5, 1.5 + 3e-10, -1.5, -0.0, 2, 1 / 3,
+               1e300, 5e-324)
+
+    def test_matches_fraction_reference(self):
+        for n in range(1, 400, 2):
+            for x in PMD_X_GRID + self.EXTRA_X:
+                try:
+                    want = reference_pmd_lemma(n, x)
+                except Exception as exc:
+                    with pytest.raises(Exception) as got:
+                        pmd_lemma_identity(n, x)
+                    assert (type(got.value), str(got.value)) == \
+                        (type(exc), str(exc)), (n, x)
+                    continue
+                rec = pmd_lemma_identity(n, x)
+                assert (rec.status, rec.expected, rec.actual) == \
+                    (want.status, want.expected, want.actual), (n, x)
+
+    def test_log2_within_error_model(self):
+        # |L - log2|prod|| <= 1e-9: the 9-decimal rendering adds at most
+        # 5e-10, the float factors and their sum far less at n < 200
+        for n in range(1, 200, 2):
+            for x in PMD_X_GRID:
+                actual = pmd_lemma_identity(n, x).actual.split(": ")[1]
+                with mpmath.workdps(50):
+                    factors = [1 + mpmath.tan(mpmath.pi * (mpmath.mpf(x) + r) / n)
+                               for r in range(n)]
+                    prod = mpmath.fprod(factors)
+                    want = mpmath.log(abs(prod), 2)
+                if actual == "0":  # a factor is zero to 50 digits
+                    assert min(map(abs, factors)) < 1e-40, (n, x)
+                    continue
+                assert actual[0] == ("+" if prod > 0 else "-"), (n, x)
+                assert abs(float(actual[3:]) - want) <= 1e-9, (n, x)
 
 
 class TestPmdTheorem14:
