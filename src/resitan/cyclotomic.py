@@ -67,9 +67,11 @@ The units c * i^q (c = +-1, q in 0..3) are only the four powers i^e, since
 -1 = i^2, and their images I^e in F_l are distinct.  So the image of P at
 the first split prime l, under zeta_n -> w (u = 1, the coset of 1), matches
 at most one I^e; that e is certified as above, and the check passes iff e
-is the claimed exponent (half + 1 - delta) mod 4.  The certificate is cached
-per (p, m, s, e), so gi, thm_main_exact, cor11 and cor12 share one for
-every a.
+is the claimed exponent (half + 1 - delta) mod 4.  _unit_exponents decides
+both signs over the same split primes and is cached per (p, m), so gi,
+gi_plus, thm_main_exact, cor11 and cor12 share it for every a.  Split primes
+are kept per 4p and the per-factor tables for the current p only; the rest
+is computed once per (p, m) and prime.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.
@@ -151,7 +153,6 @@ def _root_of_order(n: int, l: int) -> int:
         g += 1
 
 
-@functools.lru_cache(maxsize=4096)
 def _coset_reps(p: int, m: int) -> tuple[int, ...]:
     """One representative c of each coset of R_m(p) in (Z/p)*."""
     size = (p - 1) // m
@@ -177,7 +178,6 @@ def _factor_log2(p: int) -> list[float]:
     return out
 
 
-@functools.lru_cache(maxsize=4096)
 def _log2_bound(p: int, m: int) -> int:
     """An exponent b >= 0 with |sigma(P)| <= 2^b for every complex conjugate
     sigma(P) of P = prod over k in R_m(p) of (i +- zeta_p^k), either sign.
@@ -213,7 +213,6 @@ def _factor_images(p: int, l: int) -> tuple[int, list[int], list[int]]:
     return i_l, plus, minus
 
 
-@functools.lru_cache(maxsize=4096)
 def _coset_images(p: int, m: int, l: int) -> tuple[int, tuple, tuple]:
     """I and the products over each coset cR of R = R_m(p) of the images
     I + eta^x and of I - eta^x in F_l, one entry per coset."""
@@ -232,43 +231,31 @@ def _coset_images(p: int, m: int, l: int) -> tuple[int, tuple, tuple]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _certify_i_product(p: int, m: int, s: int, delta: int,
-                       quarter_turns: int) -> bool:
-    """Certificate for prod over k in R_m(p) of (i + s*zeta_p^(ak)) = delta * i^q,
-    for every a prime to p at once.
+def _unit_exponents(p: int, m: int) -> dict[int, int | None]:
+    """{s: e} for s = -1 and 1, with prod over k in R_m(p) of (i + s*zeta_p^k)
+    = i^e certified, or e = None if that product is no power of i.
 
-    The argument is in the module docstring: the 2m images of the difference
-    must vanish modulo split primes whose product passes the float bound
-    B = 2^b + 1.
+    The image at the first split prime (coset 1, u = 1) picks the only e;
+    then at each prime all 2m images must be I^e (u = 1) and (-I)^e (u = 3),
+    until the primes' product passes the float bound B = 2^b + 1.
     """
     bound = 2 ** _log2_bound(p, m) + 1
+    exponents = {}
     modulus = 1
     for l in _split_primes(4 * p):
         i_l, plus, minus = _coset_images(p, m, l)
-        # the image of P at i -> -I is the one of the other sign at i -> I
-        rows = (plus, minus) if s == 1 else (minus, plus)
-        for iu, row in zip((i_l, l - i_l), rows):
-            want = delta * pow(iu, quarter_turns, l) % l
-            if any(x != want for x in row):
-                return False
+        powers = [pow(i_l, e, l) for e in range(4)]   # I^e, and (-I)^e = I^-e
+        for s, row, other in ((-1, minus, plus), (1, plus, minus)):
+            if s not in exponents:
+                exponents[s] = powers.index(row[0]) if row[0] in powers else None
+            e = exponents[s]
+            # the image of P at i -> -I is the one of the other sign at i -> I
+            if e is not None and (set(row) != {powers[e]}
+                                  or set(other) != {powers[-e]}):
+                exponents[s] = None
         modulus *= l
-        if modulus > bound:
-            return True
-
-
-def _unit_exponent(p: int, m: int, s: int) -> int | None:
-    """The e in 0..3 with prod over k in R_m(p) of (i + s*zeta_p^k) = i^e,
-    certified, or None if the product is no power of i.
-
-    Its image at the first split prime is I^e for at most one e.
-    """
-    l = next(_split_primes(4 * p))
-    i_l, plus, minus = _coset_images(p, m, l)
-    image = (plus if s == 1 else minus)[0]
-    for e in range(4):
-        if pow(i_l, e, l) == image:
-            return e if _certify_i_product(p, m, s, 1, e) else None
-    return None
+        if modulus > bound or all(e is None for e in exponents.values()):
+            return exponents
 
 
 def _render_i_power(p: int, q: int, c: int) -> str:
@@ -300,7 +287,7 @@ def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationReco
     delta = symbol_sign(2 * s, ctx, m).value
     tangent = check == "thm_main_exact"
     scale = delta * (-2) ** half if tangent else 1
-    e = _unit_exponent(ctx.p, m, s)
+    e = _unit_exponents(ctx.p, m)[s]
     claim = _render_i_power(ctx.p, half, scale * delta)
     product = NOT_A_UNIT if e is None else _render_i_power(ctx.p, e, scale)
     expected, actual = (product, claim) if tangent else (claim, product)

@@ -310,15 +310,19 @@ class TestCertificate:
             assert got.status == "pass"
 
     def test_rejects_wrong_right_sides(self):
+        # the claimed exponent is certified, and the first image matches no
+        # other I^e, so every other unit +-i^q is rejected
         for p, m in certified_pairs(200):
             half = (p - 1) // (2 * m)
-            for s in (-1, 1):
+            exponents = cyclotomic._unit_exponents(p, m)
+            l = next(cyclotomic._split_primes(4 * p))
+            i_l, plus, minus = cyclotomic._coset_images(p, m, l)
+            for s, row in ((-1, minus), (1, plus)):
                 delta = symbol_sign(2 * s, p, m).value
-                q = half % 4
-                assert cyclotomic._certify_i_product(p, m, s, delta, q)
-                assert not cyclotomic._certify_i_product(p, m, s, -delta, q)
-                assert not cyclotomic._certify_i_product(p, m, s, delta, (q + 1) % 4)
-                assert not cyclotomic._certify_i_product(p, m, s, delta, (q - 1) % 4)
+                e = (half + 1 - delta) % 4
+                assert exponents[s] == e, (p, m, s)
+                assert [pow(i_l, f, l) == row[0] for f in range(4)] == \
+                    [f == e for f in range(4)], (p, m, s)
 
     def test_flipped_symbol_fails_with_dense_actual(self, monkeypatch):
         cases = [(fn, p, m, a) for p, m in [(31, 3), (113, 4), (41, 2), (73, 1)]
@@ -403,17 +407,13 @@ class TestFloatBound:
         draws = count_draws(monkeypatch)
         for p, m in certified_pairs(1100):
             half = (p - 1) // (2 * m)
-            for s in (-1, 1):
-                delta = symbol_sign(2 * s, p, m).value
-                claims = [
-                    (cyclotomic._certify_i_product, (p, m, s, delta, half % 4), True),
-                    (cyclotomic._unit_exponent, (p, m, s), (half + 1 - delta) % 4)]
-                for fn, args, want in claims:
-                    cyclotomic._certify_i_product.cache_clear()
-                    draws.clear()
-                    assert fn(*args) == want, (fn.__name__, args)
-                    # _unit_exponent reads the first prime, then certifies there
-                    assert len(set(draws)) == 1, (fn.__name__, p, m, draws)
+            want = {s: (half + 1 - symbol_sign(2 * s, p, m).value) % 4
+                    for s in (-1, 1)}
+            cyclotomic._unit_exponents.cache_clear()
+            draws.clear()
+            assert cyclotomic._unit_exponents(p, m) == want, (p, m)
+            # the exponents are read at the first prime and certified there
+            assert len(set(draws)) == 1, (p, m, draws)
         # lazy: every certificate so far was served by the first prime
         assert len(cyclotomic._found_split_primes(4 * 1093)) == 1
 
@@ -450,7 +450,8 @@ class TestFailurePath:
     def test_no_unit_fails_with_marker(self, monkeypatch):
         # a product no unit certifies is shown as not a power of i at any p;
         # no ring is built, so p = 5009 (n = 20036) fails like p = 31
-        monkeypatch.setattr(cyclotomic, "_certify_i_product", lambda *args: False)
+        monkeypatch.setattr(cyclotomic, "_unit_exponents",
+                            lambda p, m: {-1: None, 1: None})
         for p, m in [(31, 3), (5009, 1)]:
             ctx = PrimeContext(p)
             for check in ("gi", "gi_plus", "thm_main_exact"):
@@ -464,9 +465,9 @@ class TestFailurePath:
 def fresh_certificates():
     """Clear the certificate cache around a test that patches what the
     certificates read, so no verdict reached under the patch outlives it."""
-    cyclotomic._certify_i_product.cache_clear()
+    cyclotomic._unit_exponents.cache_clear()
     yield
-    cyclotomic._certify_i_product.cache_clear()
+    cyclotomic._unit_exponents.cache_clear()
 
 
 class TestUnitExponent:
@@ -476,7 +477,7 @@ class TestUnitExponent:
             half = (p - 1) // (2 * m)
             for s in (-1, 1):
                 delta = symbol_sign(2 * s, p, m).value
-                assert cyclotomic._unit_exponent(p, m, s) == (half + 1 - delta) % 4
+                assert cyclotomic._unit_exponents(p, m)[s] == (half + 1 - delta) % 4
 
         # the second coset's images times I: the product no longer is a
         # power of i, but its first image, which picks e, still says it is
@@ -486,18 +487,40 @@ class TestUnitExponent:
             i_l, plus, minus = real(p, m, l)
             return (i_l, plus[:1] + (plus[1] * i_l % l,) + plus[2:],
                     minus[:1] + (minus[1] * i_l % l,) + minus[2:])
-        cyclotomic._certify_i_product.cache_clear()
+        cyclotomic._unit_exponents.cache_clear()
         monkeypatch.setattr(cyclotomic, "_coset_images", skewed)
         for p, m in pairs:
             if m == 1:
                 continue   # a single coset: there is no second one to skew
             for s in (-1, 1):
-                assert cyclotomic._unit_exponent(p, m, s) is None, (p, m, s)
+                assert cyclotomic._unit_exponents(p, m)[s] is None, (p, m, s)
             for fn in EXACT_CHECKS:
                 rec = fn(p, m, 1)
                 shown = rec.expected if fn is verify_tan_cross else rec.actual
                 assert (rec.status, shown) == ("fail", cyclotomic.NOT_A_UNIT), \
                     (fn.__name__, p, m)
+
+    def test_certificate_over_three_primes(self, monkeypatch, fresh_certificates):
+        # a bound of 2^130 + 1 needs three primes above 2^61; every one of
+        # them is checked, not only the first
+        monkeypatch.setattr(cyclotomic, "_log2_bound", lambda p, m: 130)
+        draws = count_draws(monkeypatch)
+        assert cyclotomic._unit_exponents(31, 3) == {-1: 3, 1: 1}
+        assert len(set(draws)) == len(draws) == 3
+
+        # one image of the s = 1 product at the second prime times I: only
+        # that prime sees it, at u = 1 for s = 1 and at u = 3 for s = -1
+        second = draws[1]
+        real = cyclotomic._coset_images
+
+        def skewed(p, m, l):
+            i_l, plus, minus = real(p, m, l)
+            if l == second:
+                plus = plus[:1] + (plus[1] * i_l % l,) + plus[2:]
+            return i_l, plus, minus
+        cyclotomic._unit_exponents.cache_clear()
+        monkeypatch.setattr(cyclotomic, "_coset_images", skewed)
+        assert cyclotomic._unit_exponents(31, 3) == {-1: None, 1: None}
 
 
 class TestLargeIntegers:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import decimal
 import hashlib
 import random
@@ -33,6 +34,17 @@ class TestCor11:
     def test_not_representable(self):
         with pytest.raises(NotRepresentable):
             verify_cor11(7, 1)
+
+    def test_numeric_failure_fails_at_every_p(self, monkeypatch):
+        # the floating side is checked at every p, also above p = 2000
+        real = resitan.harness.verify_theorem_main_numeric
+        monkeypatch.setattr(
+            resitan.harness, "verify_theorem_main_numeric",
+            lambda *args: dataclasses.replace(real(*args), status="fail"))
+        for p in (31, 2017):
+            rec = verify_cor11(p, 1)
+            assert rec.status == "fail", p
+            assert rec.actual.endswith(" [exact=pass, numeric=fail]"), p
 
     def test_value_beyond_int_str_limit(self):
         # 90001 = x^2 + 27y^2; (-2)^15000 has 4516 digits, past str()'s
