@@ -87,6 +87,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from types import MappingProxyType
 
 from .arith import PrimeContext, as_prime, is_prime
 from .errors import HypothesisViolation
@@ -231,9 +232,10 @@ def _coset_images(p: int, m: int, l: int) -> tuple[int, tuple, tuple]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _unit_exponents(p: int, m: int) -> dict[int, int | None]:
+def _unit_exponents(p: int, m: int) -> MappingProxyType[int, int | None]:
     """{s: e} for s = -1 and 1, with prod over k in R_m(p) of (i + s*zeta_p^k)
-    = i^e certified, or e = None if that product is no power of i.
+    = i^e certified, or e = None if that product is no power of i.  Every
+    caller shares the cached mapping, so it is read-only.
 
     The image at the first split prime (coset 1, u = 1) picks the only e;
     then at each prime all 2m images must be I^e (u = 1) and (-I)^e (u = 3),
@@ -255,7 +257,7 @@ def _unit_exponents(p: int, m: int) -> dict[int, int | None]:
                 exponents[s] = None
         modulus *= l
         if modulus > bound or all(e is None for e in exponents.values()):
-            return exponents
+            return MappingProxyType(exponents)
 
 
 def _render_i_power(p: int, q: int, c: int) -> str:

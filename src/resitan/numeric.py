@@ -14,10 +14,8 @@ The products over residues of a prime q all run through one loop,
 _tan_product_mag: tan_product (used by verify_theorem_main_numeric and so
 by the corollary cor11) and pmd_theorem14_numeric.  Each factor
 1 + tan(pi*r/q) depends only on the residue r, so it is evaluated once per
-prime: the first product at q fills the signs and log2 magnitudes of all q
-factors (a scan meets them all at m = 1), and one prime's table is kept; a
-factor evaluated to exactly zero makes every product at that prime raise.
-Above q = 2^20 each product evaluates only its own factors instead.
+prime: a per-prime table keeps its sign and log2 magnitude, filled the
+first time a product meets r, and only the current prime's table is kept.
 The order in which a product adds its log2 terms is part of the report
 format: the terms are added left to right with plain float `+`, as a
 per-factor loop does.  sum() of floats is compensated from Python 3.12 on
@@ -75,40 +73,44 @@ def _log_tolerance(rel_tol: float) -> float:
     return math.log2(1.0 + rel_tol)
 
 
-# Above this q a product evaluates only its own factors: a table of all q
-# would dwarf R_m(2^31 - 1), which can hold 2 with 62 members.
-_TABLE_MAX_Q = 1 << 20
+class _FactorTable:
+    """log2|1 + tan(pi*r/q)| and its sign, for the residues r of one prime q.
 
-
-def _factors(q: int, residues) -> tuple[list[float], bytes, frozenset[int]]:
-    """log2|1 + tan(pi*r/q)| for each r in residues, in order, a flag 1 where
-    that factor is negative, and the r whose factor is below TINY_FACTOR.
-
-    A factor evaluated to 0 raises; a true zero needs r/q = 3/4 modulo 1,
-    impossible for odd q, so only a patched math.tan gets there.
+    Entries are evaluated the first time a product meets their residue, so a
+    product over a small subgroup costs only its own factors.  `negative`
+    holds 1 for residues whose factor is below zero and 0 otherwise; `tiny`
+    holds the residues whose factor is below TINY_FACTOR.  A zero factor
+    raises and is never stored, so every product that meets it raises.
     """
-    log2 = []
-    negative = bytearray()
-    tiny = set()
-    for r in residues:
-        t = r / q
-        if t > 0.5:
-            t -= 1.0
-        f = 1.0 + math.tan(math.pi * t)
-        if f == 0.0:
-            raise ArithmeticError(f"1 + tan(pi*{r}/{q}) evaluated to 0")
-        if abs(f) < TINY_FACTOR:
-            tiny.add(r)
-        negative.append(f < 0.0)
-        log2.append(math.log2(abs(f)))
-    return log2, bytes(negative), frozenset(tiny)
+
+    def __init__(self, q: int):
+        self.q = q
+        self.log2: dict[int, float] = {}
+        self.negative: dict[int, int] = {}
+        self.tiny: set[int] = set()
+
+    def fill(self, residues) -> None:
+        """Evaluate the factors of the residues not in the table yet."""
+        q, log2, negative = self.q, self.log2, self.negative
+        for r in residues:
+            if r in log2:
+                continue
+            t = r / q
+            if t > 0.5:
+                t -= 1.0
+            f = 1.0 + math.tan(math.pi * t)
+            if f == 0.0:
+                raise ArithmeticError(f"1 + tan(pi*{r}/{q}) evaluated to 0")
+            if abs(f) < TINY_FACTOR:
+                self.tiny.add(r)
+            negative[r] = 1 if f < 0.0 else 0
+            log2[r] = math.log2(abs(f))
 
 
 @functools.lru_cache(maxsize=1)
-def _factor_table(q: int) -> tuple[list[float], bytes, frozenset[int]]:
-    """_factors of every r in 0..q-1, indexed by r, for the current prime
-    only; a zero factor leaves no table, so every product at q raises."""
-    return _factors(q, range(q))
+def _factor_table(q: int) -> _FactorTable:
+    """The factor table of prime q; only the current prime's table is kept."""
+    return _FactorTable(q)
 
 
 def _tan_product_mag(q: int, residues: list[int]) -> SignedMagnitude:
@@ -116,23 +118,24 @@ def _tan_product_mag(q: int, residues: list[int]) -> SignedMagnitude:
 
     The log2 terms are added left to right in the order given with plain
     float `+` (not sum() or math.fsum, see the module docstring), each exactly
-    the float the per-factor evaluation gives.
+    the float the per-factor evaluation gives, so every product is the same
+    float bit for bit whether the table is cold or warm.
     """
-    if q > _TABLE_MAX_Q:
-        log2, negative, tiny = _factors(q, residues)
-    else:
-        log2, negative, tiny = _factor_table(q)
-        log2 = map(log2.__getitem__, residues)
-        negative = map(negative.__getitem__, residues)
-    total = functools.reduce(operator.add, log2, 0.0)
-    negatives = sum(negative)
-    if tiny:
+    table = _factor_table(q)
+    lookup = table.log2.__getitem__
+    try:
+        log2 = functools.reduce(operator.add, map(lookup, residues), 0.0)
+    except KeyError:  # a residue met for the first time at this prime
+        table.fill(residues)
+        log2 = functools.reduce(operator.add, map(lookup, residues), 0.0)
+    negatives = sum(map(table.negative.__getitem__, residues))
+    if table.tiny:
         for r in residues:
-            if r in tiny:
+            if r in table.tiny:
                 warnings.warn(
                     f"near-zero factor at residue {r} (p={q}); precision degraded",
                     RuntimeWarning, stacklevel=3)
-    return SignedMagnitude(-1 if negatives % 2 else 1, total)
+    return SignedMagnitude(-1 if negatives % 2 else 1, log2)
 
 
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:

@@ -522,6 +522,15 @@ class TestUnitExponent:
         monkeypatch.setattr(cyclotomic, "_coset_images", skewed)
         assert cyclotomic._unit_exponents(31, 3) == {-1: None, 1: None}
 
+    def test_cached_exponents_are_read_only(self, fresh_certificates):
+        # every record at (p, m) reads the one cached mapping, so no caller
+        # may change the verdict of the records after it
+        exponents = cyclotomic._unit_exponents(31, 3)
+        with pytest.raises(TypeError):
+            exponents[-1] = 0
+        assert cyclotomic._unit_exponents(31, 3) is exponents
+        assert verify_gi(31, 3, 5).status == "pass"
+
 
 class TestLargeIntegers:
     def test_render_beyond_int_str_limit(self):

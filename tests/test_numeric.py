@@ -375,25 +375,13 @@ class TestFactorTable:
                             pmd_theorem14_numeric(p, 2).actual) == \
                         reference_pmd14_strings(p, 2)
 
-    def test_products_above_table_limit_evaluate_their_own_factors(self, monkeypatch):
-        monkeypatch.setattr(numeric, "_TABLE_MAX_Q", 0)
-        for p in odd_primes_up_to(199):
-            for m in admissible_m(p):
-                for a in a_values(p):
-                    assert tan_product(p, m, a) == reference_tan_product(p, m, a)
-            if p % 8 == 1:
-                rec = pmd_theorem14_numeric(p, 2)
-                assert (rec.expected, rec.actual) == reference_pmd14_strings(p, 2)
-        assert numeric._factor_table.cache_info().currsize == 0
-        monkeypatch.undo()
-
-        # 2 has order 31 modulo q = 2^31 - 1, so R_m(q) with |R| = 62 holds 2:
-        # its product needs 62 factors, not a table of 2^31
-        def no_table(q):
-            raise AssertionError(f"table of {q} factors built")
-        monkeypatch.setattr(numeric, "_factor_table", no_table)
-        q = 2 ** 31 - 1
-        assert verify_theorem_main_numeric(q, (q - 1) // 62, 1).status == "pass"
+    def test_fills_only_the_factors_met(self):
+        # R_504(1009) has 2 members: a cold call evaluates 2 factors, not 1008;
+        # R_252(1009) has 4 and contains R_504, so 2 more are evaluated
+        tan_product(1009, 504, 5)
+        assert len(numeric._factor_table(1009).log2) == 2
+        tan_product(1009, 252, 5)
+        assert len(numeric._factor_table(1009).log2) == 4
 
     def test_precision_warning_on_cold_and_warm_table(self, monkeypatch):
         assert not verify_theorem_main_numeric(31, 3, 1).actual.endswith("]")
