@@ -13,8 +13,6 @@ makes repeated scans with the same configuration byte-identical.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -258,6 +256,10 @@ def emit_report(records, fmt: str, path) -> None:
 
     Field order is fixed: p, m, a, check, status, expected, actual, elapsed_ms.
     """
+    # imported here, as in parse_report, so that `import resitan.cli`, and
+    # with it every `resitan verify`, does not load json or csv
+    import csv
+    import json
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for rec in records:
@@ -275,6 +277,8 @@ def emit_report(records, fmt: str, path) -> None:
 
 def parse_report(path, fmt: str) -> list[VerificationRecord]:
     """Read a report written by emit_report back into records."""
+    import csv
+    import json
     out = []
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:

@@ -10,24 +10,29 @@ int true division rounds correctly, so num / (n*D) is the nearest float to
 the exact angle, and a zero of 1 + tan(pi*t) is recognized as
 4*num == 3*n*D instead of drowning in rounding noise.
 
-The products over residues of a prime q all run through one loop,
-_tan_product_mag: tan_product (used by verify_theorem_main_numeric and so
-by the corollary cor11) and pmd_theorem14_numeric.  Each factor
-1 + tan(pi*r/q) depends only on the residue r, so it is evaluated once per
-prime: a per-prime table keeps its sign and log2 magnitude, filled the
-first time a product meets r, and only the current prime's table is kept.
-The order in which a product adds its log2 terms is part of the report
-format: the terms are added left to right with plain float `+`, as a
-per-factor loop does.  sum() of floats is compensated from Python 3.12 on
-and math.fsum rounds once at the end; both change the last bits of some
-products, and with them some report bytes.
+The products over power residues of a prime q all go through tan_product:
+verify_theorem_main_numeric (and so the corollary cor11) and
+pmd_theorem14_numeric, whose {a*k^2 : 1 <= k <= (q-1)/2} is exactly
+a*R_2(q).  Each factor 1 + tan(pi*r/q) depends only on the residue r, so a
+per-prime table evaluates it once, the first time a product meets r, and
+only the current prime's table is kept.
+
+A product over R_m(q) also depends on a only through the coset a*R_m(q):
+k -> a*k is a bijection of R_m(q) onto that coset, so the multiset of
+factors is the coset itself.  The table stores one log2 sum per (m, coset)
+and serves every a in the coset from it.  This is exact, not an
+approximation: math.fsum returns the correctly rounded value of the exact
+sum of its inputs, whatever their order, so every representative of the
+coset gives the same float bit for bit.  Unlike sum() of floats, which is
+compensated from Python 3.12 on, it gives the same float on every Python
+version.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -74,13 +79,16 @@ def _log_tolerance(rel_tol: float) -> float:
 
 
 class _FactorTable:
-    """log2|1 + tan(pi*r/q)| and its sign, for the residues r of one prime q.
+    """Factors 1 + tan(pi*r/q) of one prime q, and their sums over cosets.
 
     Entries are evaluated the first time a product meets their residue, so a
-    product over a small subgroup costs only its own factors.  `negative`
-    holds 1 for residues whose factor is below zero and 0 otherwise; `tiny`
-    holds the residues whose factor is below TINY_FACTOR.  A zero factor
-    raises and is never stored, so every product that meets it raises.
+    product over a small subgroup costs only its own factors.  `log2` holds
+    log2|1 + tan(pi*r/q)|; `negative` holds 1 for residues whose factor is
+    below zero and 0 otherwise; `tiny` holds the residues whose factor is
+    below TINY_FACTOR.  `cosets` maps (m, a^((q-1)/m) mod q) to the log2
+    sum, the count of negative factors and the tiny residues of the coset
+    a*R_m(q).  A zero factor raises and is never stored, and neither is a
+    sum that contains it, so every product that meets it raises.
     """
 
     def __init__(self, q: int):
@@ -88,13 +96,12 @@ class _FactorTable:
         self.log2: dict[int, float] = {}
         self.negative: dict[int, int] = {}
         self.tiny: set[int] = set()
+        self.cosets: dict[tuple[int, int], tuple[float, int, tuple[int, ...]]] = {}
 
     def fill(self, residues) -> None:
         """Evaluate the factors of the residues not in the table yet."""
         q, log2, negative = self.q, self.log2, self.negative
-        for r in residues:
-            if r in log2:
-                continue
+        for r in [r for r in residues if r not in log2]:
             t = r / q
             if t > 0.5:
                 t -= 1.0
@@ -106,36 +113,29 @@ class _FactorTable:
             negative[r] = 1 if f < 0.0 else 0
             log2[r] = math.log2(abs(f))
 
+    def coset_sum(self, m: int, a: int,
+                  members) -> tuple[float, int, tuple[int, ...]]:
+        """The log2 sum, negative count and tiny residues of the coset
+        a*R_m(q), where members lists R_m(q); computed and stored on the
+        first call for the coset."""
+        q = self.q
+        key = (m, pow(a, (q - 1) // m, q))
+        entry = self.cosets.get(key)
+        if entry is None:
+            residues = [a * k % q for k in members]
+            self.fill(residues)
+            tiny = self.tiny
+            entry = self.cosets[key] = (
+                math.fsum(map(self.log2.__getitem__, residues)),
+                sum(map(self.negative.__getitem__, residues)),
+                tuple(r for r in residues if r in tiny) if tiny else ())
+        return entry
+
 
 @functools.lru_cache(maxsize=1)
 def _factor_table(q: int) -> _FactorTable:
     """The factor table of prime q; only the current prime's table is kept."""
     return _FactorTable(q)
-
-
-def _tan_product_mag(q: int, residues: list[int]) -> SignedMagnitude:
-    """Product of (1 + tan(pi*r/q)) over residues r in [0, q), in sign/log2 form.
-
-    The log2 terms are added left to right in the order given with plain
-    float `+` (not sum() or math.fsum, see the module docstring), each exactly
-    the float the per-factor evaluation gives, so every product is the same
-    float bit for bit whether the table is cold or warm.
-    """
-    table = _factor_table(q)
-    lookup = table.log2.__getitem__
-    try:
-        log2 = functools.reduce(operator.add, map(lookup, residues), 0.0)
-    except KeyError:  # a residue met for the first time at this prime
-        table.fill(residues)
-        log2 = functools.reduce(operator.add, map(lookup, residues), 0.0)
-    negatives = sum(map(table.negative.__getitem__, residues))
-    if table.tiny:
-        for r in residues:
-            if r in table.tiny:
-                warnings.warn(
-                    f"near-zero factor at residue {r} (p={q}); precision degraded",
-                    RuntimeWarning, stacklevel=3)
-    return SignedMagnitude(-1 if negatives % 2 else 1, log2)
 
 
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
@@ -145,12 +145,23 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     the only float error per factor is the tangent evaluation itself.  No
     factor can be exactly zero: 1 + tan(pi*a*k/p) = 0 would need ak/p = 3/4
     modulo 1, impossible for odd prime p.
+
+    The log2 magnitude is the math.fsum of the factors' log2 terms, one sum
+    per coset a*R_m(p) (see the module docstring).  The coset is named by
+    c = a^((p-1)/m) mod p: x -> x^((p-1)/m) is a homomorphism of the cyclic
+    group (Z/p)* whose kernel is exactly R_m(p), so a and b give the same c
+    iff a/b lies in R_m(p), that is iff a*R_m(p) = b*R_m(p).  A factor
+    below TINY_FACTOR warns on every call, whether the sum is new or stored.
     """
     ctx = as_prime(p)
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
-    q = ctx.p
-    return _tan_product_mag(q, [a * k % q for k in residue_set(ctx, m).members])
+    members = residue_set(ctx, m).members
+    log2, negatives, tiny = _factor_table(ctx.p).coset_sum(m, a, members)
+    for r in tiny:
+        warnings.warn(f"near-zero factor at residue {r} (p={ctx.p}); "
+                      "precision degraded", RuntimeWarning, stacklevel=2)
+    return SignedMagnitude(-1 if negatives % 2 else 1, log2)
 
 
 def verify_theorem_main_numeric(p, m: int, a: int = 1,
@@ -242,18 +253,15 @@ def pmd_lemma_identity(n: int, x: float,
     return finish(n, 1, 0, "pmd_lemma", ok, expected, actual, t0)
 
 
-@functools.lru_cache(maxsize=1)
-def _low_residue_count(q: int) -> int:
-    """#{1 <= k <= (q-1)/4 : (k/q) = 1}; it does not depend on a."""
-    return sum(1 for k in range(1, (q - 1) // 4 + 1) if jacobi(k, q) == 1)
-
-
 def pmd_theorem14_numeric(p, a: int = 1,
                           rel_tol: float = 1e-6) -> VerificationRecord:
     """Quadratic-residue tangent product for p = 1 (mod 8).
 
     prod over k = 1..(p-1)/2 of (1 + tan(pi*a*k^2/p)) is compared against
     sign (-1)^#{1 <= k < p/4 : (k/p) = 1} and magnitude 2^((p-1)/4).
+    The k^2 run over R_2(p) once each (k and p - k have the same square),
+    so the left side is tan_product(p, 2, a), and the residues k below p/4
+    are the members of R_2(p) up to (p-1)/4.
     """
     t0 = time.perf_counter()
     ctx = as_prime(p)
@@ -262,10 +270,10 @@ def pmd_theorem14_numeric(p, a: int = 1,
             f"p={ctx.p} is not 1 mod 8; only that branch is supported")
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
-    q = ctx.p
-    got = _tan_product_mag(q, [a * k * k % q for k in range(1, (q - 1) // 2 + 1)])
-    want_sign = -1 if _low_residue_count(q) % 2 else 1
-    quarter = (q - 1) // 4
+    got = tan_product(ctx, 2, a)
+    quarter = ctx.p_minus_1 // 4
+    low = bisect.bisect_right(residue_set(ctx, 2).members, quarter)
+    want_sign = -1 if low % 2 else 1
     ok = got.sign == want_sign and \
         abs(got.log2_mag - quarter) <= _log_tolerance(rel_tol)
     expected = f"{'+' if want_sign > 0 else '-'}2^{quarter} (rel_tol={rel_tol:g})"

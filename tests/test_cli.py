@@ -76,6 +76,16 @@ def test_import_loads_no_fractions_or_decimal():
     assert out.stdout.strip() == "False False"
 
 
+def test_import_loads_no_json_or_csv():
+    # only report I/O needs them, and it imports them where it runs
+    src = str(Path(resitan.__file__).resolve().parent.parent)
+    code = ("import sys, resitan.cli; "
+            "print('json' in sys.modules, 'csv' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False False"
+
+
 def test_verify_hypothesis_skip_is_clean(capsys):
     assert main(["verify", "--p", "13", "--m", "2"]) == 0
     assert "skipped(hypothesis)" in capsys.readouterr().out

@@ -27,11 +27,11 @@ def float_tan_product(p, m, a):
     return out
 
 
-def reference_tan_product_mag(q, residues):
-    """The per-factor loop the factor table replaced: tan and log2 per factor,
-    added in the order given."""
+def reference_terms(q, residues):
+    """The sign and the per-factor log2 terms of the product over residues,
+    by the per-factor loop the factor table replaced: tan and log2 each."""
     sign = 1
-    log2 = 0.0
+    terms = []
     for r in residues:
         t = r / q
         if t > 0.5:
@@ -39,22 +39,52 @@ def reference_tan_product_mag(q, residues):
         f = 1.0 + math.tan(math.pi * t)
         if f < 0.0:
             sign = -sign
-        log2 += math.log2(abs(f))
+        terms.append(math.log2(abs(f)))
+    return sign, terms
+
+
+def reference_tan_product_mag(q, residues):
+    """The reference terms added left to right with plain float `+`, as the
+    program did before its products became one fsum per coset; a bound
+    oracle, not a bit-for-bit one."""
+    sign, terms = reference_terms(q, residues)
+    log2 = 0.0
+    for term in terms:
+        log2 += term
     return SignedMagnitude(sign, log2)
 
 
+def fsum_tan_product_mag(q, residues, seed=0):
+    """math.fsum of the reference terms in a shuffled order: fsum rounds the
+    exact sum once, so any order gives the program's float bit for bit."""
+    sign, terms = reference_terms(q, residues)
+    random.Random(seed).shuffle(terms)
+    return SignedMagnitude(sign, math.fsum(terms))
+
+
+def coset_residues(p, m, a):
+    return [a * k % p for k in sorted({pow(k, m, p) for k in range(1, p)})]
+
+
 def reference_tan_product(p, m, a):
-    members = sorted({pow(k, m, p) for k in range(1, p)})
-    return reference_tan_product_mag(p, [a * k % p for k in members])
+    return fsum_tan_product_mag(p, coset_residues(p, m, a), seed=p * m + a)
 
 
 def reference_pmd14_strings(p, a, rel_tol=1e-6):
-    """expected and actual of pmd_theorem14_numeric, by the direct loops."""
-    got = reference_tan_product_mag(
-        p, [a * k * k % p for k in range(1, (p - 1) // 2 + 1)])
+    """expected and actual of pmd_theorem14_numeric, by the direct loops:
+    the sign count by Jacobi symbols, the product over k^2 for every k."""
+    got = fsum_tan_product_mag(
+        p, [a * k * k % p for k in range(1, (p - 1) // 2 + 1)], seed=a)
     count = sum(1 for k in range(1, (p - 1) // 4 + 1) if jacobi(k, p) == 1)
     expected = f"{'-' if count % 2 else '+'}2^{(p - 1) // 4} (rel_tol={rel_tol:g})"
     return expected, got.render()
+
+
+def assert_near_left_to_right(got, q, residues):
+    """Within 1e-10 in log2 of the left-to-right sum, with the same sign."""
+    want = reference_tan_product_mag(q, residues)
+    assert got.sign == want.sign, (q, residues[:3])
+    assert abs(got.log2_mag - want.log2_mag) <= 1e-10, (q, residues[:3])
 
 
 _QUARTER = Fraction(1, 4)
@@ -333,7 +363,9 @@ class TestPmdTheorem14:
 
 
 class TestFactorTable:
-    """The per-prime factor table gives the direct loop's floats bit for bit."""
+    """The per-prime factor table and its coset sums give the fsum of the
+    per-factor loop's terms bit for bit, in any order and whether the table
+    is cold or warm, and stay within 1e-10 of the left-to-right sum."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
@@ -349,20 +381,27 @@ class TestFactorTable:
                     numeric._factor_table.cache_clear()
                     assert tan_product(p, m, a) == want, (p, m, a)
                     assert tan_product(p, m, a) == want, (p, m, a)
+                    assert_near_left_to_right(want, p, coset_residues(p, m, a))
 
     def test_pmd14_bit_identical_cold_and_warm(self):
+        # pmd_thm14's product is tan_product(p, 2, a) and shares its sums
         for p in odd_primes_up_to(399):
             if p % 8 != 1:
                 continue
-            for a in a_values(p):
+            nonresidue = min(k for k in range(2, p) if jacobi(k, p) == -1)
+            for a in a_values(p) + [nonresidue]:
                 want = reference_pmd14_strings(p, a)
                 residues = [a * k * k % p for k in range(1, (p - 1) // 2 + 1)]
                 numeric._factor_table.cache_clear()
                 for _ in range(2):
                     rec = pmd_theorem14_numeric(p, a)
                     assert (rec.expected, rec.actual) == want, (p, a)
-                    assert numeric._tan_product_mag(p, residues) == \
-                        reference_tan_product_mag(p, residues)
+                    stored = dict(numeric._factor_table(p).cosets)
+                    got = tan_product(p, 2, a)
+                    assert numeric._factor_table(p).cosets == stored, (p, a)
+                    assert rec.actual == got.render(), (p, a)
+                    assert got == fsum_tan_product_mag(p, residues), (p, a)
+                    assert_near_left_to_right(got, p, residues)
 
     def test_interleaved_primes_do_not_share_a_table(self):
         primes = odd_primes_up_to(399)
@@ -383,20 +422,55 @@ class TestFactorTable:
         tan_product(1009, 252, 5)
         assert len(numeric._factor_table(1009).log2) == 4
 
+    def test_one_fill_and_one_sum_serve_every_a_of_a_coset(self, monkeypatch):
+        # at m = 1 the whole grid a = 1..5, 1008 is one coset
+        calls = {"tan": 0, "fsum": 0}
+        real_tan, real_fsum = math.tan, math.fsum
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+        monkeypatch.setattr(math, "tan", counting("tan", real_tan))
+        monkeypatch.setattr(math, "fsum", counting("fsum", real_fsum))
+        got = {a: tan_product(1009, 1, a) for a in (1, 2, 3, 4, 5, 1008)}
+        assert calls == {"tan": 1008, "fsum": 1}
+        assert len(numeric._factor_table(1009).cosets) == 1
+        assert len(set(got.values())) == 1
+
+    def test_coset_key_names_the_coset(self):
+        # a and b share a stored sum iff a*R_m(p) = b*R_m(p)
+        for p in (31, 41, 61, 73):
+            for m in admissible_m(p):
+                members = residue_set(p, m).members
+                numeric._factor_table.cache_clear()
+                cosets = set()
+                for a in range(1, p):
+                    tan_product(p, m, a)
+                    cosets.add(frozenset(a * k % p for k in members))
+                assert len(numeric._factor_table(p).cosets) == len(cosets) == m
+
     def test_precision_warning_on_cold_and_warm_table(self, monkeypatch):
+        # 2 and 4 lie in R_3(31), so a = 1, 2, 4 name one coset, and every
+        # call after the first is served from its stored sum
         assert not verify_theorem_main_numeric(31, 3, 1).actual.endswith("]")
         monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
         numeric._factor_table.cache_clear()
-        for _ in range(2):
-            rec = verify_theorem_main_numeric(31, 3, 1)
+        for a in (1, 1, 2, 4):
+            rec = verify_theorem_main_numeric(31, 3, a)
             assert rec.status == "pass"
             assert rec.actual.endswith(" [precision warning]")
+            with pytest.warns(RuntimeWarning, match="near-zero factor"):
+                tan_product(31, 3, a)
+        assert len(numeric._factor_table(31).cosets) == 1
         for _ in range(2):
             with pytest.warns(RuntimeWarning, match="near-zero factor"):
                 pmd_theorem14_numeric(17, 1)
 
     def test_zero_factor_raises_on_every_call(self, monkeypatch):
-        # make the factor of residue 10 at p = 31 evaluate to exactly 0
+        # make the factor of residue 10 at p = 31 evaluate to exactly 0; the
+        # a below all name the coset 5*R_3(31), and no sum is stored for it
         p, m, a = 31, 3, 5
         residues = [a * k % p for k in residue_set(p, m).members]
         assert residues.index(10) > 0
@@ -404,11 +478,44 @@ class TestFactorTable:
         zero_arg = math.pi * (10 / p)
         monkeypatch.setattr(math, "tan",
                             lambda x: -1.0 if x == zero_arg else real_tan(x))
-        for _ in range(2):
+        for b in (a, a, 2 * a, 4 * a):
             with pytest.raises(ArithmeticError, match=r"tan\(pi\*10/31\)"):
-                tan_product(p, m, a)
+                tan_product(p, m, b)
+        assert numeric._factor_table(p).cosets == {}
         rec = run_check(PrimeContext(p), m, a, "thm_main_numeric", 1e-6)
         assert rec.status == "error(1 + tan(pi*10/31) evaluated to 0)"
         monkeypatch.undo()
         # the zero was never stored: with the real tan the product is exact
         assert tan_product(p, m, a) == reference_tan_product(p, m, a)
+
+
+class TestTanProductErrorModel:
+    def test_log2_within_error_model(self):
+        # |L - log2|prod|| <= 1e-9 for every record at p < 200: the 9-decimal
+        # rendering adds at most 5e-10, the float factors and their fsum far
+        # less.  A hypothesis skip of thm_main_numeric is checked through
+        # tan_product, so every admissible m is covered.
+        for p in odd_primes_up_to(199):
+            with mpmath.workdps(50):
+                factors = [None] + [1 + mpmath.tan(mpmath.pi * r / p)
+                                    for r in range(1, p)]
+            ctx = PrimeContext(p)
+            cases = []
+            for m in admissible_m(p):
+                for a in a_values(p) + [3, 4, 5]:
+                    if a >= p:
+                        continue
+                    rec = run_check(ctx, m, a, "thm_main_numeric", 1e-6)
+                    actual = rec.actual if rec.status != "skipped(hypothesis)" \
+                        else tan_product(p, m, a).render()
+                    cases.append((m, a, actual, coset_residues(p, m, a)))
+            if p % 8 == 1:
+                for a in a_values(p) + [3, 4, 5]:
+                    actual = run_check(ctx, 1, a, "pmd_thm14", 1e-6).actual
+                    cases.append((2, a, actual, coset_residues(p, 2, a)))
+            for m, a, actual, residues in cases:
+                with mpmath.workdps(50):
+                    prod = mpmath.fprod(factors[r] for r in residues)
+                    want = mpmath.log(abs(prod), 2)
+                assert actual[0] == ("+" if prod > 0 else "-"), (p, m, a)
+                assert abs(float(actual[3:]) - want) <= 1e-9, (p, m, a, actual)
