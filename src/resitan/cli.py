@@ -13,7 +13,7 @@ import sys
 from .arith import PrimeContext
 from .errors import ResitanError
 from .harness import CHECKS, ScanConfig, run_check, scan
-from .numeric import pmd_lemma_identity, pmd_theorem14_numeric
+from .numeric import check_tolerance, pmd_lemma_identity, pmd_theorem14_numeric
 from .quadforms import cornacchia
 from .records import FAIL, SKIPPED
 from .residues import residue_set, symbol_sign
@@ -80,6 +80,7 @@ def _exit_code(records) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_tolerance(args.tol)
     ctx = PrimeContext(args.p)
     recs = [run_check(ctx, args.m, args.a, name, args.tol)
             for name, (_, _, mode) in CHECKS.items()

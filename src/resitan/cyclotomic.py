@@ -70,8 +70,9 @@ at most one I^e; that e is certified as above, and the check passes iff e
 is the claimed exponent (half + 1 - delta) mod 4.  _unit_exponents decides
 both signs over the same split primes and is cached per (p, m), so gi,
 gi_plus, thm_main_exact, cor11 and cor12 share it for every a.  Split primes
-are kept per 4p and the per-factor tables for the current p only; the rest
-is computed once per (p, m) and prime.
+are kept per 4p, and _factor_images' per-factor tables for the current p
+only; the float bound sums each coset's factors directly, and the rest is
+computed once per (p, m) and prime.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.
@@ -165,20 +166,6 @@ def _coset_reps(p: int, m: int) -> tuple[int, ...]:
     return tuple(reps.values())
 
 
-@functools.lru_cache(maxsize=1)
-def _factor_log2(p: int) -> list[float]:
-    """log2 |i + zeta_p^x| for 0 <= x < p, by the closed form 2 sin(pi y/(4p))
-    with y = (4x + p) mod 4p folded into (0, 2p)."""
-    n = 4 * p
-    out = []
-    for x in range(p):
-        y = (4 * x + p) % n
-        if y > 2 * p:
-            y = n - y
-        out.append(math.log2(2.0 * math.sin(math.pi * y / n)))
-    return out
-
-
 def _log2_bound(p: int, m: int) -> int:
     """An exponent b >= 0 with |sigma(P)| <= 2^b for every complex conjugate
     sigma(P) of P = prod over k in R_m(p) of (i +- zeta_p^k), either sign.
@@ -189,9 +176,11 @@ def _log2_bound(p: int, m: int) -> int:
     members = residue_set(p, m).members
     if p >= _FLOAT_P_LIMIT:
         return len(members)
-    logs = _factor_log2(p)
-    worst = max(math.fsum(logs[c * k % p] for k in members)
-                for c in _coset_reps(p, m))
+    n = 4 * p
+    worst = max(
+        math.fsum(math.log2(2.0 * math.sin(math.pi * min(y, n - y) / n))
+                  for y in [(4 * (c * k % p) + p) % n for k in members])
+        for c in _coset_reps(p, m))
     margin = math.ceil(len(members) * _FACTOR_ERR)
     return max(0, math.ceil(worst) + margin)
 

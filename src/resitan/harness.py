@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
 from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
 from .errors import HypothesisViolation, NotRepresentable
-from .numeric import (pmd_lemma_identity, pmd_theorem14_numeric,
-                      verify_theorem_main_numeric)
+from .numeric import (check_tolerance, pmd_lemma_identity,
+                      pmd_theorem14_numeric, verify_theorem_main_numeric)
 from .quadforms import check_lemma31, cornacchia, two_residue_criterion
 from .records import (PASS, SKIPPED, VerificationRecord, error_status, finish,
                       int_str)
@@ -112,6 +112,7 @@ class ScanConfig:
             raise ValueError("a_count must be at least 1")
         if self.fmt not in ("jsonl", "csv"):
             raise ValueError(f"unknown report format {self.fmt!r}")
+        check_tolerance(self.tolerance)
         if self.m_policy != "all":
             ms = tuple(sorted({int(m) for m in self.m_policy}))
             if not ms or ms[0] < 1:

@@ -13,14 +13,14 @@ the exact angle, and a zero of 1 + tan(pi*t) is recognized as
 The products over power residues of a prime q all go through tan_product:
 verify_theorem_main_numeric (and so the corollary cor11) and
 pmd_theorem14_numeric, whose {a*k^2 : 1 <= k <= (q-1)/2} is exactly
-a*R_2(q).  Each factor 1 + tan(pi*r/q) depends only on the residue r, so a
-per-prime table evaluates it once, the first time a product meets r, and
-only the current prime's table is kept.
+a*R_2(q).
 
-A product over R_m(q) also depends on a only through the coset a*R_m(q):
+A product over R_m(q) depends on a only through the coset a*R_m(q):
 k -> a*k is a bijection of R_m(q) onto that coset, so the multiset of
-factors is the coset itself.  The table stores one log2 sum per (m, coset)
-and serves every a in the coset from it.  This is exact, not an
+factors is the coset itself.  The first product that meets a coset
+evaluates its factors, one per residue, and stores one log2 sum per
+(m, coset), which serves every a in the coset; only the current prime's
+sums are kept, and no factor is kept on its own.  This is exact, not an
 approximation: math.fsum returns the correctly rounded value of the exact
 sum of its inputs, whatever their order, so every representative of the
 coset gives the same float bit for bit.  Unlike sum() of floats, which is
@@ -74,68 +74,24 @@ class SignedMagnitude:
         return f"{'+' if self.sign > 0 else '-'}2^{self.log2_mag:.9f}"
 
 
+def check_tolerance(rel_tol: float) -> float:
+    """rel_tol itself, if it is a finite relative tolerance >= 0."""
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, not {rel_tol!r}")
+    return rel_tol
+
+
 def _log_tolerance(rel_tol: float) -> float:
-    return math.log2(1.0 + rel_tol)
-
-
-class _FactorTable:
-    """Factors 1 + tan(pi*r/q) of one prime q, and their sums over cosets.
-
-    Entries are evaluated the first time a product meets their residue, so a
-    product over a small subgroup costs only its own factors.  `log2` holds
-    log2|1 + tan(pi*r/q)|; `negative` holds 1 for residues whose factor is
-    below zero and 0 otherwise; `tiny` holds the residues whose factor is
-    below TINY_FACTOR.  `cosets` maps (m, a^((q-1)/m) mod q) to the log2
-    sum, the count of negative factors and the tiny residues of the coset
-    a*R_m(q).  A zero factor raises and is never stored, and neither is a
-    sum that contains it, so every product that meets it raises.
-    """
-
-    def __init__(self, q: int):
-        self.q = q
-        self.log2: dict[int, float] = {}
-        self.negative: dict[int, int] = {}
-        self.tiny: set[int] = set()
-        self.cosets: dict[tuple[int, int], tuple[float, int, tuple[int, ...]]] = {}
-
-    def fill(self, residues) -> None:
-        """Evaluate the factors of the residues not in the table yet."""
-        q, log2, negative = self.q, self.log2, self.negative
-        for r in [r for r in residues if r not in log2]:
-            t = r / q
-            if t > 0.5:
-                t -= 1.0
-            f = 1.0 + math.tan(math.pi * t)
-            if f == 0.0:
-                raise ArithmeticError(f"1 + tan(pi*{r}/{q}) evaluated to 0")
-            if abs(f) < TINY_FACTOR:
-                self.tiny.add(r)
-            negative[r] = 1 if f < 0.0 else 0
-            log2[r] = math.log2(abs(f))
-
-    def coset_sum(self, m: int, a: int,
-                  members) -> tuple[float, int, tuple[int, ...]]:
-        """The log2 sum, negative count and tiny residues of the coset
-        a*R_m(q), where members lists R_m(q); computed and stored on the
-        first call for the coset."""
-        q = self.q
-        key = (m, pow(a, (q - 1) // m, q))
-        entry = self.cosets.get(key)
-        if entry is None:
-            residues = [a * k % q for k in members]
-            self.fill(residues)
-            tiny = self.tiny
-            entry = self.cosets[key] = (
-                math.fsum(map(self.log2.__getitem__, residues)),
-                sum(map(self.negative.__getitem__, residues)),
-                tuple(r for r in residues if r in tiny) if tiny else ())
-        return entry
+    return math.log2(1.0 + check_tolerance(rel_tol))
 
 
 @functools.lru_cache(maxsize=1)
-def _factor_table(q: int) -> _FactorTable:
-    """The factor table of prime q; only the current prime's table is kept."""
-    return _FactorTable(q)
+def _coset_sums(q: int) -> dict[tuple[int, int],
+                                tuple[float, int, tuple[int, ...]]]:
+    """The coset sums of prime q computed so far, keyed by (m, a^((q-1)/m)
+    mod q): the log2 sum, the count of negative factors and the tiny
+    residues of the coset a*R_m(q).  Only the current prime's are kept."""
+    return {}
 
 
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
@@ -144,22 +100,39 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     Arguments a*k are reduced modulo p exactly before the division by p, so
     the only float error per factor is the tangent evaluation itself.  No
     factor can be exactly zero: 1 + tan(pi*a*k/p) = 0 would need ak/p = 3/4
-    modulo 1, impossible for odd prime p.
+    modulo 1, impossible for odd prime p; a factor that evaluates to 0
+    raises, and nothing is stored for its coset.
 
-    The log2 magnitude is the math.fsum of the factors' log2 terms, one sum
-    per coset a*R_m(p) (see the module docstring).  The coset is named by
-    c = a^((p-1)/m) mod p: x -> x^((p-1)/m) is a homomorphism of the cyclic
-    group (Z/p)* whose kernel is exactly R_m(p), so a and b give the same c
-    iff a/b lies in R_m(p), that is iff a*R_m(p) = b*R_m(p).  A factor
-    below TINY_FACTOR warns on every call, whether the sum is new or stored.
+    The log2 magnitude is the math.fsum of the factors' log2 terms, evaluated
+    once per coset a*R_m(p) and stored (see the module docstring).  The
+    coset is named by c = a^((p-1)/m) mod p: x -> x^((p-1)/m) is a
+    homomorphism of the cyclic group (Z/p)* whose kernel is exactly R_m(p),
+    so a and b give the same c iff a/b lies in R_m(p), that is iff
+    a*R_m(p) = b*R_m(p).  A factor below TINY_FACTOR warns on every call,
+    whether the sum is new or stored.
     """
     ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    q = ctx.p
+    if a % q == 0:
+        raise ValueError(f"a={a} is divisible by p={q}")
     members = residue_set(ctx, m).members
-    log2, negatives, tiny = _factor_table(ctx.p).coset_sum(m, a, members)
+    sums = _coset_sums(q)
+    key = (m, pow(a, (q - 1) // m, q))
+    entry = sums.get(key)
+    if entry is None:
+        residues = [a * k % q for k in members]
+        factors = [1.0 + math.tan(math.pi * (t - 1.0 if t > 0.5 else t))
+                   for t in (r / q for r in residues)]
+        if 0.0 in factors:
+            r = residues[factors.index(0.0)]
+            raise ArithmeticError(f"1 + tan(pi*{r}/{q}) evaluated to 0")
+        entry = sums[key] = (
+            math.fsum(map(math.log2, map(abs, factors))),
+            len([f for f in factors if f < 0.0]),
+            tuple(r for r, f in zip(residues, factors) if abs(f) < TINY_FACTOR))
+    log2, negatives, tiny = entry
     for r in tiny:
-        warnings.warn(f"near-zero factor at residue {r} (p={ctx.p}); "
+        warnings.warn(f"near-zero factor at residue {r} (p={q}); "
                       "precision degraded", RuntimeWarning, stacklevel=2)
     return SignedMagnitude(-1 if negatives % 2 else 1, log2)
 

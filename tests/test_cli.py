@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import resitan
 from resitan.cli import main
 
@@ -94,6 +96,22 @@ def test_verify_hypothesis_skip_is_clean(capsys):
 def test_verify_rejects_nonprime(capsys):
     assert main(["verify", "--p", "15", "--m", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
+def test_bad_tolerance_is_an_error_before_any_check(tol, tmp_path, capsys):
+    assert main(["verify", "--p", "1049", "--m", "4", "--a", "7",
+                 "--mode", "numeric", f"--tol={tol}"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: tolerance must be finite and >= 0")
+    report = tmp_path / "report.jsonl"
+    assert main(["scan", "--pmin", "3", "--pmax", "20", f"--tol={tol}",
+                 "--out", str(report)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: tolerance must be finite and >= 0")
+    assert not report.exists()
 
 
 def test_scan_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ import cmath
 import decimal
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -402,6 +403,19 @@ class TestFloatBound:
     def test_unit_products_need_few_bits(self):
         for p, m in certified_pairs(400):
             assert cyclotomic._log2_bound(p, m) <= 2, (p, m)
+
+    def test_memory_follows_the_residue_set_not_p(self):
+        # |R_2570(1007441)| = 392: the bound sums its cosets factor by factor
+        # and builds no table of p entries
+        p, m = 1007441, 2570
+        assert len(residue_set(p, m).members) == 392
+        tracemalloc.start()
+        try:
+            cyclotomic._log2_bound(p, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
 
     def test_each_certificate_draws_one_prime(self, monkeypatch):
         draws = count_draws(monkeypatch)

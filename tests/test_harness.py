@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import decimal
 import hashlib
+import math
 import random
 import string
 from pathlib import Path
@@ -127,6 +128,11 @@ class TestScan:
             ScanConfig(3, 10, fmt="xml")
         with pytest.raises(ValueError):
             ScanConfig(3, 10, m_policy=(0,))
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_config_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            ScanConfig(3, 10, tolerance=tol)
 
 
 def random_records(count, rng):

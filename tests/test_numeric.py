@@ -29,7 +29,7 @@ def float_tan_product(p, m, a):
 
 def reference_terms(q, residues):
     """The sign and the per-factor log2 terms of the product over residues,
-    by the per-factor loop the factor table replaced: tan and log2 each."""
+    by a per-factor loop: tan and log2 each."""
     sign = 1
     terms = []
     for r in residues:
@@ -243,6 +243,17 @@ class TestVerifyTheoremMainNumeric:
         with pytest.raises(HypothesisViolation):
             verify_theorem_main_numeric(13, 3, 1)  # 2 is not a cube mod 13
 
+    @pytest.mark.parametrize("tol", [-1.0, -0.5, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
+        # inf would pass any magnitude, and a negative or nan one fails
+        # every product, so every numeric check raises instead
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            verify_theorem_main_numeric(1049, 4, 7, rel_tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            pmd_theorem14_numeric(17, 1, rel_tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            pmd_lemma_identity(9, 0.2, rel_tol=tol)
+
     def test_sign_agrees_with_exact_check(self):
         rng = random.Random(8)
         for p in rng.sample(odd_primes_up_to(500), 25):
@@ -363,22 +374,22 @@ class TestPmdTheorem14:
 
 
 class TestFactorTable:
-    """The per-prime factor table and its coset sums give the fsum of the
-    per-factor loop's terms bit for bit, in any order and whether the table
-    is cold or warm, and stay within 1e-10 of the left-to-right sum."""
+    """The per-prime coset sums give the fsum of the per-factor loop's terms
+    bit for bit, in any order and whether the sum is new or stored, and stay
+    within 1e-10 of the left-to-right sum."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
-        numeric._factor_table.cache_clear()
+        numeric._coset_sums.cache_clear()
         yield
-        numeric._factor_table.cache_clear()
+        numeric._coset_sums.cache_clear()
 
     def test_tan_product_bit_identical_cold_and_warm(self):
         for p in odd_primes_up_to(399):
             for m in admissible_m(p):
                 for a in a_values(p):
                     want = reference_tan_product(p, m, a)
-                    numeric._factor_table.cache_clear()
+                    numeric._coset_sums.cache_clear()
                     assert tan_product(p, m, a) == want, (p, m, a)
                     assert tan_product(p, m, a) == want, (p, m, a)
                     assert_near_left_to_right(want, p, coset_residues(p, m, a))
@@ -392,13 +403,13 @@ class TestFactorTable:
             for a in a_values(p) + [nonresidue]:
                 want = reference_pmd14_strings(p, a)
                 residues = [a * k * k % p for k in range(1, (p - 1) // 2 + 1)]
-                numeric._factor_table.cache_clear()
+                numeric._coset_sums.cache_clear()
                 for _ in range(2):
                     rec = pmd_theorem14_numeric(p, a)
                     assert (rec.expected, rec.actual) == want, (p, a)
-                    stored = dict(numeric._factor_table(p).cosets)
+                    stored = dict(numeric._coset_sums(p))
                     got = tan_product(p, 2, a)
-                    assert numeric._factor_table(p).cosets == stored, (p, a)
+                    assert numeric._coset_sums(p) == stored, (p, a)
                     assert rec.actual == got.render(), (p, a)
                     assert got == fsum_tan_product_mag(p, residues), (p, a)
                     assert_near_left_to_right(got, p, residues)
@@ -414,13 +425,18 @@ class TestFactorTable:
                             pmd_theorem14_numeric(p, 2).actual) == \
                         reference_pmd14_strings(p, 2)
 
-    def test_fills_only_the_factors_met(self):
+    def test_fills_only_the_factors_met(self, monkeypatch):
         # R_504(1009) has 2 members: a cold call evaluates 2 factors, not 1008;
-        # R_252(1009) has 4 and contains R_504, so 2 more are evaluated
+        # R_252(1009) has 4, and a coset of another m shares no factors, so
+        # all 4 are evaluated
+        calls = []
+        real_tan = math.tan
+        monkeypatch.setattr(math, "tan",
+                            lambda x: calls.append(x) or real_tan(x))
         tan_product(1009, 504, 5)
-        assert len(numeric._factor_table(1009).log2) == 2
+        assert len(calls) == 2
         tan_product(1009, 252, 5)
-        assert len(numeric._factor_table(1009).log2) == 4
+        assert len(calls) == 6
 
     def test_one_fill_and_one_sum_serve_every_a_of_a_coset(self, monkeypatch):
         # at m = 1 the whole grid a = 1..5, 1008 is one coset
@@ -436,7 +452,7 @@ class TestFactorTable:
         monkeypatch.setattr(math, "fsum", counting("fsum", real_fsum))
         got = {a: tan_product(1009, 1, a) for a in (1, 2, 3, 4, 5, 1008)}
         assert calls == {"tan": 1008, "fsum": 1}
-        assert len(numeric._factor_table(1009).cosets) == 1
+        assert len(numeric._coset_sums(1009)) == 1
         assert len(set(got.values())) == 1
 
     def test_coset_key_names_the_coset(self):
@@ -444,26 +460,26 @@ class TestFactorTable:
         for p in (31, 41, 61, 73):
             for m in admissible_m(p):
                 members = residue_set(p, m).members
-                numeric._factor_table.cache_clear()
+                numeric._coset_sums.cache_clear()
                 cosets = set()
                 for a in range(1, p):
                     tan_product(p, m, a)
                     cosets.add(frozenset(a * k % p for k in members))
-                assert len(numeric._factor_table(p).cosets) == len(cosets) == m
+                assert len(numeric._coset_sums(p)) == len(cosets) == m
 
     def test_precision_warning_on_cold_and_warm_table(self, monkeypatch):
         # 2 and 4 lie in R_3(31), so a = 1, 2, 4 name one coset, and every
         # call after the first is served from its stored sum
         assert not verify_theorem_main_numeric(31, 3, 1).actual.endswith("]")
         monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
-        numeric._factor_table.cache_clear()
+        numeric._coset_sums.cache_clear()
         for a in (1, 1, 2, 4):
             rec = verify_theorem_main_numeric(31, 3, a)
             assert rec.status == "pass"
             assert rec.actual.endswith(" [precision warning]")
             with pytest.warns(RuntimeWarning, match="near-zero factor"):
                 tan_product(31, 3, a)
-        assert len(numeric._factor_table(31).cosets) == 1
+        assert len(numeric._coset_sums(31)) == 1
         for _ in range(2):
             with pytest.warns(RuntimeWarning, match="near-zero factor"):
                 pmd_theorem14_numeric(17, 1)
@@ -481,7 +497,7 @@ class TestFactorTable:
         for b in (a, a, 2 * a, 4 * a):
             with pytest.raises(ArithmeticError, match=r"tan\(pi\*10/31\)"):
                 tan_product(p, m, b)
-        assert numeric._factor_table(p).cosets == {}
+        assert numeric._coset_sums(p) == {}
         rec = run_check(PrimeContext(p), m, a, "thm_main_numeric", 1e-6)
         assert rec.status == "error(1 + tan(pi*10/31) evaluated to 0)"
         monkeypatch.undo()
