@@ -3,7 +3,8 @@ identities over m-th power residue classes modulo primes.
 
 The exact layer decides the identities in Z[zeta_4p] by certificates modulo
 split primes and is the ground truth; `ring` holds the dense ring Z[zeta_n]
-as a reference for tests.  The numeric layer evaluates the same products in
+as a reference for tests, and is loaded only when one of its names is first
+read from the package.  The numeric layer evaluates the same products in
 sign and log2-magnitude form as an independent sanity check.  The harness sweeps prime
 ranges and writes deterministic JSONL/CSV reports.
 """
@@ -23,8 +24,6 @@ from .quadforms import (Representation, check_lemma31, cornacchia,
 from .records import VerificationRecord
 from .residues import (ResidueSet, SignSymbol, is_mth_residue, residue_set,
                        residue_sum_check, symbol_sign)
-from .ring import (CycloElement, CycloRing, binomial_product, cyclotomic_poly,
-                   get_ring)
 
 __version__ = "0.1.0"
 
@@ -42,3 +41,15 @@ __all__ = [
     "ResitanError", "HypothesisViolation", "NonRealSymbol", "NotRepresentable",
     "BranchViolation", "PoleProximity", "RingMismatch",
 ]
+
+# served by __getattr__, so that `import resitan` does not load the ring
+_RING_NAMES = frozenset({"CycloElement", "CycloRing", "binomial_product",
+                         "cyclotomic_poly", "get_ring"})
+
+
+def __getattr__(name):
+    """Load the reference ring on first use of one of its names (PEP 562)."""
+    if name in _RING_NAMES:
+        from . import ring
+        return getattr(ring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

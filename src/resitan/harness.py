@@ -6,16 +6,25 @@ A scan walks every prime in a range and emits one VerificationRecord per
 requested (p, m, a, check) work item.  Hypothesis failures (2m not dividing
 p-1, 2 not an m-th power residue, p not representable by the relevant
 quadratic form, wrong congruence branch) become skipped(hypothesis) records,
-never silent omissions, so sweep coverage is auditable.  Records are sorted
-by (p, m, a, check) and their elapsed_ms is zeroed before emission, which
-makes repeated scans with the same configuration byte-identical.
+never silent omissions, so sweep coverage is auditable.
+
+Reports are in (p, m, a, check) order with elapsed_ms zeroed, which makes
+repeated scans with the same configuration byte-identical at any number of
+processes.  No global sort produces that order.  Each prime's records are
+sorted by (m, a, check) where they are computed, and the per-prime runs are
+concatenated in ascending p: the primes are disjoint and p is the leading
+key, so the concatenation is exactly the global sort.  The process pool
+takes the primes in contiguous batches, and its map returns the batches,
+and the runs within each, in submission order.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
 from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
@@ -208,70 +217,113 @@ def run_check(ctx: PrimeContext, m: int, a: int, check: str,
     return run_guarded(ctx, m, a, check, lambda: runner(ctx, m, a, tol))
 
 
+_PRIME_ORDER = attrgetter("m", "a", "check")
+
+
 def _scan_prime(args) -> list[VerificationRecord]:
+    """One prime's records, sorted by (m, a, check), with elapsed_ms zeroed."""
     config, p = args
     ctx = PrimeContext(p)
-    return [run_check(ctx, m, a, check, config.tolerance)
-            for check in config.selected_checks()
-            for m, a in CHECKS[check][0](ctx, config)]
+    records = [run_check(ctx, m, a, check, config.tolerance)
+               for check in config.selected_checks()
+               for m, a in CHECKS[check][0](ctx, config)]
+    records.sort(key=_PRIME_ORDER)
+    for rec in records:
+        rec.elapsed_ms = 0.0
+    return records
 
 
 def _thread_count() -> int:
+    """RESITAN_THREADS if it is a positive integer, else the usable cores."""
     raw = os.environ.get("RESITAN_THREADS", "")
     try:
         v = int(raw)
     except ValueError:
         v = 0
-    return v if v >= 1 else (os.cpu_count() or 1)
+    if v >= 1:
+        return v
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _batching(primes: int, threads: int) -> tuple[int, int]:
+    """(workers, primes per pool task) for a pooled scan.
+
+    About eight batches per worker amortise each task's round trip while
+    leaving the pool room to balance primes of unequal cost.  The pool is
+    capped at the number of batches, so no worker is forked to sit idle.
+    """
+    workers = max(1, min(threads, primes))
+    chunksize = max(1, primes // (8 * workers))
+    return min(workers, math.ceil(primes / chunksize)), chunksize
 
 
 def scan(config: ScanConfig) -> list[VerificationRecord]:
     """Run the configured checks over every prime in [p_min, p_max].
 
-    Work is split per prime and may run across RESITAN_THREADS processes;
-    results are merged and sorted by (p, m, a, check) regardless, and the
-    elapsed_ms fields are zeroed so reports are reproducible byte for byte.
+    Primes may run across RESITAN_THREADS processes in contiguous batches.
+    The records come back in (p, m, a, check) order with elapsed_ms zeroed
+    (see the module docstring), so reports are reproducible byte for byte.
     """
     primes = [p for p in range(max(config.p_min, 3), config.p_max + 1)
               if is_prime(p)]
-    threads = _thread_count()
-    if threads > 1 and len(primes) > 1:
+    tasks = [(config, p) for p in primes]
+    workers, chunksize = _batching(len(primes), _thread_count())
+    if workers > 1:
         # imported here so that `import resitan.cli`, and with it every
         # `resitan verify`, does not load the process pool machinery
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_scan_prime, [(config, p) for p in primes]))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = [rec for run in pool.map(_scan_prime, tasks,
+                                               chunksize=chunksize)
+                       for rec in run]
     else:
-        chunks = [_scan_prime((config, p)) for p in primes]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.p, r.m, r.a, r.check))
-    for rec in records:
-        rec.elapsed_ms = 0.0
+        records = [rec for task in tasks for rec in _scan_prime(task)]
     if config.out is not None:
         emit_report(records, config.fmt, config.out)
     return records
+
+
+def _json_number(x) -> str:
+    """x as json.dumps writes it: repr, or NaN, Infinity and -Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
+# One JSONL line: the json.dumps rendering of the dict of REPORT_FIELDS,
+# with its default ", " and ": " separators
+_JSONL_LINE = "{%s}\n" % ", ".join(f'"{k}": %s' for k in REPORT_FIELDS)
 
 
 def emit_report(records, fmt: str, path) -> None:
     """Write records to path, one JSONL object or CSV row per record.
 
     Field order is fixed: p, m, a, check, status, expected, actual, elapsed_ms.
+    A JSONL line has the bytes json.dumps gives the record's dict.  Lines
+    are written as they are formatted, so the report is never held whole.
     """
-    # imported here, as in parse_report, so that `import resitan.cli`, and
-    # with it every `resitan verify`, does not load json or csv
-    import csv
-    import json
     if fmt == "jsonl":
+        # imported here, as in parse_report, so that `import resitan.cli`,
+        # and with it every `resitan verify`, does not load json or csv.
+        # This is the escaper json.dumps itself uses for ASCII output.
+        from json.encoder import encode_basestring_ascii as quote
+        lines = (_JSONL_LINE % (rec.p, rec.m, rec.a, quote(rec.check),
+                                quote(rec.status), quote(rec.expected),
+                                quote(rec.actual), _json_number(rec.elapsed_ms))
+                 for rec in records)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            for rec in records:
-                fh.write(json.dumps({k: getattr(rec, k) for k in REPORT_FIELDS}))
-                fh.write("\n")
+            fh.writelines(lines)
     elif fmt == "csv":
+        import csv
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_FIELDS)
-            for rec in records:
-                writer.writerow([getattr(rec, k) for k in REPORT_FIELDS])
+            writer.writerows([getattr(rec, k) for k in REPORT_FIELDS]
+                             for rec in records)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 

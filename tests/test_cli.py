@@ -88,6 +88,16 @@ def test_import_loads_no_json_or_csv():
     assert out.stdout.strip() == "False False"
 
 
+def test_import_loads_no_reference_ring():
+    # the package root serves the ring's names on first use
+    src = str(Path(resitan.__file__).resolve().parent.parent)
+    code = ("import sys, resitan.cli; print('resitan.ring' in sys.modules); "
+            "from resitan import CycloRing; print('resitan.ring' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_verify_hypothesis_skip_is_clean(capsys):
     assert main(["verify", "--p", "13", "--m", "2"]) == 0
     assert "skipped(hypothesis)" in capsys.readouterr().out

@@ -2,18 +2,22 @@ import ast
 import dataclasses
 import decimal
 import hashlib
+import json
 import math
 import random
 import string
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resitan
 from resitan import (NotRepresentable, ScanConfig, VerificationRecord,
                      emit_report, parse_report, scan, verify_cor11,
                      verify_cor12)
-from resitan.harness import CHECK_NAMES, PMD_X_GRID
+from resitan import harness
+from resitan.harness import CHECK_NAMES, PMD_X_GRID, REPORT_FIELDS
 
 
 class TestCor11:
@@ -149,6 +153,24 @@ def random_records(count, rng):
     return out
 
 
+# quotes, backslashes, control, separator and non-ASCII characters, lone
+# surrogates included, besides whatever hypothesis draws
+REPORT_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\u00e9\u20ac\U0001f600\ud800'),
+    st.characters(exclude_categories=())))
+
+
+@st.composite
+def report_records(draw):
+    ints = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+    return VerificationRecord(
+        draw(ints), draw(ints), draw(ints), draw(REPORT_TEXT), draw(REPORT_TEXT),
+        draw(REPORT_TEXT), draw(REPORT_TEXT),
+        draw(st.one_of(st.sampled_from([0.0, -0.0, 1e-7, 1e16, math.nan,
+                                        math.inf, -math.inf]),
+                       st.floats())))
+
+
 class TestReports:
     def test_csv_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -156,7 +178,6 @@ class TestReports:
         assert path.read_bytes() == b"p,m,a,check,status,expected,actual,elapsed_ms\r\n"
 
     def test_single_jsonl_record(self, tmp_path):
-        import json
         rec = VerificationRecord(31, 3, 1, "gi", "pass", "-1*z^31", "-1*z^31", 1.25)
         path = tmp_path / "one.jsonl"
         emit_report([rec], "jsonl", path)
@@ -174,6 +195,15 @@ class TestReports:
         path = tmp_path / f"report.{fmt}"
         emit_report(records, fmt, path)
         assert parse_report(path, fmt) == records
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(records=st.lists(report_records(), max_size=4))
+    def test_jsonl_lines_are_json_dumps_bytes(self, records, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "encoder.jsonl"
+        emit_report(records, "jsonl", path)
+        want = "".join(json.dumps({k: getattr(rec, k) for k in REPORT_FIELDS})
+                       + "\n" for rec in records)
+        assert path.read_bytes() == want.encode("ascii")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -232,6 +262,81 @@ class TestDeterminism:
         monkeypatch.setenv("RESITAN_THREADS", "2")
         scan(ScanConfig(3, 40, out=str(out2)))
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_pooled_batches_match_serial(self, fmt, tmp_path, monkeypatch):
+        # 77 odd primes: with 2 or 3 processes each pool task holds several
+        assert harness._batching(77, 2) == (2, 4)
+        assert harness._batching(77, 3) == (3, 3)
+        outputs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("RESITAN_THREADS", str(threads))
+            out = tmp_path / f"report-{threads}.{fmt}"
+            records = scan(ScanConfig(3, 400, checks=NUMERIC_CHECKS,
+                                      out=str(out), fmt=fmt))
+            outputs[threads] = records, out.read_bytes()
+        assert outputs[1][0] and outputs[1][1]
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+
+
+class TestPool:
+    def test_default_threads_are_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("RESITAN_THREADS", raising=False)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        assert harness._thread_count() == 3
+        monkeypatch.setenv("RESITAN_THREADS", "0")
+        assert harness._thread_count() == 3
+        monkeypatch.setenv("RESITAN_THREADS", "5")
+        assert harness._thread_count() == 5
+
+    def test_default_threads_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("RESITAN_THREADS", raising=False)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+        assert harness._thread_count() == 6
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._thread_count() == 1
+
+    def test_batching(self):
+        assert harness._batching(0, 4)[0] <= 1
+        assert harness._batching(1, 4) == (1, 1)
+        # a 12-prime scan forks no idle worker
+        assert harness._batching(12, 32) == (12, 1)
+        assert harness._batching(12, 2) == (2, 1)
+        assert harness._batching(1000, 2) == (2, 62)
+        for primes in range(1, 300, 7):
+            for threads in (1, 2, 3, 8, 64):
+                workers, chunk = harness._batching(primes, threads)
+                assert 1 <= workers <= min(threads, -(-primes // chunk))
+                assert chunk >= 1
+
+    def test_pool_gets_batched_tasks(self, monkeypatch):
+        import concurrent.futures
+        seen = {}
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen["workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                seen["chunksize"] = chunksize
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setenv("RESITAN_THREADS", "2")
+        recs = scan(ScanConfig(3, 400, checks=("lemma21",)))
+        assert seen == {"workers": 2, "chunksize": 4}
+        monkeypatch.setenv("RESITAN_THREADS", "1")
+        assert scan(ScanConfig(3, 400, checks=("lemma21",))) == recs
 
 
 def test_package_has_no_assert_statements():
