@@ -41,12 +41,16 @@ def error_status(message) -> str:
     return "error(%s)" % " ".join(str(message).split())
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationRecord:
     """One (p, m, a, check) outcome.
 
     For checks that do not depend on a (or m) the field holds a sentinel:
     a = 0, and a fixed m describing the check's context.
+
+    A pooled scan pickles every record in a worker and unpickles it in the
+    parent, so a record pickles as its class and one tuple of its fields,
+    not as a dict of its attribute names.
     """
 
     p: int
@@ -57,6 +61,11 @@ class VerificationRecord:
     expected: str
     actual: str
     elapsed_ms: float
+
+    def __reduce__(self):
+        return (VerificationRecord,
+                (self.p, self.m, self.a, self.check, self.status,
+                 self.expected, self.actual, self.elapsed_ms))
 
 
 def finish(p: int, m: int, a: int, check: str, passed: bool,

@@ -103,6 +103,17 @@ def test_verify_hypothesis_skip_is_clean(capsys):
     assert "skipped(hypothesis)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("m", [4, 7])
+def test_verify_skip_reasons_agree(m, capsys):
+    # 2m does not divide 12: every check, numeric or exact, gives that reason
+    assert main(["verify", "--p", "13", "--m", str(m)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0].split()[-1] for line in lines] == \
+        ["gi", "gi_plus", "thm_main_exact", "thm_main_numeric"]
+    assert {line.split("  actual=")[1] for line in lines} == \
+        {f"2m={2 * m} does not divide p-1=12"}
+
+
 def test_verify_rejects_nonprime(capsys):
     assert main(["verify", "--p", "15", "--m", "1"]) == 1
     assert "error:" in capsys.readouterr().err

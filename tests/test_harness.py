@@ -1,9 +1,11 @@
 import ast
+import copy
 import dataclasses
 import decimal
 import hashlib
 import json
 import math
+import pickle
 import random
 import string
 from pathlib import Path
@@ -18,6 +20,26 @@ from resitan import (NotRepresentable, ScanConfig, VerificationRecord,
                      verify_cor12)
 from resitan import harness
 from resitan.harness import CHECK_NAMES, PMD_X_GRID, REPORT_FIELDS
+
+
+class TestRecordPickle:
+    RECORD = VerificationRecord(31, 3, 2, "thm_main_numeric", "pass",
+                                "+2^5 (rel_tol=1e-06)", "+2^5.000000000", 0.25)
+
+    def test_round_trip(self):
+        for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(self.RECORD, protocol=proto)
+            assert pickle.loads(data) == self.RECORD
+            # the fields travel as one tuple, without their names
+            assert b"elapsed_ms" not in data and b"expected" not in data
+
+    def test_slots_and_replace(self):
+        assert not hasattr(self.RECORD, "__dict__")
+        rec = dataclasses.replace(self.RECORD, status="fail")
+        assert type(rec) is VerificationRecord
+        assert rec.status == "fail"
+        assert dataclasses.replace(rec, status="pass") == self.RECORD
+        assert copy.copy(self.RECORD) == self.RECORD
 
 
 class TestCor11:

@@ -54,10 +54,24 @@ def reference_tan_product_mag(q, residues):
     return SignedMagnitude(sign, log2)
 
 
+def pair_terms(q, residues):
+    """The log2 terms of the product over residues closed under r -> q - r,
+    one per pair: log2|(1 + t)(1 - t)| with t = tan(pi*r/q) at r < q/2."""
+    assert sorted(residues) == sorted(q - r for r in residues)
+    terms = []
+    for r in residues:
+        if 2 * r < q:
+            t = math.tan(math.pi * (r / q))
+            terms.append(math.log2(abs((1.0 + t) * (1.0 - t))))
+    return terms
+
+
 def fsum_tan_product_mag(q, residues, seed=0):
-    """math.fsum of the reference terms in a shuffled order: fsum rounds the
-    exact sum once, so any order gives the program's float bit for bit."""
-    sign, terms = reference_terms(q, residues)
+    """math.fsum of the pair terms in a shuffled order, with the per-factor
+    loop's sign: fsum rounds the exact sum once, so any order gives the
+    program's float bit for bit."""
+    sign, _ = reference_terms(q, residues)
+    terms = pair_terms(q, residues)
     random.Random(seed).shuffle(terms)
     return SignedMagnitude(sign, math.fsum(terms))
 
@@ -243,6 +257,14 @@ class TestVerifyTheoremMainNumeric:
         with pytest.raises(HypothesisViolation):
             verify_theorem_main_numeric(13, 3, 1)  # 2 is not a cube mod 13
 
+    @pytest.mark.parametrize("m", [4, 7])
+    def test_index_hypothesis_is_tested_first(self, m):
+        # 2m does not divide 12: the skip reason is the one the exact checks
+        # give, not the m-th power test of 2 (m = 4) or of p = 1 mod m (m = 7)
+        with pytest.raises(HypothesisViolation,
+                           match=rf"^2m={2 * m} does not divide p-1=12$"):
+            verify_theorem_main_numeric(13, m, 1)
+
     @pytest.mark.parametrize("tol", [-1.0, -0.5, math.nan, math.inf])
     def test_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
         # inf would pass any magnitude, and a negative or nan one fails
@@ -374,9 +396,9 @@ class TestPmdTheorem14:
 
 
 class TestFactorTable:
-    """The per-prime coset sums give the fsum of the per-factor loop's terms
-    bit for bit, in any order and whether the sum is new or stored, and stay
-    within 1e-10 of the left-to-right sum."""
+    """The per-prime coset sums give the fsum of the pair terms bit for bit,
+    in any order and whether the sum is new or stored, and stay within 1e-10
+    of the per-factor loop's left-to-right sum."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
@@ -426,20 +448,20 @@ class TestFactorTable:
                         reference_pmd14_strings(p, 2)
 
     def test_fills_only_the_factors_met(self, monkeypatch):
-        # R_504(1009) has 2 members: a cold call evaluates 2 factors, not 1008;
-        # R_252(1009) has 4, and a coset of another m shares no factors, so
-        # all 4 are evaluated
+        # R_504(1009) has 2 members, one pair: a cold call evaluates 1
+        # tangent, not 1008; R_252(1009) has 4, 2 pairs, and a coset of
+        # another m shares no factors, so both pairs are evaluated
         calls = []
         real_tan = math.tan
         monkeypatch.setattr(math, "tan",
                             lambda x: calls.append(x) or real_tan(x))
         tan_product(1009, 504, 5)
-        assert len(calls) == 2
+        assert len(calls) == 1
         tan_product(1009, 252, 5)
-        assert len(calls) == 6
+        assert len(calls) == 3
 
     def test_one_fill_and_one_sum_serve_every_a_of_a_coset(self, monkeypatch):
-        # at m = 1 the whole grid a = 1..5, 1008 is one coset
+        # at m = 1 the whole grid a = 1..5, 1008 is one coset of 504 pairs
         calls = {"tan": 0, "fsum": 0}
         real_tan, real_fsum = math.tan, math.fsum
 
@@ -451,7 +473,7 @@ class TestFactorTable:
         monkeypatch.setattr(math, "tan", counting("tan", real_tan))
         monkeypatch.setattr(math, "fsum", counting("fsum", real_fsum))
         got = {a: tan_product(1009, 1, a) for a in (1, 2, 3, 4, 5, 1008)}
-        assert calls == {"tan": 1008, "fsum": 1}
+        assert calls == {"tan": 504, "fsum": 1}
         assert len(numeric._coset_sums(1009)) == 1
         assert len(set(got.values())) == 1
 
@@ -504,6 +526,47 @@ class TestFactorTable:
         # the zero was never stored: with the real tan the product is exact
         assert tan_product(p, m, a) == reference_tan_product(p, m, a)
 
+    def test_zero_partner_factor_names_its_own_residue(self, monkeypatch):
+        # tan(pi*10/31) = 1 makes the factor of the partner 21 = 31 - 10,
+        # 1 - t, exactly 0; the error names 21, and no sum is stored
+        p, m, a = 31, 3, 5
+        residues = [a * k % p for k in residue_set(p, m).members]
+        assert 10 in residues and 21 in residues
+        real_tan = math.tan
+        zero_arg = math.pi * (10 / p)
+        monkeypatch.setattr(math, "tan",
+                            lambda x: 1.0 if x == zero_arg else real_tan(x))
+        for b in (a, 2 * a):
+            with pytest.raises(ArithmeticError, match=r"^1 \+ tan\(pi\*21/31\)"
+                               r" evaluated to 0$"):
+                tan_product(p, m, b)
+        assert numeric._coset_sums(p) == {}
+        monkeypatch.undo()
+        assert tan_product(p, m, a) == reference_tan_product(p, m, a)
+
+    def test_tiny_partner_factor_warns(self, monkeypatch):
+        # 1 - t = 9e-13 is below TINY_FACTOR while its pair, (1 + t)(1 - t),
+        # is 1.8e-12, above it: the pair test must allow for the 1 + t near 2
+        p, m, a = 31, 3, 5
+        real_tan = math.tan
+        tiny_arg = math.pi * (10 / p)
+        monkeypatch.setattr(math, "tan", lambda x: 1.0 - 9e-13
+                            if x == tiny_arg else real_tan(x))
+        with pytest.warns(RuntimeWarning,
+                          match=r"residue 21 \(p=31\)") as caught:
+            tan_product(p, m, a)
+        assert len(caught) == 1
+
+    def test_tiny_factors_are_named_on_both_sides_of_a_pair(self, monkeypatch):
+        # every factor is tiny under an infinite TINY_FACTOR: both residues
+        # of every pair warn, each once
+        monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
+        p, m, a = 31, 3, 5
+        with pytest.warns(RuntimeWarning) as caught:
+            tan_product(p, m, a)
+        named = sorted(int(str(w.message).split()[4]) for w in caught)
+        assert named == sorted(a * k % p for k in residue_set(p, m).members)
+
 
 class TestTanProductErrorModel:
     def test_log2_within_error_model(self):
@@ -535,3 +598,29 @@ class TestTanProductErrorModel:
                     want = mpmath.log(abs(prod), 2)
                 assert actual[0] == ("+" if prod > 0 else "-"), (p, m, a)
                 assert abs(float(actual[3:]) - want) <= 1e-9, (p, m, a, actual)
+
+    def test_coset_sums_within_1e12_of_mpmath(self):
+        # every coset sum for p < 400, every m with 2m | p - 1 and a = 1..7,
+        # against 40-digit mpmath; the pair form's worst is about 2.6e-13
+        worst = 0.0
+        for p in odd_primes_up_to(399):
+            with mpmath.workdps(40):
+                logs = [None] + [
+                    mpmath.log(abs(1 + mpmath.tan(mpmath.pi * r / p)), 2)
+                    for r in range(1, p)]
+            for m in admissible_m(p):
+                for a in range(1, min(p, 8)):
+                    with mpmath.workdps(40):
+                        want = mpmath.fsum(logs[r]
+                                           for r in coset_residues(p, m, a))
+                    err = abs(tan_product(p, m, a).log2_mag - float(want))
+                    worst = max(worst, err)
+        assert worst <= 1e-12
+
+    def test_large_prime_reads_the_proven_exponent(self):
+        # a pair's partner no longer rounds fl((p - r)/p): at p = 1000003 the
+        # sum rounds to the proven 500001, where the per-factor form read
+        # 500000.999999999
+        rec = verify_theorem_main_numeric(1000003, 1, 2)
+        assert rec.status == "pass"
+        assert rec.actual == "-2^500001.000000000"
