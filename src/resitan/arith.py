@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Deterministic Miller-Rabin witness set: the first 13 primes.  The least
 # strong pseudoprime to all of them is psi_13 = 3317044064679887385961981
@@ -44,17 +44,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeContext:
-    """A verified odd prime p together with p - 1, the order of its unit group."""
+class PrimeContext(namedtuple("PrimeContext", "p p_minus_1", defaults=(0,))):
+    """A verified odd prime p together with p - 1, the order of its unit group.
 
+    A frozen tuple (p, p - 1).  Every way of building one validates p and
+    sets p_minus_1 from it: the constructor, _make, _replace, copy and
+    unpickling all pass through __new__.
+    """
+
+    __slots__ = ()
     p: int
-    p_minus_1: int = 0
+    p_minus_1: int
 
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"{self.p} is not an odd prime")
-        object.__setattr__(self, "p_minus_1", self.p - 1)
+    def __new__(cls, p, p_minus_1=0):
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"{p} is not an odd prime")
+        return tuple.__new__(cls, (p, p - 1))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return (type(self), tuple(self))
 
 
 def as_prime(p: int | PrimeContext) -> PrimeContext:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
@@ -36,8 +35,8 @@ from .records import (PASS, SKIPPED, VerificationRecord, error_status, finish,
                       int_str)
 from .residues import symbol_sign, verify_residue_sum
 
-REPORT_FIELDS = ("p", "m", "a", "check", "status", "expected", "actual",
-                 "elapsed_ms")
+# a report's columns are the record's fields, in order
+REPORT_FIELDS = VerificationRecord.__slots__
 
 # x grid used by the pmd_lemma check inside scans; index j maps to x = j/20
 PMD_X_GRID = tuple(j / 20 for j in range(1, 10))
@@ -96,7 +95,6 @@ def verify_cor12(p, a: int = 1) -> VerificationRecord:
     return _corollary(p, a, 4, lambda rep: rep.y, congruence, "cor12")
 
 
-@dataclass
 class ScanConfig:
     """Sweep description: prime range, m/a policies, checks, tolerance, output.
 
@@ -105,34 +103,47 @@ class ScanConfig:
     The a grid is {1..a_count} intersected with [1, p-1], plus always p - 1.
     """
 
-    p_min: int
-    p_max: int
-    m_policy: str | tuple[int, ...] = "all"
-    a_count: int = 5
-    checks: str | tuple[str, ...] = "all"
-    tolerance: float = 1e-6
-    out: str | None = None
-    fmt: str = "jsonl"
-
-    def __post_init__(self):
-        if self.p_min < 3:
+    def __init__(self, p_min: int, p_max: int,
+                 m_policy: str | tuple[int, ...] = "all", a_count: int = 5,
+                 checks: str | tuple[str, ...] = "all",
+                 tolerance: float = 1e-6, out: str | None = None,
+                 fmt: str = "jsonl"):
+        if p_min < 3:
             raise ValueError("p_min must be at least 3")
-        if self.a_count < 1:
+        if a_count < 1:
             raise ValueError("a_count must be at least 1")
-        if self.fmt not in ("jsonl", "csv"):
-            raise ValueError(f"unknown report format {self.fmt!r}")
-        check_tolerance(self.tolerance)
-        if self.m_policy != "all":
-            ms = tuple(sorted({int(m) for m in self.m_policy}))
-            if not ms or ms[0] < 1:
+        if fmt not in ("jsonl", "csv"):
+            raise ValueError(f"unknown report format {fmt!r}")
+        check_tolerance(tolerance)
+        if m_policy != "all":
+            m_policy = tuple(sorted({int(m) for m in m_policy}))
+            if not m_policy or m_policy[0] < 1:
                 raise ValueError("explicit m values must be positive")
-            self.m_policy = ms
-        if self.checks != "all":
-            wanted = set(self.checks)
+        if checks != "all":
+            wanted = set(checks)
             unknown = wanted - set(CHECK_NAMES)
             if unknown:
                 raise ValueError(f"unknown checks: {sorted(unknown)}")
-            self.checks = tuple(c for c in CHECK_NAMES if c in wanted)
+            checks = tuple(c for c in CHECK_NAMES if c in wanted)
+        self.p_min = p_min
+        self.p_max = p_max
+        self.m_policy = m_policy
+        self.a_count = a_count
+        self.checks = checks
+        self.tolerance = tolerance
+        self.out = out
+        self.fmt = fmt
+
+    def __repr__(self):
+        return "ScanConfig(%s)" % ", ".join(
+            f"{name}={value!r}" for name, value in vars(self).items())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
 
     def selected_checks(self) -> tuple:
         return CHECK_NAMES if self.checks == "all" else self.checks

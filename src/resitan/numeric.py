@@ -58,7 +58,7 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import as_prime, jacobi
 from .errors import BranchViolation, HypothesisViolation, PoleProximity
@@ -71,12 +71,13 @@ POLE_EPS = 1e-9
 ZERO_CROSS = 1e-9
 
 
-@dataclass(frozen=True)
-class SignedMagnitude:
+class SignedMagnitude(namedtuple("SignedMagnitude", "sign log2_mag",
+                                 defaults=(0.0,))):
     """sign * 2^log2_mag; sign 0 encodes an exact zero."""
 
+    __slots__ = ()
     sign: int
-    log2_mag: float = 0.0
+    log2_mag: float
 
     def __mul__(self, other: "SignedMagnitude") -> "SignedMagnitude":
         if self.sign == 0 or other.sign == 0:

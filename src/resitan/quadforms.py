@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import as_prime, jacobi, sqrt_mod
 from .errors import HypothesisViolation, NotRepresentable
@@ -12,22 +12,35 @@ from .records import VerificationRecord, finish
 from .residues import is_mth_residue
 
 
-@dataclass(frozen=True)
-class Representation:
-    """p = x^2 + d*y^2 with x, y positive integers."""
+class Representation(namedtuple("Representation", "p d x y")):
+    """p = x^2 + d*y^2 with x, y positive integers.
 
+    A frozen tuple (p, d, x, y).  Every way of building one validates it:
+    the constructor, _make, _replace, copy and unpickling all pass through
+    __new__.
+    """
+
+    __slots__ = ()
     p: int
     d: int
     x: int
     y: int
 
-    def __post_init__(self):
-        if self.x <= 0 or self.y <= 0:
+    def __new__(cls, p, d, x, y):
+        if x <= 0 or y <= 0:
             raise ValueError("x and y must be positive")
-        if self.x * self.x + self.d * self.y * self.y != self.p:
+        if x * x + d * y * y != p:
             raise ValueError("x^2 + d*y^2 != p")
-        if self.d == 27 and (self.x - self.y) % 2 == 0:
+        if d == 27 and (x - y) % 2 == 0:
             raise ValueError("x and y must have opposite parity when d = 27")
+        return tuple.__new__(cls, (p, d, x, y))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return (type(self), tuple(self))
 
 
 def cornacchia(p, d: int) -> Representation | None:

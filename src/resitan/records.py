@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from operator import attrgetter
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,31 +41,50 @@ def error_status(message) -> str:
     return "error(%s)" % " ".join(str(message).split())
 
 
-@dataclass(slots=True)
+_FIELDS = ("p", "m", "a", "check", "status", "expected", "actual",
+           "elapsed_ms")
+_field_values = attrgetter(*_FIELDS)
+
+
 class VerificationRecord:
     """One (p, m, a, check) outcome.
 
     For checks that do not depend on a (or m) the field holds a sentinel:
     a = 0, and a fixed m describing the check's context.
 
-    A pooled scan pickles every record in a worker and unpickles it in the
-    parent, so a record pickles as its class and one tuple of its fields,
-    not as a dict of its attribute names.
+    Records are mutable and unhashable, and compare equal when they are of
+    the same class with equal fields.  A pooled scan pickles every record in
+    a worker and unpickles it in the parent, so a record pickles as its
+    class and one tuple of its fields, not as a dict of its attribute names.
     """
 
-    p: int
-    m: int
-    a: int
-    check: str
-    status: str
-    expected: str
-    actual: str
-    elapsed_ms: float
+    __slots__ = _FIELDS
+
+    def __init__(self, p: int, m: int, a: int, check: str, status: str,
+                 expected: str, actual: str, elapsed_ms: float):
+        self.p = p
+        self.m = m
+        self.a = a
+        self.check = check
+        self.status = status
+        self.expected = expected
+        self.actual = actual
+        self.elapsed_ms = elapsed_ms
+
+    def __repr__(self):
+        return "VerificationRecord(%s)" % ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(_FIELDS, _field_values(self)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    __hash__ = None
 
     def __reduce__(self):
-        return (VerificationRecord,
-                (self.p, self.m, self.a, self.check, self.status,
-                 self.expected, self.actual, self.elapsed_ms))
+        return (VerificationRecord, _field_values(self))
 
 
 def finish(p: int, m: int, a: int, check: str, passed: bool,

@@ -12,26 +12,26 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import PrimeContext, as_prime
 from .errors import HypothesisViolation, NonRealSymbol
 from .records import PASS, VerificationRecord, finish
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(namedtuple("ResidueSet", "p m members")):
     """The sorted m-th power residues in [1, p-1]."""
 
+    __slots__ = ()
     p: int
     m: int
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SignSymbol:
+class SignSymbol(namedtuple("SignSymbol", "value a p order")):
     """A 2m-th power residue symbol restricted to the real case {+1, -1}."""
 
+    __slots__ = ()
     value: int
     a: int
     p: int

@@ -60,42 +60,30 @@ def test_verify_large_prime_exact(capsys):
     assert [line.split()[4] for line in lines] == ["pass"] * 3
 
 
-def test_import_loads_no_process_pool():
-    src = str(Path(resitan.__file__).resolve().parent.parent)
-    code = "import sys, resitan.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+# modules that `import resitan.cli`, and so every `resitan verify`, must not
+# load, each with the reason it can do without
+UNLOADED_BY_CLI = {
+    "concurrent.futures": "only a pooled scan starts the process pool",
+    "fractions": "exact angle reduction is plain integer arithmetic",
+    "decimal": "exact angle reduction is plain integer arithmetic",
+    "json": "only report I/O needs it, and imports it where it runs",
+    "csv": "only report I/O needs it, and imports it where it runs",
+    "resitan.ring": "the package root serves the ring's names on first use",
+    "dataclasses": "the value types are namedtuples and slotted classes",
+    "inspect": "nothing at start-up introspects code",
+}
 
 
-def test_import_loads_no_fractions_or_decimal():
-    # exact angle reduction is plain integer arithmetic
-    src = str(Path(resitan.__file__).resolve().parent.parent)
-    code = ("import sys, resitan.cli; "
-            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False False"
-
-
-def test_import_loads_no_json_or_csv():
-    # only report I/O needs them, and it imports them where it runs
+def test_import_loads_only_what_verify_needs():
     src = str(Path(resitan.__file__).resolve().parent.parent)
     code = ("import sys, resitan.cli; "
-            "print('json' in sys.modules, 'csv' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False False"
-
-
-def test_import_loads_no_reference_ring():
-    # the package root serves the ring's names on first use
-    src = str(Path(resitan.__file__).resolve().parent.parent)
-    code = ("import sys, resitan.cli; print('resitan.ring' in sys.modules); "
+            f"print(*[m for m in {list(UNLOADED_BY_CLI)!r} if m in sys.modules]); "
             "from resitan import CycloRing; print('resitan.ring' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "True"]
+    loaded, ring_after_use = out.stdout.split("\n")[:2]
+    assert not loaded, {m: UNLOADED_BY_CLI[m] for m in loaded.split()}
+    assert ring_after_use == "True"
 
 
 def test_verify_hypothesis_skip_is_clean(capsys):

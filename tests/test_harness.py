@@ -1,6 +1,5 @@
 import ast
 import copy
-import dataclasses
 import decimal
 import hashlib
 import json
@@ -27,7 +26,7 @@ class TestRecordPickle:
                                 "+2^5 (rel_tol=1e-06)", "+2^5.000000000", 0.25)
 
     def test_round_trip(self):
-        for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
             data = pickle.dumps(self.RECORD, protocol=proto)
             assert pickle.loads(data) == self.RECORD
             # the fields travel as one tuple, without their names
@@ -35,10 +34,11 @@ class TestRecordPickle:
 
     def test_slots_and_replace(self):
         assert not hasattr(self.RECORD, "__dict__")
-        rec = dataclasses.replace(self.RECORD, status="fail")
-        assert type(rec) is VerificationRecord
+        fields = {name: getattr(self.RECORD, name) for name in REPORT_FIELDS}
+        assert VerificationRecord(**fields) == self.RECORD
+        rec = VerificationRecord(**{**fields, "status": "fail"})
         assert rec.status == "fail"
-        assert dataclasses.replace(rec, status="pass") == self.RECORD
+        assert rec != self.RECORD
         assert copy.copy(self.RECORD) == self.RECORD
 
 
@@ -65,9 +65,13 @@ class TestCor11:
     def test_numeric_failure_fails_at_every_p(self, monkeypatch):
         # the floating side is checked at every p, also above p = 2000
         real = resitan.harness.verify_theorem_main_numeric
-        monkeypatch.setattr(
-            resitan.harness, "verify_theorem_main_numeric",
-            lambda *args: dataclasses.replace(real(*args), status="fail"))
+
+        def fails(*args):
+            rec = copy.copy(real(*args))
+            rec.status = "fail"
+            return rec
+
+        monkeypatch.setattr(resitan.harness, "verify_theorem_main_numeric", fails)
         for p in (31, 2017):
             rec = verify_cor11(p, 1)
             assert rec.status == "fail", p
@@ -154,6 +158,8 @@ class TestScan:
             ScanConfig(3, 10, fmt="xml")
         with pytest.raises(ValueError):
             ScanConfig(3, 10, m_policy=(0,))
+        with pytest.raises(ValueError):
+            ScanConfig(3, 10, m_policy=())
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_config_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
