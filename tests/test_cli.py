@@ -74,7 +74,11 @@ UNLOADED_BY_CLI = {
 }
 
 
-def test_import_loads_only_what_verify_needs():
+@pytest.fixture(scope="module")
+def cli_import():
+    """One fresh interpreter: the modules of UNLOADED_BY_CLI that
+    `import resitan.cli` loads, and whether `from resitan import CycloRing`
+    then loads resitan.ring."""
     src = str(Path(resitan.__file__).resolve().parent.parent)
     code = ("import sys, resitan.cli; "
             f"print(*[m for m in {list(UNLOADED_BY_CLI)!r} if m in sys.modules]); "
@@ -82,8 +86,33 @@ def test_import_loads_only_what_verify_needs():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     loaded, ring_after_use = out.stdout.split("\n")[:2]
-    assert not loaded, {m: UNLOADED_BY_CLI[m] for m in loaded.split()}
-    assert ring_after_use == "True"
+    return set(loaded.split()), ring_after_use == "True"
+
+
+def assert_not_loaded(cli_import, *modules):
+    loaded = sorted(cli_import[0] & set(modules))
+    assert not loaded, {m: UNLOADED_BY_CLI[m] for m in loaded}
+
+
+def test_import_loads_no_process_pool(cli_import):
+    assert_not_loaded(cli_import, "concurrent.futures")
+
+
+def test_import_loads_no_fractions_or_decimal(cli_import):
+    assert_not_loaded(cli_import, "fractions", "decimal")
+
+
+def test_import_loads_no_json_or_csv(cli_import):
+    assert_not_loaded(cli_import, "json", "csv")
+
+
+def test_import_loads_no_reference_ring(cli_import):
+    assert_not_loaded(cli_import, "resitan.ring")
+    assert cli_import[1]
+
+
+def test_import_loads_no_dataclasses_or_inspect(cli_import):
+    assert_not_loaded(cli_import, "dataclasses", "inspect")
 
 
 def test_verify_hypothesis_skip_is_clean(capsys):
