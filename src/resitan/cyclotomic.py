@@ -93,7 +93,7 @@ from types import MappingProxyType
 from .arith import PrimeContext, as_prime, is_prime
 from .errors import HypothesisViolation
 from .records import VerificationRecord, finish, int_str
-from .residues import is_mth_residue, require_even_index, residue_set, symbol_sign
+from .residues import is_mth_residue, require_even_index, symbol_sign, walk
 
 
 def _product_context(p, m: int, a: int) -> PrimeContext:
@@ -171,9 +171,10 @@ def _log2_bound(p: int, m: int) -> int:
     sigma(P) of P = prod over k in R_m(p) of (i +- zeta_p^k), either sign.
 
     The float bound of the module docstring: one log2 sum per coset, plus a
-    margin from the per-factor error bound.
+    margin from the per-factor error bound.  The cosets are read along the
+    unsorted walk of R; an fsum does not depend on the order of its terms.
     """
-    members = residue_set(p, m).members
+    members = walk(p, m)
     if p >= _FLOAT_P_LIMIT:
         return len(members)
     n = 4 * p
@@ -205,9 +206,15 @@ def _factor_images(p: int, l: int) -> tuple[int, list[int], list[int]]:
 
 def _coset_images(p: int, m: int, l: int) -> tuple[int, tuple, tuple]:
     """I and the products over each coset cR of R = R_m(p) of the images
-    I + eta^x and of I - eta^x in F_l, one entry per coset."""
+    I + eta^x and of I - eta^x in F_l, one entry per coset.
+
+    A product mod l does not depend on the order of its factors, so R is
+    read along its unsorted walk; R_1(p) is 1..p-1, read in the tables'
+    memory order, since at p near 10^6 they outgrow the CPU caches and a
+    pass along the walk, at random, took twice as long.
+    """
     i_l, plus, minus = _factor_images(p, l)
-    members = residue_set(p, m).members
+    members = range(1, p) if m == 1 else walk(p, m)
     rows = []
     for terms in (plus, minus):
         row = []

@@ -18,25 +18,39 @@ a*R_2(q).
 A product over R_m(q) depends on a only through the coset a*R_m(q):
 k -> a*k is a bijection of R_m(q) onto that coset, so the multiset of
 factors is the coset itself.  The first product that meets a coset
-evaluates its factors, a pair at a time (below), and stores one log2 sum per
-(m, coset), which serves every a in the coset; only the current prime's
-sums are kept, and no factor is kept on its own.  This is exact, not an
-approximation: math.fsum returns the correctly rounded value of the exact
-sum of its inputs, whatever their order, so every representative of the
-coset gives the same float bit for bit.  Unlike sum() of floats, which is
-compensated from Python 3.12 on, it gives the same float on every Python
-version.
+evaluates its factors, a pair at a time (below), or slices them from the
+m = 1 terms (below), and stores one log2 sum per (m, coset), which serves
+every a in the coset; only the current prime's sums are kept, and only the
+m = 1 sum keeps its terms.  This is exact, not an approximation: math.fsum
+returns the correctly rounded value of the exact sum of its inputs,
+whatever their order, so every representative of the coset gives the same
+float bit for bit.  Unlike sum() of floats, which is compensated from
+Python 3.12 on, it gives the same float on every Python version.
 
-One tangent serves each pair of factors.  tan_product requires 2m | q - 1
-(residue_set raises otherwise), so -1 = g^((q-1)/2) is an m-th power and
-every coset a*R_m(q) is closed under r -> q - r: it is (q-1)/(2m) pairs
-{r, q - r}, one member of each below q/2.  k -> a*k maps the pair {k, q - k}
-of R_m(q) onto a pair of the coset, so the first half of the sorted members
-names every pair of the coset once.  With t = tan(pi*r/q), r < q/2, the
-partner's factor 1 + tan(pi - pi*r/q) is 1 - t, so the pair contributes one
-term log2|(1 + t)(1 - t)| to the fsum.  The angle pi*r/q lies in (0, pi/2),
-so 1 + t > 1, and 1 - t < 0 iff pi*r/q > pi/4, that is iff 4r > q: the sign
-is a count of integers.
+One tangent serves each pair of factors.  tan_product requires 2m | q - 1,
+so -1 = g^((q-1)/2) is an m-th power and every coset a*R_m(q) is closed
+under r -> q - r: it is (q-1)/(2m) pairs {r, q - r}, one member of each
+below q/2.  k -> a*k maps the pair {k, q - k} of R_m(q) onto a pair of the
+coset, so the first half of the walk of R_m(q) (residues.walk, whose second
+half is the first negated) names every pair of the coset once.  With
+t = tan(pi*r/q), r < q/2, the partner's factor 1 + tan(pi - pi*r/q) is
+1 - t, so the pair contributes one term log2|(1 + t)(1 - t)| to the fsum.
+The angle pi*r/q lies in (0, pi/2), so 1 + t > 1, and 1 - t < 0 iff
+pi*r/q > pi/4, that is iff 4r > q: the sign is a count of integers.
+
+Every coset is a slice of the m = 1 terms.  The m = 1 sum evaluates the
+pair terms of the whole group in index order, term j for the pair of g^j,
+0 <= j < (q-1)/2, over the walk of a primitive root g, and keeps them with
+one negative flag per pair (4r > q, as bytes).  g^j lies in
+a*R_m(q) = g^j0*<g^m> iff j = j0 (mod m), and j0 < m solves
+(g^((q-1)/m))^j0 = a^((q-1)/m), the coset's key: x -> x^((q-1)/m) maps
+g^j to (g^((q-1)/m))^j, of order m.  The pair of g^j is that of
+g^(j + (q-1)/2) = -g^j, and m | (q-1)/2 puts both indices in the class of
+j0, so the class j0 mod m of [0, (q-1)/2) names each pair of the coset once.
+Its sum is fsum(terms[j0::m]) and its negative count flags[j0::m].count(1):
+the same floats as a cold sum over the coset's own pairs, bit for bit, so
+the same sum.  A coset met before the m = 1 sum exists is summed cold, over
+a times the first half of its own walk, by the same pair-term helper.
 
 Error model of the pair form.  t is the float the per-factor evaluation
 gives for r, bit for bit.  Evaluated on its own, the partner's factor is
@@ -53,7 +67,6 @@ to nine decimals, where the per-factor form read 500000.999999999.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import time
@@ -63,8 +76,7 @@ from collections import namedtuple
 from .arith import as_prime, jacobi
 from .errors import BranchViolation, HypothesisViolation, PoleProximity
 from .records import VerificationRecord, finish
-from .residues import (is_mth_residue, require_even_index, residue_set,
-                       symbol_sign)
+from .residues import is_mth_residue, require_even_index, symbol_sign, walk
 
 TINY_FACTOR = 1e-12   # |1 + tan| below this degrades float precision
 POLE_EPS = 1e-9
@@ -111,11 +123,12 @@ def _log_tolerance(rel_tol: float) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _coset_sums(q: int) -> dict[tuple[int, int],
-                                tuple[float, int, tuple[int, ...]]]:
+def _coset_sums(q: int) -> dict[tuple[int, int], tuple]:
     """The coset sums of prime q computed so far, keyed by (m, a^((q-1)/m)
     mod q): the log2 sum, the count of negative factors and the tiny
-    residues of the coset a*R_m(q).  Only the current prime's are kept."""
+    residues of the coset a*R_m(q).  The entry of m = 1 also keeps its pair
+    terms and negative flags, indexed along walk(q, 1), which every later
+    coset is sliced from.  Only the current prime's are kept."""
     return {}
 
 
@@ -134,6 +147,21 @@ def _tiny_residues(q: int, folded: list[int],
     return tuple(tiny)
 
 
+def _pair_terms(q: int, a: int, ks) -> tuple[list[float], bytes, tuple]:
+    """The pair terms log2|(1 + t)(1 - t)|, the negative flags 4r > q and
+    the tiny residues of the pairs named by a*k mod q for k in ks, in order.
+    Each image is folded to r = min(r, q - r) < q/2 and t = tan(pi*r/q)."""
+    below = q // 2
+    folded = [r if (r := a * k % q) <= below else q - r for k in ks]
+    tans = [math.tan(math.pi * (r / q)) for r in folded]
+    pairs = [(1.0 + t) * (1.0 - t) for t in tans]
+    tiny = ()
+    if min(map(abs, pairs)) < 3.0 * TINY_FACTOR:
+        tiny = _tiny_residues(q, folded, tans)
+    return (list(map(math.log2, map(abs, pairs))),
+            bytes([4 * r > q for r in folded]), tiny)
+
+
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     """Product of (1 + tan(pi*a*k/p)) over k in R_m(p), in sign/log2 form.
 
@@ -149,36 +177,44 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     for its coset.
 
     The log2 magnitude is the math.fsum of the pairs' log2|(1 + t)(1 - t)|,
-    evaluated once per coset a*R_m(p) and stored.  The coset is named by
-    c = a^((p-1)/m) mod p: x -> x^((p-1)/m) is a homomorphism of the cyclic
-    group (Z/p)* whose kernel is exactly R_m(p), so a and b give the same c
-    iff a/b lies in R_m(p), that is iff a*R_m(p) = b*R_m(p).  A factor below
-    TINY_FACTOR warns on every call, whether the sum is new or stored.  Such
-    a factor is 1 - t with t near 1, whose pair has |(1 + t)(1 - t)| below
-    3*TINY_FACTOR, so one min over the pairs rules every factor out at once.
+    evaluated once per coset a*R_m(p), or sliced from the terms of the m = 1
+    sum once that exists (module docstring), and stored.  The coset is named
+    by c = a^((p-1)/m) mod p: x -> x^((p-1)/m) is a homomorphism of the
+    cyclic group (Z/p)* whose kernel is exactly R_m(p), so a and b give the
+    same c iff a/b lies in R_m(p), that is iff a*R_m(p) = b*R_m(p).  A
+    factor below TINY_FACTOR warns on every call, whether the sum is new or
+    stored.  Such a factor is 1 - t with t near 1, whose pair has
+    |(1 + t)(1 - t)| below 3*TINY_FACTOR, so one min over the pairs rules
+    every factor out at once.
     """
     ctx = as_prime(p)
     q = ctx.p
     if a % q == 0:
         raise ValueError(f"a={a} is divisible by p={q}")
-    members = residue_set(ctx, m).members
+    require_even_index(ctx, m)
     sums = _coset_sums(q)
-    key = (m, pow(a, (q - 1) // m, q))
-    entry = sums.get(key)
+    e = (q - 1) // m
+    c = pow(a, e, q)
+    entry = sums.get((m, c))
     if entry is None:
-        # members is sorted and closed under k -> q - k, so its first half
-        # holds one k of each pair; fold each image a*k mod q to r < q/2
-        below = q // 2
-        folded = [r if (r := a * k % q) <= below else q - r
-                  for k in members[:len(members) // 2]]
-        tans = [math.tan(math.pi * (r / q)) for r in folded]
-        pairs = [(1.0 + t) * (1.0 - t) for t in tans]
-        tiny = ()
-        if min(map(abs, pairs)) < 3.0 * TINY_FACTOR:
-            tiny = _tiny_residues(q, folded, tans)
-        entry = sums[key] = (math.fsum(map(math.log2, map(abs, pairs))),
-                             len([r for r in folded if 4 * r > q]), tiny)
-    log2, negatives, tiny = entry
+        whole = sums.get((1, 1))
+        if whole is None:
+            # the first half of a walk holds one k of each pair; m = 1 takes
+            # a = 1, so that term j is the pair of g^j along walk(q, 1)
+            ks = walk(ctx, m)
+            terms, flags, tiny = _pair_terms(q, a if m > 1 else 1,
+                                             ks[:len(ks) // 2])
+        else:
+            # the index class j0 mod m, with zeta^j0 = c for
+            # zeta = g^((q-1)/m), the (q-1)/m-th step of the full walk
+            j0 = walk(ctx, 1)[::e].index(c)
+            terms, flags = whole[3][j0::m], whole[4][j0::m]
+            tiny = tuple(s for s in whole[2] if pow(s, e, q) == c)
+        entry = (math.fsum(terms), flags.count(1), tiny)
+        if m == 1:
+            entry += (terms, flags)
+        sums[(m, c)] = entry
+    log2, negatives, tiny = entry[:3]
     for r in tiny:
         warnings.warn(f"near-zero factor at residue {r} (p={q}); "
                       "precision degraded", RuntimeWarning, stacklevel=2)
@@ -283,7 +319,7 @@ def pmd_theorem14_numeric(p, a: int = 1,
     sign (-1)^#{1 <= k < p/4 : (k/p) = 1} and magnitude 2^((p-1)/4).
     The k^2 run over R_2(p) once each (k and p - k have the same square),
     so the left side is tan_product(p, 2, a), and the residues k below p/4
-    are the members of R_2(p) up to (p-1)/4.
+    are the members of R_2(p) up to (p-1)/4, counted along its walk.
     """
     t0 = time.perf_counter()
     ctx = as_prime(p)
@@ -294,7 +330,7 @@ def pmd_theorem14_numeric(p, a: int = 1,
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
     got = tan_product(ctx, 2, a)
     quarter = ctx.p_minus_1 // 4
-    low = bisect.bisect_right(residue_set(ctx, 2).members, quarter)
+    low = len([k for k in walk(ctx, 2) if k <= quarter])
     want_sign = -1 if low % 2 else 1
     ok = got.sign == want_sign and \
         abs(got.log2_mag - quarter) <= _log_tolerance(rel_tol)

@@ -6,6 +6,21 @@ restriction of the 2m-th power residue symbol to arguments whose value
 a^((p-1)/(2m)) mod p is +-1; anything else raises NonRealSymbol, since a
 faithful complex-valued symbol would need an embedding choice this library
 deliberately does not make.
+
+Every layer reads R_m(p) as a walk, the powers h^0, h^1, ... of a generator
+h of the cyclic group R_m(p), unsorted: Lemma 2.1 is a sum, the exact
+layer's images a product mod l and an fsum, and the numeric layer indexes
+its pair terms by position.  Only residue_set, the public sorted view, sorts.
+
+One walk per prime.  If g is the generator of the full walk of (Z/p)*,
+R_m(p) = <g^m>, so walk(p, m) is walk(p, 1)[::m], a slice, whenever the
+full walk of p has been built; otherwise it is walked from a generator of
+R_m(p) alone, which costs O(|R|) and factors only |R|, not p - 1.  Residue
+g^j lies in the coset g^j0 * R_m(p) iff j = j0 (mod m), so every coset of
+every m is an index class of the one walk; numeric.tan_product sums its
+cosets as slices of the m = 1 pair terms.  When 2m | p - 1, h^(|R|/2) is
+the element of order 2, -1, so walk[i + |R|/2] = p - walk[i]: the first half
+of a walk holds one member of each pair {k, p - k}.
 """
 
 from __future__ import annotations
@@ -47,13 +62,18 @@ def require_even_index(ctx: PrimeContext, m: int) -> None:
             f"2m={2 * m} does not divide p-1={ctx.p_minus_1}")
 
 
-def is_mth_residue(k: int, p: int | PrimeContext, m: int) -> bool:
-    """Whether k is an m-th power modulo p, by the exponent criterion."""
-    ctx = as_prime(p)
+def _require_index(ctx: PrimeContext, m: int) -> None:
+    """Raise unless m is positive and divides p - 1."""
     if m < 1:
         raise ValueError("m must be positive")
     if ctx.p_minus_1 % m != 0:
         raise HypothesisViolation(f"p={ctx.p} is not 1 mod m={m}")
+
+
+def is_mth_residue(k: int, p: int | PrimeContext, m: int) -> bool:
+    """Whether k is an m-th power modulo p, by the exponent criterion."""
+    ctx = as_prime(p)
+    _require_index(ctx, m)
     if k % ctx.p == 0:
         raise HypothesisViolation(f"k={k} is divisible by p={ctx.p}")
     return pow(k % ctx.p, ctx.p_minus_1 // m, ctx.p) == 1
@@ -86,44 +106,55 @@ def _subgroup_generator(p: int, m: int) -> int:
         c += 1
 
 
-def residue_set(p: int | PrimeContext, m: int) -> ResidueSet:
-    """All m-th power residues in [1, p-1].
+def walk(p: int | PrimeContext, m: int) -> tuple[int, ...]:
+    """R_m(p) as the powers h^i, 0 <= i < (p-1)/m, of a generator h, unsorted.
 
-    Membership is defined by the exponent test k^((p-1)/m) = 1 (mod p).  The
-    set itself is built by walking the powers of a generator of the subgroup,
-    which produces the same set in O(p/m) multiplications.  Sets are kept for
-    the most recent prime only, so every check and every a at that prime
-    shares one build per m.
+    m must divide p - 1.  The walk is walk(p, 1)[::m] when the full walk of
+    p is already built, and is walked from a generator of R_m(p) otherwise
+    (see the module docstring).  The two may start from different
+    generators, so the order of walk(p, m), m > 1, depends on which came
+    first; walk(p, 1) is always the walk of the same primitive root.  When
+    2m | p - 1, walk[i + |R|/2] = p - walk[i].  Walks are kept for the most
+    recent prime only, so every check and every a at that prime shares one
+    walk per m.
     """
     ctx = as_prime(p)
-    require_even_index(ctx, m)
-    sets = _residue_sets(ctx.p)
-    rs = sets.get(m)
-    if rs is None:
-        rs = sets[m] = _build_residue_set(ctx.p, m)
-    return rs
+    _require_index(ctx, m)
+    walks = _walks(ctx.p)
+    w = walks.get(m)
+    if w is None:
+        full = walks.get(1)
+        w = walks[m] = full[::m] if full is not None else _walk(ctx.p, m)
+    return w
 
 
 @functools.lru_cache(maxsize=1)
-def _residue_sets(p: int) -> dict[int, ResidueSet]:
-    """The R_m(p) built so far for prime p, keyed by m."""
+def _walks(p: int) -> dict[int, tuple[int, ...]]:
+    """The walks built so far for prime p, keyed by m."""
     return {}
 
 
-def _build_residue_set(q: int, m: int) -> ResidueSet:
+def _walk(q: int, m: int) -> tuple[int, ...]:
+    """The powers of _subgroup_generator(q, m), in order, by doubling: with
+    h^0..h^(n-1) known, h^n times each gives h^n..h^(2n-1)."""
     count = (q - 1) // m
-    if m == 1:
-        return ResidueSet(q, 1, tuple(range(1, q)))
-    step = _subgroup_generator(q, m)
-    out = []
-    cur = 1
-    for _ in range(count):
-        out.append(cur)
-        cur = cur * step % q
-    if cur != 1:
-        raise ArithmeticError(
-            f"the walk of R_{m}({q}) did not close after {count} steps")
-    return ResidueSet(q, m, tuple(sorted(out)))
+    h = _subgroup_generator(q, m)
+    out = [1]
+    while len(out) < count:
+        step = pow(h, len(out), q)
+        out += [x * step % q for x in out[:count - len(out)]]
+    return tuple(out)
+
+
+def residue_set(p: int | PrimeContext, m: int) -> ResidueSet:
+    """All m-th power residues in [1, p-1], sorted; m must divide p - 1.
+
+    Membership is defined by the exponent test k^((p-1)/m) = 1 (mod p).  The
+    set itself is the walk of a generator of the subgroup, which produces
+    the same set in O(p/m) multiplications, sorted.
+    """
+    ctx = as_prime(p)
+    return ResidueSet(ctx.p, m, tuple(sorted(walk(ctx, m))))
 
 
 def verify_residue_sum(p: int | PrimeContext, m: int) -> VerificationRecord:
@@ -131,8 +162,9 @@ def verify_residue_sum(p: int | PrimeContext, m: int) -> VerificationRecord:
     p(p-1)/(2m)."""
     t0 = time.perf_counter()
     ctx = as_prime(p)
+    require_even_index(ctx, m)
     target = ctx.p * ctx.p_minus_1 // (2 * m)
-    total = sum(residue_set(ctx, m).members)
+    total = sum(walk(ctx, m))
     return finish(ctx.p, m, 0, "lemma21", total == target,
                   str(target), str(total), t0)
 

@@ -17,6 +17,15 @@ def test_residues_command(capsys):
     assert out[1] == "sum = 26"
 
 
+def test_residues_command_needs_only_m_dividing_p_minus_1(capsys):
+    # R_4(13) = {1, 3, 9} has an odd number of members, so no pairs
+    # {k, p - k}, but it is defined; only an m not dividing 12 fails
+    assert main(["residues", "--p", "13", "--m", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1 3 9", "sum = 13"]
+    assert main(["residues", "--p", "13", "--m", "5"]) == 1
+    assert "not 1 mod m=5" in capsys.readouterr().err
+
+
 def test_symbol_command(capsys):
     assert main(["symbol", "--a", "-2", "--p", "31", "--m", "3"]) == 0
     assert capsys.readouterr().out.strip() == "-1"

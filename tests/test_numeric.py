@@ -12,8 +12,8 @@ from resitan import (BranchViolation, HypothesisViolation, PoleProximity,
                      pmd_lemma_identity, pmd_theorem14_numeric, residue_set,
                      symbol_sign, tan_product, verify_tan_cross,
                      verify_theorem_main_numeric)
-from resitan import numeric
-from resitan.harness import PMD_X_GRID, run_check
+from resitan import numeric, residues
+from resitan.harness import PMD_X_GRID, ScanConfig, _scan_prime, run_check
 from resitan.numeric import POLE_EPS, ZERO_CROSS, _log_tolerance
 from resitan.records import finish
 
@@ -566,6 +566,87 @@ class TestFactorTable:
             tan_product(p, m, a)
         named = sorted(int(str(w.message).split()[4]) for w in caught)
         assert named == sorted(a * k % p for k in residue_set(p, m).members)
+
+
+class TestCosetSlices:
+    """Once the m = 1 sum holds the pair terms along walk(p, 1), every coset
+    of every m is the index class j0 mod m of them, and its entry is the one
+    a cold sum over the coset's own pairs stores, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self):
+        numeric._coset_sums.cache_clear()
+        yield
+        numeric._coset_sums.cache_clear()
+
+    def test_slices_bit_identical_to_cold_sums(self):
+        for p in odd_primes_up_to(399):
+            ms = admissible_m(p)[1:]
+            keys = {(m, a): (m, pow(a, (p - 1) // m, p))
+                    for m in ms for a in range(1, p)}
+            cold = {}
+            for (m, a), key in keys.items():
+                if key not in cold:
+                    numeric._coset_sums.cache_clear()
+                    tan_product(p, m, a)
+                    assert set(numeric._coset_sums(p)) == {key}
+                    cold[key] = numeric._coset_sums(p)[key]
+            numeric._coset_sums.cache_clear()
+            tan_product(p, 1, 1)
+            sums = numeric._coset_sums(p)
+            whole = sums[(1, 1)]
+            for (m, a), key in keys.items():
+                # only the m = 1 entry: every a goes through its own slice
+                sums.clear()
+                sums[(1, 1)] = whole
+                got = tan_product(p, m, a)
+                assert sums[key] == cold[key], (p, m, a)
+                if a in a_values(p):
+                    assert got == reference_tan_product(p, m, a), (p, m, a)
+
+    def test_sliced_coset_warns_for_its_own_tiny_factors(self, monkeypatch):
+        # under an infinite TINY_FACTOR every factor is tiny: a coset sliced
+        # from the m = 1 sum names exactly its own residues, each once
+        monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
+        p, m = 31, 3
+        with pytest.warns(RuntimeWarning):
+            tan_product(p, 1, 1)
+        for a in (1, 3, 5, 9):
+            with pytest.warns(RuntimeWarning) as caught:
+                tan_product(p, m, a)
+            named = sorted(int(str(w.message).split()[4]) for w in caught)
+            assert named == sorted(coset_residues(p, m, a)), a
+
+    @pytest.mark.parametrize("p", [1009, 5449])
+    def test_numeric_checks_of_a_prime_evaluate_each_pair_once(
+            self, p, monkeypatch):
+        # the five checks of the numeric scan: thm_main_numeric's m = 1 sum
+        # evaluates the (p - 1)/2 pairs, and every later coset of every m,
+        # pmd_thm14's included, is a slice of its terms (756 tangents at
+        # p = 1009 and 8172 at p = 5449 when each coset was evaluated)
+        calls = []
+        real_tan = math.tan
+        monkeypatch.setattr(math, "tan",
+                            lambda x: calls.append(x) or real_tan(x))
+        config = ScanConfig(3, 3, checks=("thm_main_numeric", "pmd_thm14",
+                                          "lemma21", "lemma31", "criterion"))
+        records = _scan_prime((config, p))
+        assert {rec.status for rec in records} <= {"pass",
+                                                   "skipped(hypothesis)"}
+        assert len(calls) == (p - 1) // 2 == {1009: 504, 5449: 2724}[p]
+
+    def test_small_subgroup_of_a_large_prime_caches_only_its_size(self):
+        # R_2570(1007441) has 392 members: no walk, term list or flag string
+        # of length p or (p - 1)/2 may be built for it
+        p, m = 1007441, 2570
+        residues._walks.cache_clear()
+        assert tan_product(p, m, 3).render() == "-2^196.000000000"
+        cached = list(residues._walks(p).values())
+        for entry in numeric._coset_sums(p).values():
+            cached += [x for x in entry if hasattr(x, "__len__")]
+        assert set(residues._walks(p)) == {m}
+        assert set(numeric._coset_sums(p)) == {(m, pow(3, (p - 1) // m, p))}
+        assert max(map(len, cached)) <= 392
 
 
 class TestTanProductErrorModel:

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import admissible_m, odd_primes_up_to
 from resitan import (HypothesisViolation, NonRealSymbol, is_mth_residue,
                      jacobi, residue_set, residue_sum_check, symbol_sign)
-from resitan.residues import verify_residue_sum
+from resitan import residues
+from resitan.residues import verify_residue_sum, walk
 
 
 class TestIsMthResidue:
@@ -43,6 +46,13 @@ class TestResidueSet:
         with pytest.raises(HypothesisViolation):
             residue_set(13, 5)
 
+    def test_needs_only_m_dividing_p_minus_1(self):
+        # 2m = 8 does not divide 12, but R_4(13) is the subgroup of order 3
+        assert residue_set(13, 4).members == (1, 3, 9)
+        assert residue_set(13, 12).members == (1,)
+        with pytest.raises(ValueError):
+            residue_set(13, 0)
+
     def test_agrees_with_exponent_test(self):
         # the generator fast path must match the defining exponent test
         rng = random.Random(11)
@@ -74,11 +84,87 @@ class TestResidueSet:
                     assert u * v % p in mset
 
 
+def dividing_m(p):
+    """Every m with m | p - 1."""
+    return [m for m in range(1, p) if (p - 1) % m == 0]
+
+
+@st.composite
+def prime_and_divisor(draw):
+    """An odd prime p < 2000 and an m with m | p - 1."""
+    p = draw(st.sampled_from(odd_primes_up_to(1999)))
+    return p, draw(st.sampled_from(dividing_m(p)))
+
+
+def assert_is_a_walk(w, p, m):
+    """w is h^0, h^1, ... for h = w[1], of order (p-1)/m: distinct, from 1."""
+    size = (p - 1) // m
+    assert len(w) == len(set(w)) == size
+    assert w[0] == 1
+    assert all(w[i + 1] == w[i] * w[1 % size] % p for i in range(size - 1))
+    assert w[-1] * w[1 % size] % p == 1
+
+
+class TestWalk:
+    @pytest.fixture(autouse=True)
+    def fresh_walks(self):
+        residues._walks.cache_clear()
+        yield
+        residues._walks.cache_clear()
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(prime_and_divisor())
+    def test_direct_walk_and_slice_of_the_full_walk(self, pm):
+        p, m = pm
+        residues._walks.cache_clear()
+        direct = walk(p, m)
+        full = walk(p, 1)
+        residues._walks.cache_clear()
+        assert walk(p, 1) == full
+        sliced = walk(p, m)
+        assert sliced == full[::m]
+        powers = {pow(k, m, p) for k in range(1, p)}
+        for w in (direct, sliced):
+            assert set(w) == powers
+            assert_is_a_walk(w, p, m)
+            if (p - 1) % (2 * m) == 0:
+                # -1 = h^(|R|/2): the second half is the first negated
+                half = len(w) // 2
+                assert all(w[i + half] == p - w[i] for i in range(half))
+        assert residue_set(p, m).members == tuple(sorted(powers))
+
+    def test_direct_and_sliced_walks_may_differ_in_order(self):
+        # R_2(7) = {1, 2, 4}: walked directly from its least generator 4,
+        # and as every second power of the primitive root 3
+        assert walk(7, 2) == (1, 4, 2)
+        residues._walks.cache_clear()
+        assert walk(7, 1) == (1, 3, 2, 6, 4, 5)
+        assert walk(7, 2) == (1, 2, 4)
+
+    def test_a_small_subgroup_is_walked_without_the_full_walk(self):
+        p = 1007441
+        assert len(walk(p, 2570)) == 392
+        assert set(residues._walks(p)) == {2570}
+
+    def test_rejects_m_not_dividing_p_minus_1(self):
+        with pytest.raises(HypothesisViolation, match="not 1 mod m=5"):
+            walk(13, 5)
+        with pytest.raises(ValueError):
+            walk(13, -1)
+
+
 class TestResidueSumCheck:
     def test_examples(self):
         assert residue_sum_check(31, 3)
         assert residue_sum_check(13, 3)  # 1+5+8+12 = 26 = 13*12/6
         assert residue_sum_check(5, 1)   # 1+2+3+4 = 10
+
+    def test_even_index_is_a_hypothesis_of_the_sum(self):
+        # R_4(13) sums to 13, not to p(p-1)/(2m) = 19.5: the lemma needs
+        # 2m | p - 1, and says so with the exact checks' reason
+        with pytest.raises(HypothesisViolation,
+                           match=r"^2m=8 does not divide p-1=12$"):
+            verify_residue_sum(13, 4)
 
     def test_record(self):
         rec = verify_residue_sum(13, 3)
