@@ -32,27 +32,34 @@ Float bound.  Write the claim as P = c * i^q with P the product over R of
 coset cR of (i^u + s*e^(2 pi i x/p)).  Since -1 lies in R (2m divides p-1),
 x -> -x maps cR onto itself, and |-i + s*e^(2 pi i x/p)| and
 |i - s*e^(2 pi i x/p)| both equal |i + s*e^(-2 pi i x/p)|, so neither u nor s
-changes the modulus: there are only m moduli 2^L_c, one per coset.  Each
-factor has the closed form |i + e^(2 pi i x/p)| = 2 sin(pi y/(4p)) with
-y = (4x + p) mod 4p folded to min(y, 4p - y), an odd integer below 2p, so
-the angle is reduced exactly in integers and lies in (0, pi/2].  The
-computed log2 of one factor is within 2^-40 of the true value when p < 2^40:
-  - pi*y/(4p) carries three roundings (math.pi, *, /), a relative error of
-    at most 3u (u = 2^-53), which moves log sin by at most 3u because
+changes the modulus: there are only m moduli 2^L_c, one per coset.  The
+factors of x and -x multiply to |i + z|*|-i + z| = |1 + z^2| with
+z = e^(2 pi i x/p), that is 2|cos(2 pi x/p)|, so L_c is the sum over the
+pairs {x, p - x} of cR of T[2x], the table of numeric, with
+T[r] = log2|2 cos(pi r/p)| = log2(2 sin(pi (p - 2r)/(2p))) and 2x folded
+below p/2.  As x runs over one member of each pair of cR, 2x runs over one
+of each pair of 2cR, so L_c = H(2c) in numeric's notation, and since
+c -> 2c permutes the cosets, max_c L_c = max_c H(c).  The computed log2 of
+one pair is within 2 * 2^-40 of the true value for every p < 2^62:
+  - pi*(p - 2r)/(2p) carries three roundings (math.pi, the correctly
+    rounded quotient of two integers, and *), a relative error of at most
+    3u (u = 2^-53), which moves log sin by at most 3u because
     x*cot(x) <= 1 on (0, pi/2];
   - sin and log2 are within one ulp: 2u relative for sin, and
-    2^-52 * |log2 f| for log2, where |log2 f| <= log2(p) because
-    1/p <= f = 2 sin(pi y/(4p)) <= 2;
-  - math.fsum is correctly rounded, adding at most 2^-53 * |L_c|, which is
-    at most 2^-53 * log2(p) per factor;
-  in all under 180u < 2^-45 per factor for p < 2^40, so 2^-40 leaves a
-  factor of 32 for libm error beyond one ulp.  So L_c is below the
+    2^-52 * |log2 f| for log2, where |log2 f| <= log2(p) <= 62 because
+    2/p <= f = 2 sin(pi (p - 2r)/(2p)) <= 2;
+  - math.fsum is correctly rounded, adding at most 2^-53 * |H|, which is
+    at most 2^-53 * log2(p) per pair;
+  in all under (8 + 3 * 62)u < 2 * 180u per pair, so under 180u < 2^-45
+  per factor, and 2^-40 leaves a factor of 32 for libm error beyond one ulp.  So L_c is below the
   computed sum plus margin = ceil(|R| * 2^-40), one bit for any feasible p,
   and every conjugate of d = P - c * i^q is at most
-      B = 2^(ceil(max_c L_c) + margin) + 1.
+      B = 2^(ceil(max_c H(c)) + margin) + 1.
   For the products of Theorem 1.2 each L_c is 0 up to rounding, so B <= 4 + 1
-  and one prime l > 2^61 closes the certificate.  From p = 2^40 on, the crude
-  bound of one bit per factor (|i + s*zeta| <= 2) is used instead.
+  and one prime l > 2^61 closes the certificate.  The argument covers
+  every p a certificate can take, since split primes l = 1 (mod 4p) below
+  2^62 need 4p < 2^62.  The sums are numeric.coset_log2's, so the exact and
+  numeric checks of a prime evaluate one sin per pair between them.
 
 Primes are found on demand: the l = 1 (mod 4p) below 2^62 are walked
 downwards, proven by is_prime, and kept per 4p, so a certificate that closes
@@ -70,9 +77,9 @@ at most one I^e; that e is certified as above, and the check passes iff e
 is the claimed exponent (half + 1 - delta) mod 4.  _unit_exponents decides
 both signs over the same split primes and is cached per (p, m), so gi,
 gi_plus, thm_main_exact, cor11 and cor12 share it for every a.  Split primes
-are kept per 4p, and _factor_images' per-factor tables for the current p
-only; the float bound sums each coset's factors directly, and the rest is
-computed once per (p, m) and prime.
+are kept per 4p, and _factor_images' per-factor tables and the float
+bound's coset sums for the current p only; the rest is computed once per
+(p, m) and prime.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.
@@ -92,6 +99,7 @@ from types import MappingProxyType
 
 from .arith import PrimeContext, as_prime, is_prime
 from .errors import HypothesisViolation
+from .numeric import coset_log2
 from .records import VerificationRecord, finish, int_str
 from .residues import is_mth_residue, require_even_index, symbol_sign, walk
 
@@ -111,10 +119,9 @@ def _product_context(p, m: int, a: int) -> PrimeContext:
 # of two residues stays near two machine words.
 _SPLIT_TOP = 1 << 62
 
-# The float bound (module docstring): below _FLOAT_P_LIMIT the computed log2
-# of one factor is within _FACTOR_ERR of the true value.
+# The float bound (module docstring): the computed log2 of one factor is
+# within _FACTOR_ERR of the true value.
 _FACTOR_ERR = 2.0 ** -40
-_FLOAT_P_LIMIT = 1 << 40
 
 
 @functools.lru_cache(maxsize=64)
@@ -170,19 +177,14 @@ def _log2_bound(p: int, m: int) -> int:
     """An exponent b >= 0 with |sigma(P)| <= 2^b for every complex conjugate
     sigma(P) of P = prod over k in R_m(p) of (i +- zeta_p^k), either sign.
 
-    The float bound of the module docstring: one log2 sum per coset, plus a
-    margin from the per-factor error bound.  The cosets are read along the
-    unsorted walk of R; an fsum does not depend on the order of its terms.
+    The float bound of the module docstring: L_c = H(2c), and c -> 2c
+    permutes the cosets, so the largest L_c is the largest H(c) that
+    numeric.coset_log2 gives over the coset representatives, plus a margin
+    from the per-factor error bound.
     """
-    members = walk(p, m)
-    if p >= _FLOAT_P_LIMIT:
-        return len(members)
-    n = 4 * p
-    worst = max(
-        math.fsum(math.log2(2.0 * math.sin(math.pi * min(y, n - y) / n))
-                  for y in [(4 * (c * k % p) + p) % n for k in members])
-        for c in _coset_reps(p, m))
-    margin = math.ceil(len(members) * _FACTOR_ERR)
+    ctx = PrimeContext(p)
+    worst = max(coset_log2(ctx, m, c)[0] for c in _coset_reps(p, m))
+    margin = math.ceil((p - 1) // m * _FACTOR_ERR)
     return max(0, math.ceil(worst) + margin)
 
 

@@ -13,56 +13,70 @@ the exact angle, and a zero of 1 + tan(pi*t) is recognized as
 The products over power residues of a prime q all go through tan_product:
 verify_theorem_main_numeric (and so the corollary cor11) and
 pmd_theorem14_numeric, whose {a*k^2 : 1 <= k <= (q-1)/2} is exactly
-a*R_2(q).
+a*R_2(q).  Its magnitude, and the exact layer's float bound
+(cyclotomic._log2_bound), are sums of one table per prime, read by
+coset_log2.
 
-A product over R_m(q) depends on a only through the coset a*R_m(q):
-k -> a*k is a bijection of R_m(q) onto that coset, so the multiset of
-factors is the coset itself.  The first product that meets a coset
-evaluates its factors, a pair at a time (below), or slices them from the
-m = 1 terms (below), and stores one log2 sum per (m, coset), which serves
-every a in the coset; only the current prime's sums are kept, and only the
-m = 1 sum keeps its terms.  This is exact, not an approximation: math.fsum
-returns the correctly rounded value of the exact sum of its inputs,
-whatever their order, so every representative of the coset gives the same
-float bit for bit.  Unlike sum() of floats, which is compensated from
-Python 3.12 on, it gives the same float on every Python version.
+The table.  For 0 < r < q/2 let T[r] = log2|2 cos(pi*r/q)|
+= log2(2 sin(pi*(q - 2r)/(2q))), one entry per pair {r, q - r}.  A pair of
+tangent factors is (1 + t)(1 - t) = 1 - t^2 = cos(2x)/cos(x)^2 with
+t = tan(x), x = pi*r/q, so its log2 is T[r'] - 2*T[r] + 1, where r' is 2r
+mod q folded to min(2r, q - 2r) mod q: |cos(2x)| = |cos(pi*r'/q)|.
 
-One tangent serves each pair of factors.  tan_product requires 2m | q - 1,
-so -1 = g^((q-1)/2) is an m-th power and every coset a*R_m(q) is closed
-under r -> q - r: it is (q-1)/(2m) pairs {r, q - r}, one member of each
-below q/2.  k -> a*k maps the pair {k, q - k} of R_m(q) onto a pair of the
-coset, so the first half of the walk of R_m(q) (residues.walk, whose second
-half is the first negated) names every pair of the coset once.  With
-t = tan(pi*r/q), r < q/2, the partner's factor 1 + tan(pi - pi*r/q) is
-1 - t, so the pair contributes one term log2|(1 + t)(1 - t)| to the fsum.
-The angle pi*r/q lies in (0, pi/2), so 1 + t > 1, and 1 - t < 0 iff
-pi*r/q > pi/4, that is iff 4r > q: the sign is a count of integers.
+Cosets.  tan_product requires 2m | q - 1, so -1 = g^((q-1)/2) is an m-th
+power and every coset a*R_m(q) is closed under r -> q - r: it is (q-1)/(2m)
+pairs, one member of each below q/2.  k -> a*k maps the pair {k, q - k} of
+R_m(q) onto a pair of the coset, so the first half of the walk of R_m(q)
+(residues.walk, whose second half is the first negated) names every pair of
+the coset once.  coset_log2 returns H(a), the math.fsum of T over the pairs
+of a*R_m(q), and the number of them with 4r > q.  r -> 2r maps the pairs of
+a*R_m(q) one to one onto those of 2a*R_m(q), so the product over a*R_m(q)
+has log2 magnitude H(2a) - 2*H(a) + (q-1)/(2m).  1 + t > 1, and 1 - t < 0 iff
+x > pi/4, that is iff 4r > q: the sign is the parity of that count.  2a
+lies in the coset of a only when 2 is in R_m(q), the theorem's hypothesis,
+which tan_product does not assume.
 
-Every coset is a slice of the m = 1 terms.  The m = 1 sum evaluates the
-pair terms of the whole group in index order, term j for the pair of g^j,
-0 <= j < (q-1)/2, over the walk of a primitive root g, and keeps them with
-one negative flag per pair (4r > q, as bytes).  g^j lies in
+A sum over R_m(q) depends on a only through the coset a*R_m(q), named by
+c = a^((q-1)/m) mod q: x -> x^((q-1)/m) is a homomorphism of the cyclic
+group (Z/q)* whose kernel is exactly R_m(q), so a and b give the same c iff
+a*R_m(q) = b*R_m(q).  One sum is stored per (m, c), for the current prime
+only.  This is exact, not an approximation: math.fsum returns the correctly
+rounded value of the exact sum of its inputs, whatever their order, so
+every representative of the coset gives the same float bit for bit.
+Unlike sum() of floats, which is compensated from Python 3.12 on, it gives
+the same float on every Python version.
+
+Every coset is a slice of the m = 1 terms.  The m = 1 sum evaluates T for
+the whole group in index order, term j for the pair of g^j,
+0 <= j < (q-1)/2, over the walk of a primitive root g, and keeps the terms
+with one flag per pair (4r > q, as bytes).  g^j lies in
 a*R_m(q) = g^j0*<g^m> iff j = j0 (mod m), and j0 < m solves
-(g^((q-1)/m))^j0 = a^((q-1)/m), the coset's key: x -> x^((q-1)/m) maps
-g^j to (g^((q-1)/m))^j, of order m.  The pair of g^j is that of
-g^(j + (q-1)/2) = -g^j, and m | (q-1)/2 puts both indices in the class of
-j0, so the class j0 mod m of [0, (q-1)/2) names each pair of the coset once.
-Its sum is fsum(terms[j0::m]) and its negative count flags[j0::m].count(1):
-the same floats as a cold sum over the coset's own pairs, bit for bit, so
-the same sum.  A coset met before the m = 1 sum exists is summed cold, over
-a times the first half of its own walk, by the same pair-term helper.
+(g^((q-1)/m))^j0 = c: x -> x^((q-1)/m) maps g^j to (g^((q-1)/m))^j, of
+order m.  The pair of g^j is that of g^(j + (q-1)/2) = -g^j, and
+m | (q-1)/2 puts both indices in the class of j0, so the class j0 mod m of
+[0, (q-1)/2) names each pair of the coset once.  Its sum is
+fsum(terms[j0::m]): the same floats as a cold sum over the coset's own
+pairs, bit for bit, so the same sum.  A coset met before the m = 1 sum
+exists is summed cold, over a times the first half of its own walk, so a
+small R_m(q) of a large prime costs O(|R_m(q)|).  Either way each prime
+evaluates at most one sin per pair once its m = 1 sum exists, and the
+numeric and exact checks of a prime share the sums.
 
-Error model of the pair form.  t is the float the per-factor evaluation
-gives for r, bit for bit.  Evaluated on its own, the partner's factor is
-1 + tan(pi*(fl((q - r)/q) - 1)), whose angle carries the rounding of
-fl((q - r)/q), up to 2^-54; 1 - t carries that of fl(r/q), at most 2^-55
-where it matters, near r/q = 1/4, where 1 - t is near zero and the angle's
-error is amplified by about q.  The product (1 + t)(1 - t) rounds once, a
-relative 2^-53, or 1.6e-16 in log2.  Against 40-digit mpmath, over every m
-with 2m | p - 1 and a = 1..7, the worst coset-sum error is 2.6e-13 for
-p < 400 (4.0e-13 for the per-factor form) and 4.5e-13 with p = 1009 and
-5009 added (1.8e-12); at p = 1000003, m = 1, the sum reads 500001.000000000
-to nine decimals, where the per-factor form read 500000.999999999.
+Error model.  The angle pi*(q - 2r)/(2q) lies in (0, pi/2) and is the
+float product of math.pi and the correctly rounded quotient of two
+integers: three roundings, a relative 3u (u = 2^-53), at any q.  Since
+x*cot(x) <= 1 on (0, pi/2], that moves log sin by at most 3u, and sin and
+log2 add an ulp each, so every T[r] is within (8 + 2*log2(q))*u of
+log2|2 cos(pi*r/q)|: 2 sin lies in [2/q, 2], so |T[r]| <= log2(q), and no
+term amplifies its angle's error, since the form has no pole and no zero.
+Each fsum rounds once, adding at most u*log2(q) per term.  So H is within
+(|R|/2)*(8 + 3*log2(q))*u of its true value, and the magnitude
+H(2a) - 2*H(a) + |R|/2 within three times that plus one rounding: 2e-12 at
+|R| = 112 and q near 2^36.  An angle taken as pi*(r/q) instead would carry
+the rounding of r/q, amplified about q-fold next to the pole of t at
+r/q = 1/2 and the zero of 1 - t at 1/4: tangent pairs evaluated that way
+read -2^55.999998431 at q = 54410972897, m = 485812258, where the table
+reads -2^56.000000000.
 """
 
 from __future__ import annotations
@@ -70,15 +84,13 @@ from __future__ import annotations
 import functools
 import math
 import time
-import warnings
 from collections import namedtuple
 
-from .arith import as_prime, jacobi
+from .arith import PrimeContext, as_prime, jacobi
 from .errors import BranchViolation, HypothesisViolation, PoleProximity
 from .records import VerificationRecord, finish
 from .residues import is_mth_residue, require_even_index, symbol_sign, walk
 
-TINY_FACTOR = 1e-12   # |1 + tan| below this degrades float precision
 POLE_EPS = 1e-9
 ZERO_CROSS = 1e-9
 
@@ -125,73 +137,40 @@ def _log_tolerance(rel_tol: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _coset_sums(q: int) -> dict[tuple[int, int], tuple]:
     """The coset sums of prime q computed so far, keyed by (m, a^((q-1)/m)
-    mod q): the log2 sum, the count of negative factors and the tiny
-    residues of the coset a*R_m(q).  The entry of m = 1 also keeps its pair
-    terms and negative flags, indexed along walk(q, 1), which every later
-    coset is sliced from.  Only the current prime's are kept."""
+    mod q): H, the fsum of T over the pairs of a*R_m(q), and the count of
+    those pairs with 4r > q.  The entry of m = 1 also keeps its terms and
+    flags, indexed along walk(q, 1), which every later coset is sliced from.
+    Only the current prime's are kept."""
     return {}
 
 
-def _tiny_residues(q: int, folded: list[int],
-                   tans: list[float]) -> tuple[int, ...]:
-    """The residues whose factor is below TINY_FACTOR in magnitude: r for
-    1 + t and q - r for 1 - t, over the pairs (r, t = tan(pi*r/q)).  A factor
-    that is exactly 0 raises instead."""
-    tiny = []
-    for r, t in zip(folded, tans):
-        for f, s in ((1.0 + t, r), (1.0 - t, q - r)):
-            if f == 0.0:
-                raise ArithmeticError(f"1 + tan(pi*{s}/{q}) evaluated to 0")
-            if abs(f) < TINY_FACTOR:
-                tiny.append(s)
-    return tuple(tiny)
-
-
-def _pair_terms(q: int, a: int, ks) -> tuple[list[float], bytes, tuple]:
-    """The pair terms log2|(1 + t)(1 - t)|, the negative flags 4r > q and
-    the tiny residues of the pairs named by a*k mod q for k in ks, in order.
-    Each image is folded to r = min(r, q - r) < q/2 and t = tan(pi*r/q)."""
+def _pair_terms(q: int, a: int, ks) -> tuple[list[float], bytes]:
+    """T[r] = log2(2 sin(pi*(q - 2r)/(2q))) and the flags 4r > q of the pairs
+    named by a*k mod q for k in ks, in order, each image folded to
+    r = min(r, q - r) < q/2.  The angle's quotient is of two integers."""
     below = q // 2
     folded = [r if (r := a * k % q) <= below else q - r for k in ks]
-    tans = [math.tan(math.pi * (r / q)) for r in folded]
-    pairs = [(1.0 + t) * (1.0 - t) for t in tans]
-    tiny = ()
-    if min(map(abs, pairs)) < 3.0 * TINY_FACTOR:
-        tiny = _tiny_residues(q, folded, tans)
-    return (list(map(math.log2, map(abs, pairs))),
-            bytes([4 * r > q for r in folded]), tiny)
+    two_q = 2 * q
+    return ([math.log2(2.0 * math.sin(math.pi * ((q - 2 * r) / two_q)))
+             for r in folded],
+            bytes([4 * r > q for r in folded]))
 
 
-def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
-    """Product of (1 + tan(pi*a*k/p)) over k in R_m(p), in sign/log2 form.
+@functools.lru_cache(maxsize=1)
+def _index_classes(ctx: PrimeContext, m: int) -> dict[int, int]:
+    """{c: j0} over the cosets of R_m(p): the coset keyed c is the index
+    class j0 mod m of walk(p, 1), since zeta^j0 = c for zeta = g^((p-1)/m),
+    the (p-1)/m-th step of the full walk.  Built once per m, so a bound
+    that reads all m cosets costs O(m), not O(m) per coset."""
+    return {c: j for j, c in enumerate(walk(ctx, 1)[::ctx.p_minus_1 // m])}
 
-    The factors are taken in pairs {r, p - r} of the coset a*R_m(p) (see the
-    module docstring): one tangent t = tan(pi*r/p) per pair, at the residue
-    r < p/2, gives both factors, 1 + t and 1 - t.  Arguments a*k are reduced
-    modulo p exactly before the division by p, so the only float error per
-    pair is the tangent evaluation itself.  1 + t > 1 always, and 1 - t < 0
-    iff t > 1, that is iff 4r > p, so the sign is an integer count.  No
-    factor can be exactly zero: 1 + tan(pi*a*k/p) = 0 would need ak/p = 3/4
-    modulo 1, impossible for odd prime p; a factor that evaluates to 0
-    raises, naming r for 1 + t and p - r for 1 - t, and nothing is stored
-    for its coset.
 
-    The log2 magnitude is the math.fsum of the pairs' log2|(1 + t)(1 - t)|,
-    evaluated once per coset a*R_m(p), or sliced from the terms of the m = 1
-    sum once that exists (module docstring), and stored.  The coset is named
-    by c = a^((p-1)/m) mod p: x -> x^((p-1)/m) is a homomorphism of the
-    cyclic group (Z/p)* whose kernel is exactly R_m(p), so a and b give the
-    same c iff a/b lies in R_m(p), that is iff a*R_m(p) = b*R_m(p).  A
-    factor below TINY_FACTOR warns on every call, whether the sum is new or
-    stored.  Such a factor is 1 - t with t near 1, whose pair has
-    |(1 + t)(1 - t)| below 3*TINY_FACTOR, so one min over the pairs rules
-    every factor out at once.
-    """
-    ctx = as_prime(p)
+def coset_log2(ctx: PrimeContext, m: int, a: int) -> tuple[float, int]:
+    """(H, negatives) of the coset a*R_m(p), 2m | p - 1 (module docstring):
+    H is the fsum of T[r] over its pairs, r < p/2, and negatives the number
+    of them with 4r > p.  Stored per coset; sliced from the m = 1 terms once
+    they exist, else summed over a times the first half of walk(p, m)."""
     q = ctx.p
-    if a % q == 0:
-        raise ValueError(f"a={a} is divisible by p={q}")
-    require_even_index(ctx, m)
     sums = _coset_sums(q)
     e = (q - 1) // m
     c = pow(a, e, q)
@@ -202,23 +181,35 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
             # the first half of a walk holds one k of each pair; m = 1 takes
             # a = 1, so that term j is the pair of g^j along walk(q, 1)
             ks = walk(ctx, m)
-            terms, flags, tiny = _pair_terms(q, a if m > 1 else 1,
-                                             ks[:len(ks) // 2])
+            terms, flags = _pair_terms(q, a if m > 1 else 1, ks[:len(ks) // 2])
         else:
-            # the index class j0 mod m, with zeta^j0 = c for
-            # zeta = g^((q-1)/m), the (q-1)/m-th step of the full walk
-            j0 = walk(ctx, 1)[::e].index(c)
-            terms, flags = whole[3][j0::m], whole[4][j0::m]
-            tiny = tuple(s for s in whole[2] if pow(s, e, q) == c)
-        entry = (math.fsum(terms), flags.count(1), tiny)
+            j0 = _index_classes(ctx, m)[c]
+            terms, flags = whole[2][j0::m], whole[3][j0::m]
+        entry = (math.fsum(terms), flags.count(1))
         if m == 1:
             entry += (terms, flags)
         sums[(m, c)] = entry
-    log2, negatives, tiny = entry[:3]
-    for r in tiny:
-        warnings.warn(f"near-zero factor at residue {r} (p={q}); "
-                      "precision degraded", RuntimeWarning, stacklevel=2)
-    return SignedMagnitude(-1 if negatives % 2 else 1, log2)
+    return entry[:2]
+
+
+def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
+    """Product of (1 + tan(pi*a*k/p)) over k in R_m(p), in sign/log2 form.
+
+    The factors pair up as {r, p - r}, r < p/2, into (1 + t)(1 - t) with
+    t = tan(pi*r/p), whose log2 is T[2r] - 2*T[r] + 1 (module docstring).
+    Summed over the pairs of the coset a*R_m(p), that is
+    H(2a) - 2*H(a) + (p-1)/(2m), with H from coset_log2, so no tangent is
+    evaluated and every term's angle is a ratio of integers.  1 + t > 1
+    always, and 1 - t < 0 iff 4r > p, so the sign is an integer count.
+    """
+    ctx = as_prime(p)
+    if a % ctx.p == 0:
+        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    require_even_index(ctx, m)
+    h, negatives = coset_log2(ctx, m, a)
+    h2 = coset_log2(ctx, m, 2 * a)[0]
+    return SignedMagnitude(-1 if negatives % 2 else 1,
+                           math.fsum((h2, -2.0 * h, ctx.p_minus_1 // (2 * m))))
 
 
 def verify_theorem_main_numeric(p, m: int, a: int = 1,
@@ -238,13 +229,10 @@ def verify_theorem_main_numeric(p, m: int, a: int = 1,
     half = ctx.p_minus_1 // (2 * m)
     delta = symbol_sign(-2, ctx, m).value
     want_sign = delta * (-1 if half % 2 else 1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = tan_product(ctx, m, a)
+    got = tan_product(ctx, m, a)
     ok = got.sign == want_sign and abs(got.log2_mag - half) <= _log_tolerance(rel_tol)
     expected = f"{'+' if want_sign > 0 else '-'}2^{half} (rel_tol={rel_tol:g})"
-    actual = got.render() + (" [precision warning]" if caught else "")
-    return finish(ctx.p, m, a, "thm_main_numeric", ok, expected, actual, t0)
+    return finish(ctx.p, m, a, "thm_main_numeric", ok, expected, got.render(), t0)
 
 
 def pmd_lemma_identity(n: int, x: float,

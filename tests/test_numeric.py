@@ -12,7 +12,8 @@ from resitan import (BranchViolation, HypothesisViolation, PoleProximity,
                      pmd_lemma_identity, pmd_theorem14_numeric, residue_set,
                      symbol_sign, tan_product, verify_tan_cross,
                      verify_theorem_main_numeric)
-from resitan import numeric, residues
+from resitan import cyclotomic, numeric, residues
+from resitan.cli import main
 from resitan.harness import PMD_X_GRID, ScanConfig, _scan_prime, run_check
 from resitan.numeric import POLE_EPS, ZERO_CROSS, _log_tolerance
 from resitan.records import finish
@@ -56,7 +57,8 @@ def reference_tan_product_mag(q, residues):
 
 def pair_terms(q, residues):
     """The log2 terms of the product over residues closed under r -> q - r,
-    one per pair: log2|(1 + t)(1 - t)| with t = tan(pi*r/q) at r < q/2."""
+    one per pair: log2|(1 + t)(1 - t)| with t = tan(pi*r/q) at r < q/2; a
+    bound oracle for the T form."""
     assert sorted(residues) == sorted(q - r for r in residues)
     terms = []
     for r in residues:
@@ -66,14 +68,29 @@ def pair_terms(q, residues):
     return terms
 
 
+def t_terms(q, residues):
+    """T[r] = log2|2 cos(pi*r/q)| for the members r < q/2 of residues closed
+    under r -> q - r, one per pair, each angle pi*(q - 2r)/(2q) a ratio of
+    integers rounded once."""
+    assert sorted(residues) == sorted(q - r for r in residues)
+    return [math.log2(2.0 * math.sin(math.pi * ((q - 2 * r) / (2 * q))))
+            for r in residues if 2 * r < q]
+
+
 def fsum_tan_product_mag(q, residues, seed=0):
-    """math.fsum of the pair terms in a shuffled order, with the per-factor
-    loop's sign: fsum rounds the exact sum once, so any order gives the
-    program's float bit for bit."""
+    """H(2a) - 2*H(a) + |R|/2 with each H a math.fsum of T terms in a
+    shuffled order, added by one more fsum, with the per-factor loop's sign:
+    fsum rounds the exact sum once, so any order gives the program's float
+    bit for bit."""
     sign, _ = reference_terms(q, residues)
-    terms = pair_terms(q, residues)
-    random.Random(seed).shuffle(terms)
-    return SignedMagnitude(sign, math.fsum(terms))
+    rng = random.Random(seed)
+    sums = []
+    for coset in (residues, [2 * r % q for r in residues]):
+        terms = t_terms(q, coset)
+        rng.shuffle(terms)
+        sums.append(math.fsum(terms))
+    h, h2 = sums
+    return SignedMagnitude(sign, math.fsum((h2, -2.0 * h, len(residues) // 2)))
 
 
 def coset_residues(p, m, a):
@@ -396,9 +413,9 @@ class TestPmdTheorem14:
 
 
 class TestFactorTable:
-    """The per-prime coset sums give the fsum of the pair terms bit for bit,
-    in any order and whether the sum is new or stored, and stay within 1e-10
-    of the per-factor loop's left-to-right sum."""
+    """The per-prime coset sums give the fsum of the T terms bit for bit, in
+    any order and whether the sum is new or stored, and the products stay
+    within 1e-10 of the per-factor tangent loop's left-to-right sum."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
@@ -448,32 +465,34 @@ class TestFactorTable:
                         reference_pmd14_strings(p, 2)
 
     def test_fills_only_the_factors_met(self, monkeypatch):
-        # R_504(1009) has 2 members, one pair: a cold call evaluates 1
-        # tangent, not 1008; R_252(1009) has 4, 2 pairs, and a coset of
-        # another m shares no factors, so both pairs are evaluated
+        # R_504(1009) = {1, 1008}, one pair, and 2 is not in it: a cold call
+        # evaluates 1 sin for the coset of 5 and 1 for that of 10, not 504;
+        # R_252(1009) has 2 pairs, and a coset of another m shares no sums
         calls = []
-        real_tan = math.tan
-        monkeypatch.setattr(math, "tan",
-                            lambda x: calls.append(x) or real_tan(x))
+        real_sin = math.sin
+        monkeypatch.setattr(math, "sin",
+                            lambda x: calls.append(x) or real_sin(x))
         tan_product(1009, 504, 5)
-        assert len(calls) == 1
+        assert len(calls) == 2
         tan_product(1009, 252, 5)
-        assert len(calls) == 3
+        assert len(calls) == 6
 
     def test_one_fill_and_one_sum_serve_every_a_of_a_coset(self, monkeypatch):
-        # at m = 1 the whole grid a = 1..5, 1008 is one coset of 504 pairs
-        calls = {"tan": 0, "fsum": 0}
-        real_tan, real_fsum = math.tan, math.fsum
+        # at m = 1 the whole grid a = 1..5, 1008 is one coset of 504 pairs,
+        # 2a included; each product adds its three sums with one more fsum
+        calls = {"sin": 0, "fsum": 0}
+        real_sin, real_fsum = math.sin, math.fsum
 
         def counting(name, fn):
             def wrapped(*args):
                 calls[name] += 1
                 return fn(*args)
             return wrapped
-        monkeypatch.setattr(math, "tan", counting("tan", real_tan))
+        monkeypatch.setattr(math, "sin", counting("sin", real_sin))
         monkeypatch.setattr(math, "fsum", counting("fsum", real_fsum))
-        got = {a: tan_product(1009, 1, a) for a in (1, 2, 3, 4, 5, 1008)}
-        assert calls == {"tan": 504, "fsum": 1}
+        grid = (1, 2, 3, 4, 5, 1008)
+        got = {a: tan_product(1009, 1, a) for a in grid}
+        assert calls == {"sin": 504, "fsum": 1 + len(grid)}
         assert len(numeric._coset_sums(1009)) == 1
         assert len(set(got.values())) == 1
 
@@ -489,89 +508,32 @@ class TestFactorTable:
                     cosets.add(frozenset(a * k % p for k in members))
                 assert len(numeric._coset_sums(p)) == len(cosets) == m
 
-    def test_precision_warning_on_cold_and_warm_table(self, monkeypatch):
-        # 2 and 4 lie in R_3(31), so a = 1, 2, 4 name one coset, and every
-        # call after the first is served from its stored sum
-        assert not verify_theorem_main_numeric(31, 3, 1).actual.endswith("]")
-        monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
-        numeric._coset_sums.cache_clear()
-        for a in (1, 1, 2, 4):
-            rec = verify_theorem_main_numeric(31, 3, a)
-            assert rec.status == "pass"
-            assert rec.actual.endswith(" [precision warning]")
-            with pytest.warns(RuntimeWarning, match="near-zero factor"):
-                tan_product(31, 3, a)
-        assert len(numeric._coset_sums(31)) == 1
-        for _ in range(2):
-            with pytest.warns(RuntimeWarning, match="near-zero factor"):
-                pmd_theorem14_numeric(17, 1)
-
     def test_zero_factor_raises_on_every_call(self, monkeypatch):
-        # make the factor of residue 10 at p = 31 evaluate to exactly 0; the
-        # a below all name the coset 5*R_3(31), and no sum is stored for it
+        # make the factor 2 cos(pi*10/31) of residue 10 at p = 31 evaluate to
+        # exactly 0; the a below all name the coset 5*R_3(31), and no sum is
+        # stored for it
         p, m, a = 31, 3, 5
         residues = [a * k % p for k in residue_set(p, m).members]
         assert residues.index(10) > 0
-        real_tan = math.tan
-        zero_arg = math.pi * (10 / p)
-        monkeypatch.setattr(math, "tan",
-                            lambda x: -1.0 if x == zero_arg else real_tan(x))
+        real_sin = math.sin
+        zero_arg = math.pi * ((p - 2 * 10) / (2 * p))
+        monkeypatch.setattr(math, "sin",
+                            lambda x: 0.0 if x == zero_arg else real_sin(x))
         for b in (a, a, 2 * a, 4 * a):
-            with pytest.raises(ArithmeticError, match=r"tan\(pi\*10/31\)"):
+            with pytest.raises(ValueError, match="math domain error"):
                 tan_product(p, m, b)
         assert numeric._coset_sums(p) == {}
         rec = run_check(PrimeContext(p), m, a, "thm_main_numeric", 1e-6)
-        assert rec.status == "error(1 + tan(pi*10/31) evaluated to 0)"
+        assert rec.status == "error(math domain error)"
         monkeypatch.undo()
-        # the zero was never stored: with the real tan the product is exact
+        # the zero was never stored: with the real sin the product is exact
         assert tan_product(p, m, a) == reference_tan_product(p, m, a)
-
-    def test_zero_partner_factor_names_its_own_residue(self, monkeypatch):
-        # tan(pi*10/31) = 1 makes the factor of the partner 21 = 31 - 10,
-        # 1 - t, exactly 0; the error names 21, and no sum is stored
-        p, m, a = 31, 3, 5
-        residues = [a * k % p for k in residue_set(p, m).members]
-        assert 10 in residues and 21 in residues
-        real_tan = math.tan
-        zero_arg = math.pi * (10 / p)
-        monkeypatch.setattr(math, "tan",
-                            lambda x: 1.0 if x == zero_arg else real_tan(x))
-        for b in (a, 2 * a):
-            with pytest.raises(ArithmeticError, match=r"^1 \+ tan\(pi\*21/31\)"
-                               r" evaluated to 0$"):
-                tan_product(p, m, b)
-        assert numeric._coset_sums(p) == {}
-        monkeypatch.undo()
-        assert tan_product(p, m, a) == reference_tan_product(p, m, a)
-
-    def test_tiny_partner_factor_warns(self, monkeypatch):
-        # 1 - t = 9e-13 is below TINY_FACTOR while its pair, (1 + t)(1 - t),
-        # is 1.8e-12, above it: the pair test must allow for the 1 + t near 2
-        p, m, a = 31, 3, 5
-        real_tan = math.tan
-        tiny_arg = math.pi * (10 / p)
-        monkeypatch.setattr(math, "tan", lambda x: 1.0 - 9e-13
-                            if x == tiny_arg else real_tan(x))
-        with pytest.warns(RuntimeWarning,
-                          match=r"residue 21 \(p=31\)") as caught:
-            tan_product(p, m, a)
-        assert len(caught) == 1
-
-    def test_tiny_factors_are_named_on_both_sides_of_a_pair(self, monkeypatch):
-        # every factor is tiny under an infinite TINY_FACTOR: both residues
-        # of every pair warn, each once
-        monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
-        p, m, a = 31, 3, 5
-        with pytest.warns(RuntimeWarning) as caught:
-            tan_product(p, m, a)
-        named = sorted(int(str(w.message).split()[4]) for w in caught)
-        assert named == sorted(a * k % p for k in residue_set(p, m).members)
 
 
 class TestCosetSlices:
-    """Once the m = 1 sum holds the pair terms along walk(p, 1), every coset
-    of every m is the index class j0 mod m of them, and its entry is the one
-    a cold sum over the coset's own pairs stores, bit for bit."""
+    """Once the m = 1 sum holds the T terms along walk(p, 1), every coset of
+    every m is the index class j0 mod m of them, and its entry is the one a
+    cold sum over the coset's own pairs stores, bit for bit."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
@@ -584,11 +546,12 @@ class TestCosetSlices:
             ms = admissible_m(p)[1:]
             keys = {(m, a): (m, pow(a, (p - 1) // m, p))
                     for m in ms for a in range(1, p)}
+            ctx = PrimeContext(p)
             cold = {}
             for (m, a), key in keys.items():
                 if key not in cold:
                     numeric._coset_sums.cache_clear()
-                    tan_product(p, m, a)
+                    numeric.coset_log2(ctx, m, a)
                     assert set(numeric._coset_sums(p)) == {key}
                     cold[key] = numeric._coset_sums(p)[key]
             numeric._coset_sums.cache_clear()
@@ -604,19 +567,6 @@ class TestCosetSlices:
                 if a in a_values(p):
                     assert got == reference_tan_product(p, m, a), (p, m, a)
 
-    def test_sliced_coset_warns_for_its_own_tiny_factors(self, monkeypatch):
-        # under an infinite TINY_FACTOR every factor is tiny: a coset sliced
-        # from the m = 1 sum names exactly its own residues, each once
-        monkeypatch.setattr(numeric, "TINY_FACTOR", math.inf)
-        p, m = 31, 3
-        with pytest.warns(RuntimeWarning):
-            tan_product(p, 1, 1)
-        for a in (1, 3, 5, 9):
-            with pytest.warns(RuntimeWarning) as caught:
-                tan_product(p, m, a)
-            named = sorted(int(str(w.message).split()[4]) for w in caught)
-            assert named == sorted(coset_residues(p, m, a)), a
-
     @pytest.mark.parametrize("p", [1009, 5449])
     def test_numeric_checks_of_a_prime_evaluate_each_pair_once(
             self, p, monkeypatch):
@@ -625,15 +575,57 @@ class TestCosetSlices:
         # pmd_thm14's included, is a slice of its terms (756 tangents at
         # p = 1009 and 8172 at p = 5449 when each coset was evaluated)
         calls = []
-        real_tan = math.tan
-        monkeypatch.setattr(math, "tan",
-                            lambda x: calls.append(x) or real_tan(x))
+        real_sin = math.sin
+        monkeypatch.setattr(math, "sin",
+                            lambda x: calls.append(x) or real_sin(x))
         config = ScanConfig(3, 3, checks=("thm_main_numeric", "pmd_thm14",
                                           "lemma21", "lemma31", "criterion"))
         records = _scan_prime((config, p))
         assert {rec.status for rec in records} <= {"pass",
                                                    "skipped(hypothesis)"}
         assert len(calls) == (p - 1) // 2 == {1009: 504, 5449: 2724}[p]
+
+    def test_exact_and_numeric_checks_share_one_sin_per_pair(self,
+                                                             monkeypatch):
+        # the exact layer's float bound and the numeric products read the
+        # same coset sums: the m = 1 sum evaluates the 504 pairs of 1009, and
+        # every other coset of every m, exact or numeric, is a slice of it
+        cyclotomic._unit_exponents.cache_clear()
+        calls = []
+        real_sin = math.sin
+        monkeypatch.setattr(math, "sin",
+                            lambda x: calls.append(x) or real_sin(x))
+        records = _scan_prime((ScanConfig(3, 3), 1009))
+        assert {rec.status for rec in records} <= {"pass",
+                                                   "skipped(hypothesis)"}
+        assert len(calls) == 504
+
+    def test_verify_both_modes_share_one_sin_per_pair(self, monkeypatch,
+                                                      capsys):
+        # at one (p, m) the bound sums all m = 4 cosets cold, and the
+        # numeric product reads its cosets from them: (1049 - 1)/2 sins
+        cyclotomic._unit_exponents.cache_clear()
+        residues._walks.cache_clear()
+        calls = []
+        real_sin = math.sin
+        monkeypatch.setattr(math, "sin",
+                            lambda x: calls.append(x) or real_sin(x))
+        assert main(["verify", "--p", "1049", "--m", "4", "--a", "7"]) == 0
+        assert "thm_main_numeric: pass" in capsys.readouterr().out
+        assert len(calls) == 524
+
+    def test_bound_slices_every_coset_through_one_index_per_m(self):
+        # with the m = 1 terms built, the float bound's 126 cosets of
+        # R_126(1009) are found in one {c: j0} map, not one pass over the
+        # walk per coset, and the bound is the one the cold sums give
+        p, m = 1009, 126
+        cold = cyclotomic._log2_bound(p, m)
+        numeric._coset_sums.cache_clear()
+        tan_product(p, 1, 1)
+        numeric._index_classes.cache_clear()
+        assert cyclotomic._log2_bound(p, m) == cold
+        info = numeric._index_classes.cache_info()
+        assert (info.misses, info.hits) == (1, m - 1)
 
     def test_small_subgroup_of_a_large_prime_caches_only_its_size(self):
         # R_2570(1007441) has 392 members: no walk, term list or flag string
@@ -650,6 +642,15 @@ class TestCosetSlices:
 
 
 class TestTanProductErrorModel:
+    def test_pair_terms_are_the_t_form(self):
+        # log2|(1 + t)(1 - t)| = T[2r] - 2*T[r] + 1 pair by pair, with 2r folded
+        # below q/2, so the tangent pairs bound the T form's sums
+        for q in odd_primes_up_to(199):
+            for r, pair in zip(range(1, (q + 1) // 2), pair_terms(q, range(1, q))):
+                r2 = min(2 * r, q - 2 * r)
+                want = t_terms(q, [r2, q - r2])[0] - 2 * t_terms(q, [r, q - r])[0] + 1
+                assert abs(pair - want) <= 1e-9, (q, r)
+
     def test_log2_within_error_model(self):
         # |L - log2|prod|| <= 1e-9 for every record at p < 200: the 9-decimal
         # rendering adds at most 5e-10, the float factors and their fsum far
@@ -705,3 +706,21 @@ class TestTanProductErrorModel:
         rec = verify_theorem_main_numeric(1000003, 1, 2)
         assert rec.status == "pass"
         assert rec.actual == "-2^500001.000000000"
+
+    @pytest.mark.parametrize("a", [1, 3])
+    @pytest.mark.parametrize("p, m, shown", [
+        (54410972897, 485812258, "-2^56.000000000"),
+        (2 ** 61 - 1, 18900352534538475, "+2^61.000000000"),
+        (2 ** 31 - 1, 34636833, "+2^31.000000000")])
+    def test_small_subgroup_of_a_large_prime_reads_the_proven_exponent(
+            self, p, m, shown, a):
+        # the tangent pairs, whose angle rounded r/p, read -2^55.999998431 at
+        # the first and +2^55.37 at the second; the T table's angles are
+        # ratios of integers, rounded once at any p
+        rec = verify_theorem_main_numeric(p, m, a)
+        assert (rec.status, rec.actual) == ("pass", shown)
+        with mpmath.workdps(50):
+            want = mpmath.fsum(
+                mpmath.log(abs(1 + mpmath.tan(mpmath.pi * (a * k % p) / p)), 2)
+                for k in residues.walk(p, m))
+        assert abs(tan_product(p, m, a).log2_mag - float(want)) <= 1e-12
