@@ -51,15 +51,18 @@ one pair is within 2 * 2^-40 of the true value for every p < 2^62:
   - math.fsum is correctly rounded, adding at most 2^-53 * |H|, which is
     at most 2^-53 * log2(p) per pair;
   in all under (8 + 3 * 62)u < 2 * 180u per pair, so under 180u < 2^-45
-  per factor, and 2^-40 leaves a factor of 32 for libm error beyond one ulp.  So L_c is below the
-  computed sum plus margin = ceil(|R| * 2^-40), one bit for any feasible p,
-  and every conjugate of d = P - c * i^q is at most
+  per factor, and 2^-40 leaves a factor of 32 for libm error beyond one
+  ulp.  So L_c is below the computed sum plus margin = ceil(|R| * 2^-40),
+  one bit for any feasible p, and every conjugate of d = P - c * i^q is
+  at most
       B = 2^(ceil(max_c H(c)) + margin) + 1.
   For the products of Theorem 1.2 each L_c is 0 up to rounding, so B <= 4 + 1
   and one prime l > 2^61 closes the certificate.  The argument covers
   every p a certificate can take, since split primes l = 1 (mod 4p) below
-  2^62 need 4p < 2^62.  The sums are numeric.coset_log2's, so the exact and
-  numeric checks of a prime evaluate one sin per pair between them.
+  2^62 need 4p < 2^62; the first is drawn before the bound is summed, so
+  a larger p fails at once.  The sums are numeric.coset_log2's, so the
+  exact and numeric checks of a prime evaluate one sin per pair between
+  them.
 
 Primes are found on demand: the l = 1 (mod 4p) below 2^62 are walked
 downwards, proven by is_prime, and kept per 4p, so a certificate that closes
@@ -239,10 +242,14 @@ def _unit_exponents(p: int, m: int) -> MappingProxyType[int, int | None]:
     then at each prime all 2m images must be I^e (u = 1) and (-I)^e (u = 3),
     until the primes' product passes the float bound B = 2^b + 1.
     """
+    primes = _split_primes(4 * p)
+    # the first prime comes before the bound, so where there is none (4p >
+    # 2^62, as at p = 2^61 - 1) the certificate fails before any coset work
+    l = next(primes)
     bound = 2 ** _log2_bound(p, m) + 1
     exponents = {}
     modulus = 1
-    for l in _split_primes(4 * p):
+    while True:
         i_l, plus, minus = _coset_images(p, m, l)
         powers = [pow(i_l, e, l) for e in range(4)]   # I^e, and (-I)^e = I^-e
         for s, row, other in ((-1, minus, plus), (1, plus, minus)):
@@ -256,6 +263,7 @@ def _unit_exponents(p: int, m: int) -> MappingProxyType[int, int | None]:
         modulus *= l
         if modulus > bound or all(e is None for e in exponents.values()):
             return MappingProxyType(exponents)
+        l = next(primes)
 
 
 def _render_i_power(p: int, q: int, c: int) -> str:

@@ -84,6 +84,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from array import array
 from collections import namedtuple
 
 from .arith import PrimeContext, as_prime, jacobi
@@ -144,16 +145,17 @@ def _coset_sums(q: int) -> dict[tuple[int, int], tuple]:
     return {}
 
 
-def _pair_terms(q: int, a: int, ks) -> tuple[list[float], bytes]:
+def _pair_terms(q: int, a: int, ks) -> tuple[array, bytes]:
     """T[r] = log2(2 sin(pi*(q - 2r)/(2q))) and the flags 4r > q of the pairs
     named by a*k mod q for k in ks, in order, each image folded to
-    r = min(r, q - r) < q/2.  The angle's quotient is of two integers."""
+    r = min(r, q - r) < q/2.  The angle's quotient is of two integers.  The
+    terms are packed doubles: the m = 1 entry keeps (q-1)/2 of them."""
     below = q // 2
     folded = [r if (r := a * k % q) <= below else q - r for k in ks]
     two_q = 2 * q
-    return ([math.log2(2.0 * math.sin(math.pi * ((q - 2 * r) / two_q)))
-             for r in folded],
-            bytes([4 * r > q for r in folded]))
+    terms = array("d", [math.log2(2.0 * math.sin(math.pi * ((q - 2 * r) / two_q)))
+                        for r in folded])
+    return terms, bytes([4 * r > q for r in folded])
 
 
 @functools.lru_cache(maxsize=1)

@@ -417,6 +417,17 @@ class TestFloatBound:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, peak
 
+    def test_no_split_prime_fails_before_the_bound(self, monkeypatch):
+        # 4p > 2^62 leaves no split prime below 2^62; the bound would walk
+        # about 1.9e16 coset representatives, so it must not run first
+        def no_cosets(p, m):
+            raise AssertionError("coset work before the split primes")
+        monkeypatch.setattr(cyclotomic, "_coset_reps", no_cosets)
+        ctx = PrimeContext(2 ** 61 - 1)
+        for check in ("gi", "gi_plus", "thm_main_exact"):
+            rec = run_check(ctx, 18900352534538475, 1, check, 1e-6)
+            assert rec.status.startswith("error(split primes"), rec.status
+
     def test_each_certificate_draws_one_prime(self, monkeypatch):
         draws = count_draws(monkeypatch)
         for p, m in certified_pairs(1100):
