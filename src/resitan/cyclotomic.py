@@ -15,9 +15,12 @@ Pass/fail is decided by a multimodular certificate, not by expanding d:
   I^u + s*w^(4akt) with I = w^p and u = t mod 4 in {1, 3}.  As k runs over R,
   akt runs over the coset of at in (Z/p)*/R, and t mod p runs over all of
   (Z/p)* independently of u.  So the phi(n) images of d are the 2m values
-  indexed by u and by a coset representative c of (Z/p)*/R; they do not
-  depend on a.  The representatives are the first c whose powers
-  c^((p-1)/m) mod p are distinct, since that power is the coset's label.
+  indexed by u and by a coset of (Z/p)*/R; they do not depend on a.  The
+  cosets are named as every layer names them (residues): with g the
+  primitive root of residues.walk(p, 1), g^j lies in the coset g^j0 * R iff
+  j = j0 (mod m).  So one table of the images of the factors at
+  x = g^j, 0 <= j < p - 1, in walk order, holds each coset as the index
+  class j0 mod m, and coset j0 = 0 is R itself.
   The product over a coset of -I + s*w^(4x) is the product of I - s*w^(4x),
   because |R| = (p-1)/m is even, so the images at u = 3 for one sign s are
   those at u = 1 for the other: both signs share one table per (p, m, l).
@@ -25,7 +28,8 @@ Pass/fail is decided by a multimodular certificate, not by expanding d:
   is divisible by L = l_1 * ... * l_r with L > B and d != 0, then
   |N(d)| >= L^phi(n) > B^phi(n) >= |N(d)|, which is impossible.  So d = 0
   once the 2m images vanish modulo split primes whose product passes B.
-  Each prime costs about 3p multiplications modulo l.
+  Each prime costs p - 1 steps y -> y^g of the table and 2(p - 1)
+  multiplications modulo l.
 
 Float bound.  Write the claim as P = c * i^q with P the product over R of
 (i + s*zeta_p^k) and c = +-1.  The complex conjugates of P are the products over a
@@ -98,13 +102,15 @@ from __future__ import annotations
 import functools
 import math
 import time
+from array import array
 from types import MappingProxyType
 
 from .arith import PrimeContext, as_prime, is_prime
 from .errors import HypothesisViolation
 from .numeric import coset_log2
 from .records import VerificationRecord, finish, int_str
-from .residues import is_mth_residue, require_even_index, symbol_sign, walk
+from .residues import (_subgroup_generator, is_mth_residue, require_even_index,
+                       symbol_sign)
 
 
 def _product_context(p, m: int, a: int) -> PrimeContext:
@@ -165,68 +171,56 @@ def _root_of_order(n: int, l: int) -> int:
         g += 1
 
 
-def _coset_reps(p: int, m: int) -> tuple[int, ...]:
-    """One representative c of each coset of R_m(p) in (Z/p)*."""
-    size = (p - 1) // m
-    reps = {}   # coset label c^|R| mod p -> first c with that label
-    c = 1
-    while len(reps) < m:
-        reps.setdefault(pow(c, size, p), c)
-        c += 1
-    return tuple(reps.values())
-
-
 def _log2_bound(p: int, m: int) -> int:
     """An exponent b >= 0 with |sigma(P)| <= 2^b for every complex conjugate
     sigma(P) of P = prod over k in R_m(p) of (i +- zeta_p^k), either sign.
 
     The float bound of the module docstring: L_c = H(2c), and c -> 2c
     permutes the cosets, so the largest L_c is the largest H(c) that
-    numeric.coset_log2 gives over the coset representatives, plus a margin
-    from the per-factor error bound.
+    numeric.coset_log2 gives over the cosets g^j0 * R_m(p), j0 < m, plus a
+    margin from the per-factor error bound.
     """
     ctx = PrimeContext(p)
-    worst = max(coset_log2(ctx, m, c)[0] for c in _coset_reps(p, m))
+    g = _subgroup_generator(p, 1)
+    worst = max(coset_log2(ctx, m, pow(g, j0, p))[0] for j0 in range(m))
     margin = math.ceil((p - 1) // m * _FACTOR_ERR)
     return max(0, math.ceil(worst) + margin)
 
 
 @functools.lru_cache(maxsize=1)
-def _factor_images(p: int, l: int) -> tuple[int, list[int], list[int]]:
+def _factor_images(p: int, l: int) -> tuple[int, array, array]:
     """I, the image of i in F_l, and the images I + eta^x and I - eta^x of
-    i +- zeta_p^x for 0 <= x < p, where eta = w^4, I = w^p and w has exact
-    order 4p."""
+    i +- zeta_p^x at x = g^j for 0 <= j < p - 1, in the order of
+    residues.walk(p, 1), the walk of the primitive root g.  eta = w^4 and
+    I = w^p, where w has exact order 4p; eta has order p, so each eta^x is
+    the last one raised to g.  Every image is below l < 2^62, so the tables
+    are packed 64-bit integers."""
     w = _root_of_order(4 * p, l)
-    eta = pow(w, 4, l)
+    g = _subgroup_generator(p, 1)
     i_l = pow(w, p, l)
-    plus = [0] * p
-    minus = [0] * p
-    x = 1
-    for j in range(p):
-        plus[j] = (i_l + x) % l
-        minus[j] = (i_l - x) % l
-        x = x * eta % l
+    plus = array("q", [0]) * (p - 1)
+    minus = array("q", [0]) * (p - 1)
+    y = pow(w, 4, l)
+    for j in range(p - 1):
+        plus[j] = (i_l + y) % l
+        minus[j] = (i_l - y) % l
+        y = pow(y, g, l)
     return i_l, plus, minus
 
 
 def _coset_images(p: int, m: int, l: int) -> tuple[int, tuple, tuple]:
-    """I and the products over each coset cR of R = R_m(p) of the images
-    I + eta^x and of I - eta^x in F_l, one entry per coset.
-
-    A product mod l does not depend on the order of its factors, so R is
-    read along its unsorted walk; R_1(p) is 1..p-1, read in the tables'
-    memory order, since at p near 10^6 they outgrow the CPU caches and a
-    pass along the walk, at random, took twice as long.
-    """
+    """I and the products over each coset g^j0 * R of R = R_m(p), j0 < m, of
+    the images I + eta^x and of I - eta^x in F_l: entry j0 of a row is the
+    product of the index class terms[j0::m] of _factor_images' tables, and
+    entry 0 is the product over R itself."""
     i_l, plus, minus = _factor_images(p, l)
-    members = range(1, p) if m == 1 else walk(p, m)
     rows = []
     for terms in (plus, minus):
         row = []
-        for c in _coset_reps(p, m):
+        for j0 in range(m):
             acc = 1
-            for k in members:
-                acc = acc * terms[c * k % p] % l
+            for y in terms[j0::m]:
+                acc = acc * y % l
             row.append(acc)
         rows.append(tuple(row))
     return i_l, rows[0], rows[1]

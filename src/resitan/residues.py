@@ -18,7 +18,8 @@ full walk of p has been built; otherwise it is walked from a generator of
 R_m(p) alone, which costs O(|R|) and factors only |R|, not p - 1.  Residue
 g^j lies in the coset g^j0 * R_m(p) iff j = j0 (mod m), so every coset of
 every m is an index class of the one walk; numeric.tan_product sums its
-cosets as slices of the m = 1 pair terms.  When 2m | p - 1, h^(|R|/2) is
+cosets as slices of the m = 1 pair terms, and cyclotomic multiplies them as
+slices of its images of the walk's factors.  When 2m | p - 1, h^(|R|/2) is
 the element of order 2, -1, so walk[i + |R|/2] = p - walk[i]: the first half
 of a walk holds one member of each pair {k, p - k}.
 """

@@ -14,6 +14,7 @@ from resitan import (HypothesisViolation, RingMismatch, SignSymbol,
 from resitan.arith import PrimeContext
 from resitan.harness import run_check
 from resitan.records import int_str
+from resitan.residues import walk
 from resitan.ring import get_ring
 
 
@@ -384,6 +385,45 @@ def count_draws(monkeypatch):
     return draws
 
 
+class TestCosetImages:
+    def test_rows_are_index_classes_of_the_walk(self):
+        # entry j0 is the coset g^j0 * R, g the primitive root of walk(p, 1):
+        # checked against products of eta^x read by x, not by walk position.
+        # Where 2 is an m-th power every entry is the same I^e, so the pairs
+        # without it are the ones that tell the cosets apart
+        for p, m in [(p, m) for p in odd_primes_up_to(199) for m in admissible_m(p)]:
+            l = next(cyclotomic._split_primes(4 * p))
+            w = cyclotomic._root_of_order(4 * p, l)
+            i_l, eta = pow(w, p, l), pow(w, 4, l)
+            eta_x = [pow(eta, x, l) for x in range(p)]
+            g = walk(p, 1)[1]
+            members = residue_set(p, m).members
+            got_i, plus, minus = cyclotomic._coset_images(p, m, l)
+            assert got_i == i_l and len(plus) == len(minus) == m
+            for j0 in range(m):
+                c = pow(g, j0, p)
+                for s, row in ((1, plus), (-1, minus)):
+                    want = 1
+                    for k in members:
+                        want = want * (i_l + s * eta_x[c * k % p]) % l
+                    assert row[j0] == want, (p, m, j0, s)
+
+    def test_factor_tables_are_packed(self):
+        # two tables of 8-byte entries: 16 bytes per residue, where two lists
+        # of ints would take about 88
+        p = 100003
+        l = next(cyclotomic._split_primes(4 * p))
+        cyclotomic._factor_images.cache_clear()
+        tracemalloc.start()
+        try:
+            cyclotomic._factor_images(p, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            cyclotomic._factor_images.cache_clear()
+        assert peak < 20 * p, peak / p
+
+
 class TestFloatBound:
     def test_bound_covers_every_conjugate(self):
         # every 2m | p-1, also where 2 is not an m-th power residue and the
@@ -418,11 +458,13 @@ class TestFloatBound:
         assert peak < 2 * 2 ** 20, peak
 
     def test_no_split_prime_fails_before_the_bound(self, monkeypatch):
-        # 4p > 2^62 leaves no split prime below 2^62; the bound would walk
-        # about 1.9e16 coset representatives, so it must not run first
+        # 4p > 2^62 leaves no split prime below 2^62; the bound would sum
+        # about 1.9e16 cosets after factoring p - 1 for the walk's generator,
+        # so neither may run first
         def no_cosets(p, m):
             raise AssertionError("coset work before the split primes")
-        monkeypatch.setattr(cyclotomic, "_coset_reps", no_cosets)
+        monkeypatch.setattr(cyclotomic, "_log2_bound", no_cosets)
+        monkeypatch.setattr(cyclotomic, "_subgroup_generator", no_cosets)
         ctx = PrimeContext(2 ** 61 - 1)
         for check in ("gi", "gi_plus", "thm_main_exact"):
             rec = run_check(ctx, 18900352534538475, 1, check, 1e-6)
