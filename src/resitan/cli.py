@@ -12,10 +12,10 @@ import sys
 
 from .arith import PrimeContext
 from .errors import ResitanError
-from .harness import CHECKS, ScanConfig, run_check, scan
+from .harness import CHECKS, ScanConfig, run_check, scan_counts
 from .numeric import check_tolerance, pmd_lemma_identity, pmd_theorem14_numeric
 from .quadforms import cornacchia
-from .records import FAIL, SKIPPED
+from .records import FAIL
 from .residues import residue_set, symbol_sign
 
 
@@ -94,14 +94,10 @@ def _cmd_scan(args) -> int:
     config = ScanConfig(p_min=args.pmin, p_max=args.pmax, m_policy=m_policy,
                         a_count=args.a_count, checks=checks, tolerance=args.tol,
                         out=args.out, fmt=args.format)
-    records = scan(config)
-    skipped = sum(1 for r in records if r.status == SKIPPED)
-    failed = sum(1 for r in records if r.status == FAIL)
-    errored = sum(1 for r in records if r.status.startswith("error("))
-    passed = len(records) - skipped - failed - errored
-    print(f"wrote {len(records)} records to {args.out} "
+    passed, failed, skipped, errored = scan_counts(config)
+    print(f"wrote {passed + failed + skipped + errored} records to {args.out} "
           f"(pass={passed}, fail={failed}, skipped={skipped}, error={errored})")
-    return _exit_code(records)
+    return 1 if failed or errored else 0
 
 
 def _cmd_residues(args) -> int:

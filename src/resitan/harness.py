@@ -13,9 +13,18 @@ repeated scans with the same configuration byte-identical at any number of
 processes.  No global sort produces that order.  Each prime's records are
 sorted by (m, a, check) where they are computed, and the per-prime runs are
 concatenated in ascending p: the primes are disjoint and p is the leading
-key, so the concatenation is exactly the global sort.  The process pool
-takes the primes in contiguous batches, and its map returns the batches,
-and the runs within each, in submission order.
+key, so the concatenation is exactly the global sort.
+
+One engine runs every scan.  Its unit of work is a batch: a contiguous,
+ascending run of primes whose sum is about 1/(8*workers) of the range's,
+since a prime's cost grows about linearly in p.  A batch scans its primes,
+formats their lines itself with the formatter emit_report uses, and sends
+back that text, its counts of pass, fail, skipped and error records and,
+only when the caller keeps records, their field tuples.  The process pool
+returns the batches in submission order, so the parent appends each text
+to the report as it arrives and the file is the concatenation of the
+per-prime runs.  `resitan scan` takes the counts only (scan_counts), so
+its parent never rebuilds a record; scan() rebuilds them all.
 """
 
 from __future__ import annotations
@@ -23,7 +32,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from operator import attrgetter
+from collections import Counter
+from itertools import starmap
+from operator import add, attrgetter
 
 from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
 from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
@@ -31,8 +42,8 @@ from .errors import HypothesisViolation, NotRepresentable
 from .numeric import (check_tolerance, pmd_lemma_identity,
                       pmd_theorem14_numeric, verify_theorem_main_numeric)
 from .quadforms import check_lemma31, cornacchia, two_residue_criterion
-from .records import (PASS, SKIPPED, VerificationRecord, error_status, finish,
-                      int_str)
+from .records import (FAIL, PASS, SKIPPED, VerificationRecord, error_status,
+                      finish, int_str)
 from .residues import symbol_sign, verify_residue_sum
 
 # a report's columns are the record's fields, in order
@@ -258,16 +269,101 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _batching(primes: int, threads: int) -> tuple[int, int]:
-    """(workers, primes per pool task) for a pooled scan.
+def _cost_batches(primes: list[int], workers: int) -> list[list[int]]:
+    """The primes cut into contiguous ascending runs of about equal cost.
 
-    About eight batches per worker amortise each task's round trip while
-    leaving the pool room to balance primes of unequal cost.  The pool is
-    capped at the number of batches, so no worker is forked to sit idle.
+    A prime's checks cost roughly in proportion to p, so a prime joins run
+    floor(S * 8*workers / total), where S is the sum of the primes below it:
+    each run holds about 1/(8*workers) of the sum of all the primes.  Eight
+    tasks per worker amortise each task's round trip, and runs of equal cost
+    leave no worker finishing the largest primes alone, so the last run
+    holds fewer primes than the first.
     """
-    workers = max(1, min(threads, primes))
-    chunksize = max(1, primes // (8 * workers))
-    return min(workers, math.ceil(primes / chunksize)), chunksize
+    if not primes:
+        return []
+    cuts, total = 8 * workers, sum(primes)
+    runs, below = {}, 0
+    for p in primes:
+        runs.setdefault(below * cuts // total, []).append(p)
+        below += p
+    return list(runs.values())
+
+
+_ROW = attrgetter(*REPORT_FIELDS)
+
+
+def _sweep_batch(task):
+    """One pool task: scan a contiguous run of primes.
+
+    Returns the run's report text (empty unless asked for), its counts of
+    (pass, fail, skipped, error) records, and its records as field tuples
+    when asked for, else None.  Tuples pickle in C; a record pickles
+    through a Python call to its __reduce__.
+    """
+    config, primes, want_text, want_rows = task
+    records = [rec for p in primes for rec in _scan_prime((config, p))]
+    text = ""
+    if want_text:
+        from io import StringIO
+        buf = StringIO(newline="")
+        _write_rows(buf, records, config.fmt)
+        text = buf.getvalue()
+    seen = Counter(rec.status for rec in records)
+    failed, skipped = seen.pop(FAIL, 0), seen.pop(SKIPPED, 0)
+    errored = sum(n for status, n in seen.items() if status.startswith("error("))
+    tally = (len(records) - failed - skipped - errored, failed, skipped, errored)
+    return text, tally, list(map(_ROW, records)) if want_rows else None
+
+
+def _sweep(config: ScanConfig, keep_records: bool):
+    """The sweep engine of scan and scan_counts: ((pass, fail, skipped,
+    error), records), records empty unless keep_records.
+
+    Batches run across RESITAN_THREADS processes, and their report text is
+    written to config.out as each batch arrives, in ascending p.  If any
+    batch raises, the report at config.out is removed before the exception
+    propagates, so a failed scan leaves no partial report.
+    """
+    primes = [p for p in range(max(config.p_min, 3), config.p_max + 1)
+              if is_prime(p)]
+    threads = _thread_count()
+    batches = _cost_batches(primes, max(1, min(threads, len(primes))))
+    # the pool is capped at the number of batches, so no worker sits idle
+    workers = min(threads, len(batches))
+    out = config.out
+    tasks = [(config, batch, out is not None, keep_records) for batch in batches]
+    counts, records = (0, 0, 0, 0), []
+    pool = fh = None
+    try:
+        if out is not None:
+            fh = open(out, "w", encoding="utf-8", newline="")
+            fh.write(_REPORT_HEAD[config.fmt])
+        if workers > 1:
+            # imported here so that `import resitan.cli`, and with it every
+            # `resitan verify`, does not load the process pool machinery
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=workers)
+            results = pool.map(_sweep_batch, tasks)
+        else:
+            results = map(_sweep_batch, tasks)
+        for text, tally, rows in results:
+            if fh is not None:
+                fh.write(text)
+            counts = tuple(map(add, counts, tally))
+            if rows:
+                records += starmap(VerificationRecord, rows)
+    except BaseException:
+        # a device such as /dev/null is written to, never removed
+        if fh is not None and os.path.isfile(out):
+            fh.close()
+            os.remove(out)
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        if fh is not None:
+            fh.close()
+    return counts, records
 
 
 def scan(config: ScanConfig) -> list[VerificationRecord]:
@@ -276,24 +372,15 @@ def scan(config: ScanConfig) -> list[VerificationRecord]:
     Primes may run across RESITAN_THREADS processes in contiguous batches.
     The records come back in (p, m, a, check) order with elapsed_ms zeroed
     (see the module docstring), so reports are reproducible byte for byte.
+    The report, if config.out is set, is the one emit_report would write.
     """
-    primes = [p for p in range(max(config.p_min, 3), config.p_max + 1)
-              if is_prime(p)]
-    tasks = [(config, p) for p in primes]
-    workers, chunksize = _batching(len(primes), _thread_count())
-    if workers > 1:
-        # imported here so that `import resitan.cli`, and with it every
-        # `resitan verify`, does not load the process pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [rec for run in pool.map(_scan_prime, tasks,
-                                               chunksize=chunksize)
-                       for rec in run]
-    else:
-        records = [rec for task in tasks for rec in _scan_prime(task)]
-    if config.out is not None:
-        emit_report(records, config.fmt, config.out)
-    return records
+    return _sweep(config, True)[1]
+
+
+def scan_counts(config: ScanConfig) -> tuple[int, int, int, int]:
+    """Run scan(config), report included, but return only the numbers of
+    (pass, fail, skipped, error) records; no record reaches the caller."""
+    return _sweep(config, False)[0]
 
 
 def _json_number(x) -> str:
@@ -309,34 +396,45 @@ def _json_number(x) -> str:
 # with its default ", " and ": " separators
 _JSONL_LINE = "{%s}\n" % ", ".join(f'"{k}": %s' for k in REPORT_FIELDS)
 
+# what a report holds before its first record: the CSV header row, as
+# csv.writer writes it
+_REPORT_HEAD = {"jsonl": "", "csv": ",".join(REPORT_FIELDS) + "\r\n"}
 
-def emit_report(records, fmt: str, path) -> None:
-    """Write records to path, one JSONL object or CSV row per record.
 
-    Field order is fixed: p, m, a, check, status, expected, actual, elapsed_ms.
-    A JSONL line has the bytes json.dumps gives the record's dict.  Lines
-    are written as they are formatted, so the report is never held whole.
+def _write_rows(fh, records, fmt: str) -> None:
+    """Write records to the text stream fh, one JSONL line or CSV row each.
+
+    The one formatter of reports: emit_report writes to the file, and a
+    scan's batches to a buffer whose text the parent appends to the file.
+    A JSONL line has the bytes json.dumps gives the record's dict.
     """
     if fmt == "jsonl":
         # imported here, as in parse_report, so that `import resitan.cli`,
         # and with it every `resitan verify`, does not load json or csv.
         # This is the escaper json.dumps itself uses for ASCII output.
         from json.encoder import encode_basestring_ascii as quote
-        lines = (_JSONL_LINE % (rec.p, rec.m, rec.a, quote(rec.check),
-                                quote(rec.status), quote(rec.expected),
-                                quote(rec.actual), _json_number(rec.elapsed_ms))
-                 for rec in records)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    elif fmt == "csv":
-        import csv
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_FIELDS)
-            writer.writerows([getattr(rec, k) for k in REPORT_FIELDS]
-                             for rec in records)
+        fh.writelines(_JSONL_LINE % (rec.p, rec.m, rec.a, quote(rec.check),
+                                     quote(rec.status), quote(rec.expected),
+                                     quote(rec.actual),
+                                     _json_number(rec.elapsed_ms))
+                      for rec in records)
     else:
+        import csv
+        csv.writer(fh).writerows(map(_ROW, records))
+
+
+def emit_report(records, fmt: str, path) -> None:
+    """Write records to path, one JSONL object or CSV row per record.
+
+    Field order is fixed: p, m, a, check, status, expected, actual, elapsed_ms.
+    Lines are written as they are formatted, so the report is never held
+    whole.
+    """
+    if fmt not in _REPORT_HEAD:
         raise ValueError(f"unknown report format {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_REPORT_HEAD[fmt])
+        _write_rows(fh, records, fmt)
 
 
 def parse_report(path, fmt: str) -> list[VerificationRecord]:

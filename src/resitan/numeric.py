@@ -151,9 +151,14 @@ def _pair_terms(q: int, a: int, ks) -> tuple[array, bytes]:
     r = min(r, q - r) < q/2.  The angle's quotient is of two integers.  The
     terms are packed doubles: the m = 1 entry keeps (q-1)/2 of them."""
     below = q // 2
-    folded = [r if (r := a * k % q) <= below else q - r for k in ks]
+    if a == 1:
+        # the m = 1 table among them: 0 < k < q is its own image
+        folded = [k if k <= below else q - k for k in ks]
+    else:
+        folded = [r if (r := a * k % q) <= below else q - r for k in ks]
     two_q = 2 * q
-    terms = array("d", [math.log2(2.0 * math.sin(math.pi * ((q - 2 * r) / two_q)))
+    sin, log2, pi = math.sin, math.log2, math.pi
+    terms = array("d", [log2(2.0 * sin(pi * ((q - 2 * r) / two_q)))
                         for r in folded])
     return terms, bytes([4 * r > q for r in folded])
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 
@@ -22,6 +24,13 @@ def admissible_m(p: int) -> list[int]:
     """Every m with 2m | p-1, i.e. the divisors of (p-1)/2."""
     half = (p - 1) // 2
     return [m for m in range(1, half + 1) if half % m == 0]
+
+
+def require_fork(threads: int) -> None:
+    """Skip a pooled run whose test patches the package: the patch reaches
+    the pool's workers only when they are forked from the test process."""
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("monkeypatches reach pool workers only through fork")
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import resitan
+from resitan import ScanConfig, harness, scan
 from resitan.cli import main
+from resitan.residues import verify_residue_sum
+
+from conftest import require_fork
 
 
 def test_residues_command(capsys):
@@ -194,6 +198,70 @@ def test_scan_csv_format(tmp_path):
     assert main(["scan", "--pmin", "5", "--pmax", "20", "--checks", "lemma21",
                  "--out", str(out), "--format", "csv"]) == 0
     assert out.read_text().startswith("p,m,a,check,status,expected,actual,elapsed_ms")
+
+
+def summary_of(records, out) -> str:
+    """The summary line `resitan scan` prints, counted from records."""
+    statuses = [rec.status for rec in records]
+    failed = statuses.count("fail")
+    skipped = statuses.count("skipped(hypothesis)")
+    errored = sum(s.startswith("error(") for s in statuses)
+    passed = len(statuses) - failed - skipped - errored
+    return (f"wrote {len(statuses)} records to {out} (pass={passed}, "
+            f"fail={failed}, skipped={skipped}, error={errored})\n")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("pmin, pmax", [(3, 120), (24, 28), (29, 29)])
+def test_scan_summary_and_report_at_any_process_count(fmt, pmin, pmax,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setenv("RESITAN_THREADS", "1")
+    want = tmp_path / f"want.{fmt}"
+    records = scan(ScanConfig(pmin, pmax, out=str(want), fmt=fmt))
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("RESITAN_THREADS", str(threads))
+        out = tmp_path / f"report-{threads}.{fmt}"
+        assert main(["scan", "--pmin", str(pmin), "--pmax", str(pmax),
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == summary_of(records, out)
+        assert out.read_bytes() == want.read_bytes()
+    if pmin == 24:
+        # no prime in range: an empty JSONL file, a CSV header alone
+        assert not records
+        assert want.read_bytes() == {
+            "jsonl": b"",
+            "csv": b"p,m,a,check,status,expected,actual,elapsed_ms\r\n"}[fmt]
+
+
+def fail_at_13(ctx, m):
+    rec = verify_residue_sum(ctx, m)
+    if ctx.p == 13:
+        rec.status = "fail"
+    return rec
+
+
+def raise_at_13(ctx, m):
+    if ctx.p == 13:
+        raise ArithmeticError("forced at 13")
+    return verify_residue_sum(ctx, m)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("runner, status", [(fail_at_13, "fail"),
+                                            (raise_at_13, "error(forced at 13)")])
+def test_scan_failure_or_error_exits_1_with_record_counts(
+        threads, runner, status, tmp_path, monkeypatch, capsys):
+    require_fork(threads)
+    monkeypatch.setattr(harness, "verify_residue_sum", runner)
+    monkeypatch.setenv("RESITAN_THREADS", str(threads))
+    out = tmp_path / "report.jsonl"
+    records = scan(ScanConfig(3, 60, checks=("lemma21", "gi")))
+    assert {rec.status for rec in records if rec.p == 13
+            and rec.check == "lemma21"} == {status}
+    assert main(["scan", "--pmin", "3", "--pmax", "60", "--checks",
+                 "lemma21,gi", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == summary_of(records, out)
 
 
 def test_pmd_command(capsys):

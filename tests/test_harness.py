@@ -2,8 +2,10 @@ import ast
 import copy
 import decimal
 import hashlib
+import itertools
 import json
 import math
+import os
 import pickle
 import random
 import string
@@ -19,6 +21,8 @@ from resitan import (NotRepresentable, ScanConfig, VerificationRecord,
                      verify_cor12)
 from resitan import harness
 from resitan.harness import CHECK_NAMES, PMD_X_GRID, REPORT_FIELDS
+
+from conftest import odd_primes_up_to, require_fork
 
 
 class TestRecordPickle:
@@ -294,8 +298,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_pooled_batches_match_serial(self, fmt, tmp_path, monkeypatch):
         # 77 odd primes: with 2 or 3 processes each pool task holds several
-        assert harness._batching(77, 2) == (2, 4)
-        assert harness._batching(77, 3) == (3, 3)
+        primes = odd_primes_up_to(400)
+        assert len(primes) == 77
+        assert min(map(len, harness._cost_batches(primes, 2))) >= 2
+        assert len(harness._cost_batches(primes, 3)) <= 77 // 3
         outputs = {}
         for threads in (1, 2, 3):
             monkeypatch.setenv("RESITAN_THREADS", str(threads))
@@ -306,6 +312,38 @@ class TestDeterminism:
         assert outputs[1][0] and outputs[1][1]
         assert outputs[2] == outputs[1]
         assert outputs[3] == outputs[1]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_failed_sweep_leaves_no_report(self, threads, fmt, tmp_path,
+                                           monkeypatch):
+        require_fork(threads)
+        real = harness._scan_prime
+
+        def scan_prime(args):
+            if args[1] == 101:
+                raise RuntimeError("boom at 101")
+            return real(args)
+
+        monkeypatch.setattr(harness, "_scan_prime", scan_prime)
+        monkeypatch.setenv("RESITAN_THREADS", str(threads))
+        out = tmp_path / f"report.{fmt}"
+        for run in (scan, harness.scan_counts):
+            with pytest.raises(RuntimeError, match="boom at 101"):
+                run(ScanConfig(3, 400, checks=NUMERIC_CHECKS, out=str(out),
+                               fmt=fmt))
+            assert not out.exists()
+
+    def test_report_to_a_device_is_not_removed(self, monkeypatch):
+        removed = []
+        monkeypatch.setattr(harness.os, "remove", removed.append)
+        monkeypatch.setattr(harness, "_scan_prime", lambda args: 1 / 0)
+        monkeypatch.setenv("RESITAN_THREADS", "1")
+        with pytest.raises(ZeroDivisionError):
+            harness.scan_counts(ScanConfig(3, 20, out=os.devnull))
+        assert removed == []
 
 
 class TestPool:
@@ -329,17 +367,25 @@ class TestPool:
         assert harness._thread_count() == 1
 
     def test_batching(self):
-        assert harness._batching(0, 4)[0] <= 1
-        assert harness._batching(1, 4) == (1, 1)
-        # a 12-prime scan forks no idle worker
-        assert harness._batching(12, 32) == (12, 1)
-        assert harness._batching(12, 2) == (2, 1)
-        assert harness._batching(1000, 2) == (2, 62)
-        for primes in range(1, 300, 7):
-            for threads in (1, 2, 3, 8, 64):
-                workers, chunk = harness._batching(primes, threads)
-                assert 1 <= workers <= min(threads, -(-primes // chunk))
-                assert chunk >= 1
+        assert harness._cost_batches([], 2) == []
+        assert harness._cost_batches([3], 4) == [[3]]
+        # more runs asked for than primes: one prime each, none empty
+        assert harness._cost_batches([3, 5, 7], 2) == [[3], [5], [7]]
+        for pmax, workers in itertools.product((400, 6000), (1, 2, 3, 8)):
+            primes = odd_primes_up_to(pmax)
+            batches = harness._cost_batches(primes, workers)
+            # contiguous ascending runs that hold every prime once
+            assert [p for batch in batches for p in batch] == primes
+            assert all(batch for batch in batches)
+            # 8 runs per worker, each about 1/(8 workers) of the prime sum;
+            # a prime above that share may leave a run empty, and none is kept
+            share = sum(primes) / (8 * workers)
+            assert all(sum(batch) < share + batch[-1] for batch in batches)
+            assert len(batches) <= 8 * workers
+            if primes[-1] <= share:
+                assert len(batches) == 8 * workers
+            # cost grows with p: the last run holds fewer primes than the first
+            assert len(batches[-1]) < len(batches[0])
 
     def test_pool_gets_batched_tasks(self, monkeypatch):
         import concurrent.futures
@@ -349,20 +395,20 @@ class TestPool:
             def __init__(self, max_workers):
                 seen["workers"] = max_workers
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                seen["chunksize"] = chunksize
+            def map(self, fn, tasks):
+                seen["primes"] = [len(task[1]) for task in tasks]
                 return map(fn, tasks)
+
+            def shutdown(self, cancel_futures):
+                seen["shutdown"] = cancel_futures
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setenv("RESITAN_THREADS", "2")
         recs = scan(ScanConfig(3, 400, checks=("lemma21",)))
-        assert seen == {"workers": 2, "chunksize": 4}
+        assert seen["workers"] == 2 and seen["shutdown"]
+        # 77 primes in 16 tasks of several primes each
+        assert len(seen["primes"]) == 16 and min(seen["primes"]) >= 2
+        assert sum(seen["primes"]) == 77
         monkeypatch.setenv("RESITAN_THREADS", "1")
         assert scan(ScanConfig(3, 400, checks=("lemma21",))) == recs
 
