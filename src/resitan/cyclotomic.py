@@ -1,50 +1,63 @@
 """The exact product-identity checks, decided modulo split primes.
 
-The checks work in Z[zeta_n], n = 4p, for an odd prime p: zeta_n^p is a square
-root of -1 and zeta_n^(4k) runs through the p-th roots of unity.  Each check
-claims lhs = rhs in Z[zeta_n]; write d = lhs - rhs and R = R_m(p).
+One real unit per (p, m).  Every check is a claim about
+P_s = prod over k in R of (i + s*zeta_p^k), R = R_m(p), s = +-1, in
+Z[zeta_4p].  Since 2m divides p - 1, -1 lies in R, so R is a union of pairs
+{x, -x}, and with y = zeta_p^x
 
-Pass/fail is decided by a multimodular certificate, not by expanding d:
+    (i + s*y)(i + s/y) = i^2 + i*s*(y + 1/y) + s^2 = i*s*(y + 1/y).
 
-- Splitting.  A prime l = 1 (mod n) splits completely in Q(zeta_n) into
-  phi(n) distinct primes, one for each t in (Z/n)*, and the residue map at
-  the t-th prime is zeta_n -> w^t in F_l, where w has exact order n.  So if
-  d maps to 0 under all phi(n) maps, d lies in every prime above l, hence in
-  their product lZ[zeta_n] (l is unramified).
-- Coset reduction.  The image of i + s*zeta_p^(ak) under zeta_n -> w^t is
-  I^u + s*w^(4akt) with I = w^p and u = t mod 4 in {1, 3}.  As k runs over R,
-  akt runs over the coset of at in (Z/p)*/R, and t mod p runs over all of
-  (Z/p)* independently of u.  So the phi(n) images of d are the 2m values
-  indexed by u and by a coset of (Z/p)*/R; they do not depend on a.  The
-  cosets are named as every layer names them (residues): with g the
-  primitive root of residues.walk(p, 1), g^j lies in the coset g^j0 * R iff
-  j = j0 (mod m).  So one table of the images of the factors at
-  x = g^j, 0 <= j < p - 1, in walk order, holds each coset as the index
-  class j0 mod m, and coset j0 = 0 is R itself.
-  The product over a coset of -I + s*w^(4x) is the product of I - s*w^(4x),
-  because |R| = (p-1)/m is even, so the images at u = 3 for one sign s are
-  those at u = 1 for the other: both signs share one table per (p, m, l).
+So P_s = (s*i)^half * Z with half = |R|/2, that is P_+ = i^half * Z and
+P_- = (-1)^half * P_+ exactly, where
+
+    Z = prod over the pairs {x, -x} of R of (zeta_p^x + zeta_p^-x)
+
+is a real element of Z[zeta_p].  Z[zeta_p] holds no square root of -1, so
+P_s is a power of i iff Z = +-1: the whole of Theorem 1.2 at (p, m) is the
+one claim Z = epsilon with epsilon in {1, -1}, and then P_s = i^e with
+e = (2 - s)*half + 1 - epsilon (mod 4), because (s*i)^half = i^((2-s)*half)
+and epsilon = i^(1 - epsilon).  The product of a coprime a is the image of
+P_s under the automorphism zeta_p -> zeta_p^a that fixes i, which fixes
+epsilon and maps a Z other than +-1 to another, so one verdict per (p, m)
+serves both signs and every a.  Z is decided by a multimodular certificate,
+not by expanding it:
+
+- Conjugates.  The phi(p) embeddings zeta_p -> zeta_p^t, t in (Z/p)*, map Z
+  to the product over the pairs of tR, so Z has at most m conjugates, one
+  per coset of (Z/p)*/R.  The cosets are named as every layer names them
+  (residues): with g the primitive root of residues.walk(p, 1), g^j lies in
+  the coset g^j0 * R iff j = j0 (mod m), and coset j0 = 0 is R itself.
+  Since g^(j + (p-1)/2) = -g^j and m divides (p-1)/2, the x = g^j with
+  0 <= j < (p-1)/2 hold one member of each pair, and the pairs of coset j0
+  are the index class j0 mod m of that half of the walk.
+- Splitting.  A prime l = 1 (mod p) splits completely in Q(zeta_p) into
+  phi(p) distinct primes, one for each t, and the residue map at the t-th
+  prime is zeta_p -> eta^t in F_l, where eta has order p.  So one table of
+  the (p-1)/2 pair images z_j = eta^x + eta^-x at x = g^j holds every
+  conjugate's image: the product of an index class.  If d = Z - epsilon
+  maps to 0 under all phi(p) maps, d lies in every prime above l, hence in
+  their product lZ[zeta_p] (l is unramified).
 - Norm bound.  If every complex conjugate of d has modulus at most B, and d
   is divisible by L = l_1 * ... * l_r with L > B and d != 0, then
-  |N(d)| >= L^phi(n) > B^phi(n) >= |N(d)|, which is impossible.  So d = 0
-  once the 2m images vanish modulo split primes whose product passes B.
-  Each prime costs p - 1 steps y -> y^g of the table and 2(p - 1)
-  multiplications modulo l.
+  |N(d)| >= L^phi(p) > B^phi(p) >= |N(d)|, which is impossible.  So d = 0
+  once the m images are epsilon modulo split primes whose product passes
+  B.  Each prime costs p - 1 steps y -> y^g of two walkers, eta^x and
+  eta^-x, and (p - 1)/2 multiplications modulo l.
+- Split primes are l = 1 (mod 4p); each is also 1 (mod p), as the
+  splitting needs.  The modulus 4p keeps the range 4p < 2^62: for every
+  p > 2^60 no such l lies below 2^62, and the first draw fails at once with
+  "split primes 1 mod 4p ran out".  A modulus 2p would find l = 2p + 1 for
+  a Sophie Germain prime p in (2^60, 2^61) and start O(p) work on a table
+  that cannot finish.
 
-Float bound.  Write the claim as P = c * i^q with P the product over R of
-(i + s*zeta_p^k) and c = +-1.  The complex conjugates of P are the products over a
-coset cR of (i^u + s*e^(2 pi i x/p)).  Since -1 lies in R (2m divides p-1),
-x -> -x maps cR onto itself, and |-i + s*e^(2 pi i x/p)| and
-|i - s*e^(2 pi i x/p)| both equal |i + s*e^(-2 pi i x/p)|, so neither u nor s
-changes the modulus: there are only m moduli 2^L_c, one per coset.  The
-factors of x and -x multiply to |i + z|*|-i + z| = |1 + z^2| with
-z = e^(2 pi i x/p), that is 2|cos(2 pi x/p)|, so L_c is the sum over the
-pairs {x, p - x} of cR of T[2x], the table of numeric, with
-T[r] = log2|2 cos(pi r/p)| = log2(2 sin(pi (p - 2r)/(2p))) and 2x folded
-below p/2.  As x runs over one member of each pair of cR, 2x runs over one
-of each pair of 2cR, so L_c = H(2c) in numeric's notation, and since
-c -> 2c permutes the cosets, max_c L_c = max_c H(c).  The computed log2 of
-one pair is within 2 * 2^-40 of the true value for every p < 2^62:
+Float bound.  The conjugate of Z at the coset cR has modulus 2^L_c, where
+L_c sums log2|zeta^x + zeta^-x| = log2(2|cos(2 pi x/p)|) over one member x
+of each pair of cR, so L_c is the sum over those pairs of T[2x], the table
+of numeric, with T[r] = log2|2 cos(pi r/p)| = log2(2 sin(pi (p - 2r)/(2p)))
+and 2x folded below p/2.  As x runs over one member of each pair of cR, 2x
+runs over one of each pair of 2cR, so L_c = H(2c) in numeric's notation, and
+since c -> 2c permutes the cosets, max_c L_c = max_c H(c).  The computed
+log2 of one pair is within 2 * 2^-40 of the true value for every p < 2^62:
   - pi*(p - 2r)/(2p) carries three roundings (math.pi, the correctly
     rounded quotient of two integers, and *), a relative error of at most
     3u (u = 2^-53), which moves log sin by at most 3u because
@@ -55,46 +68,32 @@ one pair is within 2 * 2^-40 of the true value for every p < 2^62:
   - math.fsum is correctly rounded, adding at most 2^-53 * |H|, which is
     at most 2^-53 * log2(p) per pair;
   in all under (8 + 3 * 62)u < 2 * 180u per pair, so under 180u < 2^-45
-  per factor, and 2^-40 leaves a factor of 32 for libm error beyond one
-  ulp.  So L_c is below the computed sum plus margin = ceil(|R| * 2^-40),
-  one bit for any feasible p, and every conjugate of d = P - c * i^q is
-  at most
+  per member of R, and 2^-40 leaves a factor of 32 for libm error beyond
+  one ulp.  So L_c is below the computed sum plus margin =
+  ceil(|R| * 2^-40), one bit for any feasible p, and every conjugate of
+  d = Z - epsilon is at most
       B = 2^(ceil(max_c H(c)) + margin) + 1.
-  For the products of Theorem 1.2 each L_c is 0 up to rounding, so B <= 4 + 1
-  and one prime l > 2^61 closes the certificate.  The argument covers
-  every p a certificate can take, since split primes l = 1 (mod 4p) below
-  2^62 need 4p < 2^62; the first is drawn before the bound is summed, so
-  a larger p fails at once.  The sums are numeric.coset_log2's, so the
-  exact and numeric checks of a prime evaluate one sin per pair between
-  them.
+  Where Z = +-1 each L_c is 0 up to rounding, so B <= 4 + 1 and one prime
+  l > 2^61 closes the certificate.  The argument covers every p a
+  certificate can take, since split primes l = 1 (mod 4p) below 2^62 need
+  4p < 2^62; the first is drawn before the bound is summed, so a larger p
+  fails at once.  The sums are numeric.coset_log2's, so the exact and
+  numeric checks of a prime evaluate one sin per pair between them.
 
 Primes are found on demand: the l = 1 (mod 4p) below 2^62 are walked
 downwards, proven by is_prime, and kept per 4p, so a certificate that closes
-with one prime searches for no other.
-
-One exponent per product.  Every check is a claim about
-P = prod over k in R of (i + s*zeta_p^(ak)): gi and gi_plus claim
-P = delta * i^half with delta = sign(2s) and half = |R|/2, and the tangent
-identity (i-1)^|R| = scalar * P with s = -1 and scalar = delta * (-2)^half is
-the same claim, because (i-1)^2 = -2i and Z[zeta_n] has no zero divisors.
-The units c * i^q (c = +-1, q in 0..3) are only the four powers i^e, since
--1 = i^2, and their images I^e in F_l are distinct.  So the image of P at
-the first split prime l, under zeta_n -> w (u = 1, the coset of 1), matches
-at most one I^e; that e is certified as above, and the check passes iff e
-is the claimed exponent (half + 1 - delta) mod 4.  _unit_exponents decides
-both signs over the same split primes and is cached per (p, m), so gi,
-gi_plus, thm_main_exact, cor11 and cor12 share it for every a.  Split primes
-are kept per 4p, and _factor_images' per-factor tables and the float
-bound's coset sums for the current p only; the rest is computed once per
-(p, m) and prime.
+with one prime searches for no other.  _unit_sign is cached per (p, m), so
+gi, gi_plus, thm_main_exact, cor11 and cor12 share it for every a; the pair
+images and the float bound's coset sums are kept for the current p only.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.
-So when the certificate rejects, or no I^e matches, P is no power of i and
-the record fails with "not a power of i" in place of the product.  A check
-whose product is i^e with e not the claimed exponent fails and renders i^e.
-Either way no ring is built and no size limit applies; the dense ring of
-ring.py is kept only as the tests' reference.
+So when the certificate rejects, or the first image is not +-1, Z is not
++-1, P_s is no power of i, and the record fails with "not a power of i" in
+place of the product.  A check whose product is i^e with e not the claimed
+exponent fails and renders i^e.  Either way no ring is built and no size
+limit applies; the dense ring of ring.py is kept only as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ import functools
 import math
 import time
 from array import array
-from types import MappingProxyType
 
 from .arith import PrimeContext, as_prime, is_prime
 from .errors import HypothesisViolation
@@ -159,21 +157,19 @@ def _split_primes(n: int):
         j += 1
 
 
-def _root_of_order(n: int, l: int) -> int:
-    """An element of exact order n = 4p in F_l, for a prime l = 1 (mod n)."""
-    e = (l - 1) // n
+def _root_of_order(p: int, l: int) -> int:
+    """An element of order p in F_l, for primes p and l = 1 (mod p): any
+    (l-1)/p-th power other than 1, since p is prime."""
     g = 2
-    while True:
-        w = pow(g, e, l)
-        # the order divides 4p; it is 4p unless it divides 2p or 4
-        if pow(w, n // 2, l) != 1 and pow(w, 4, l) != 1:
-            return w
+    while (eta := pow(g, (l - 1) // p, l)) == 1:
         g += 1
+    return eta
 
 
 def _log2_bound(p: int, m: int) -> int:
-    """An exponent b >= 0 with |sigma(P)| <= 2^b for every complex conjugate
-    sigma(P) of P = prod over k in R_m(p) of (i +- zeta_p^k), either sign.
+    """An exponent b >= 0 with |sigma(Z)| <= 2^b for every complex conjugate
+    sigma(Z) of Z = prod over the pairs {x, -x} of R_m(p) of
+    (zeta_p^x + zeta_p^-x).
 
     The float bound of the module docstring: L_c = H(2c), and c -> 2c
     permutes the cosets, so the largest L_c is the largest H(c) that
@@ -188,76 +184,62 @@ def _log2_bound(p: int, m: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _factor_images(p: int, l: int) -> tuple[int, array, array]:
-    """I, the image of i in F_l, and the images I + eta^x and I - eta^x of
-    i +- zeta_p^x at x = g^j for 0 <= j < p - 1, in the order of
-    residues.walk(p, 1), the walk of the primitive root g.  eta = w^4 and
-    I = w^p, where w has exact order 4p; eta has order p, so each eta^x is
-    the last one raised to g.  Every image is below l < 2^62, so the tables
-    are packed 64-bit integers."""
-    w = _root_of_order(4 * p, l)
+def _factor_images(p: int, l: int) -> array:
+    """The images z_j = eta^x + eta^-x of zeta_p^x + zeta_p^-x in F_l at
+    x = g^j for 0 <= j < (p - 1)/2, in the order of residues.walk(p, 1), the
+    walk of the primitive root g: one member x of each pair {x, -x}.  eta
+    has order p; each eta^x and eta^-x is the last one raised to g.  Every
+    image is below l < 2^62, so the table is packed 64-bit integers."""
     g = _subgroup_generator(p, 1)
-    i_l = pow(w, p, l)
-    plus = array("q", [0]) * (p - 1)
-    minus = array("q", [0]) * (p - 1)
-    y = pow(w, 4, l)
-    for j in range(p - 1):
-        plus[j] = (i_l + y) % l
-        minus[j] = (i_l - y) % l
-        y = pow(y, g, l)
-    return i_l, plus, minus
+    terms = array("q", [0]) * ((p - 1) // 2)
+    y = _root_of_order(p, l)
+    y_inv = pow(y, p - 1, l)
+    for j in range(len(terms)):
+        terms[j] = (y + y_inv) % l
+        y, y_inv = pow(y, g, l), pow(y_inv, g, l)
+    return terms
 
 
-def _coset_images(p: int, m: int, l: int) -> tuple[int, tuple, tuple]:
-    """I and the products over each coset g^j0 * R of R = R_m(p), j0 < m, of
-    the images I + eta^x and of I - eta^x in F_l: entry j0 of a row is the
-    product of the index class terms[j0::m] of _factor_images' tables, and
-    entry 0 is the product over R itself."""
-    i_l, plus, minus = _factor_images(p, l)
-    rows = []
-    for terms in (plus, minus):
-        row = []
-        for j0 in range(m):
-            acc = 1
-            for y in terms[j0::m]:
-                acc = acc * y % l
-            row.append(acc)
-        rows.append(tuple(row))
-    return i_l, rows[0], rows[1]
+def _coset_images(p: int, m: int, l: int) -> tuple:
+    """The images in F_l of the conjugates of Z over the cosets g^j0 * R of
+    R = R_m(p), j0 < m: entry j0 is the product of the index class
+    terms[j0::m] of _factor_images' table, and entry 0 is Z's own image."""
+    terms = _factor_images(p, l)
+    row = []
+    for j0 in range(m):
+        acc = 1
+        for z in terms[j0::m]:
+            acc = acc * z % l
+        row.append(acc)
+    return tuple(row)
 
 
 @functools.lru_cache(maxsize=4096)
-def _unit_exponents(p: int, m: int) -> MappingProxyType[int, int | None]:
-    """{s: e} for s = -1 and 1, with prod over k in R_m(p) of (i + s*zeta_p^k)
-    = i^e certified, or e = None if that product is no power of i.  Every
-    caller shares the cached mapping, so it is read-only.
+def _unit_sign(p: int, m: int) -> int | None:
+    """epsilon in {1, -1} with Z = epsilon certified, Z the product over the
+    pairs {x, -x} of R_m(p) of (zeta_p^x + zeta_p^-x), or None if Z is not
+    +-1.
 
-    The image at the first split prime (coset 1, u = 1) picks the only e;
-    then at each prime all 2m images must be I^e (u = 1) and (-I)^e (u = 3),
-    until the primes' product passes the float bound B = 2^b + 1.
+    The image of Z at the first split prime picks epsilon; then at each
+    prime all m images must be epsilon, until the primes' product passes the
+    float bound B = 2^b + 1.
     """
     primes = _split_primes(4 * p)
     # the first prime comes before the bound, so where there is none (4p >
     # 2^62, as at p = 2^61 - 1) the certificate fails before any coset work
     l = next(primes)
     bound = 2 ** _log2_bound(p, m) + 1
-    exponents = {}
-    modulus = 1
-    while True:
-        i_l, plus, minus = _coset_images(p, m, l)
-        powers = [pow(i_l, e, l) for e in range(4)]   # I^e, and (-I)^e = I^-e
-        for s, row, other in ((-1, minus, plus), (1, plus, minus)):
-            if s not in exponents:
-                exponents[s] = powers.index(row[0]) if row[0] in powers else None
-            e = exponents[s]
-            # the image of P at i -> -I is the one of the other sign at i -> I
-            if e is not None and (set(row) != {powers[e]}
-                                  or set(other) != {powers[-e]}):
-                exponents[s] = None
-        modulus *= l
-        if modulus > bound or all(e is None for e in exponents.values()):
-            return MappingProxyType(exponents)
+    row = _coset_images(p, m, l)
+    # an image that is neither 1 nor -1 is not -1 either, and fails below
+    sign = -1 if row[0] == l - 1 else 1
+    modulus = l
+    while set(row) == {sign % l}:
+        if modulus > bound:
+            return sign
         l = next(primes)
+        row = _coset_images(p, m, l)
+        modulus *= l
+    return None
 
 
 def _render_i_power(p: int, q: int, c: int) -> str:
@@ -289,7 +271,9 @@ def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationReco
     delta = symbol_sign(2 * s, ctx, m).value
     tangent = check == "thm_main_exact"
     scale = delta * (-2) ** half if tangent else 1
-    e = _unit_exponents(ctx.p, m)[s]
+    sign = _unit_sign(ctx.p, m)
+    # P_s = (s*i)^half * Z, and (s*i)^half = i^((2 - s) * half)
+    e = None if sign is None else ((2 - s) * half + 1 - sign) % 4
     claim = _render_i_power(ctx.p, half, scale * delta)
     product = NOT_A_UNIT if e is None else _render_i_power(ctx.p, e, scale)
     expected, actual = (product, claim) if tangent else (claim, product)

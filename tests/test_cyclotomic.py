@@ -261,6 +261,13 @@ class TestVerifyTanCross:
             assert prod * prod == ring.constant((-1) ** half)
 
 
+def sqrt_minus_one(l):
+    """A square root of -1 modulo a prime l = 1 (mod 4): the ((l - 1)/4)-th
+    power of a quadratic non-residue."""
+    c = next(c for c in range(2, l) if pow(c, (l - 1) // 2, l) == l - 1)
+    return pow(c, (l - 1) // 4, l)
+
+
 def certified_pairs(p_limit):
     """(p, m) with p below p_limit, 2m | p-1 and 2 an m-th power residue."""
     return [(p, m) for p in odd_primes_up_to(p_limit - 1)
@@ -312,18 +319,21 @@ class TestCertificate:
             assert got.status == "pass"
 
     def test_rejects_wrong_right_sides(self):
-        # the claimed exponent is certified, and the first image matches no
-        # other I^e, so every other unit +-i^q is rejected
+        # the claimed exponent is certified, and the first image of
+        # P_s = (s*i)^half * Z, with I a square root of -1 mod l standing for
+        # i, matches no other I^f, so every other unit +-i^q is rejected
         for p, m in certified_pairs(200):
             half = (p - 1) // (2 * m)
-            exponents = cyclotomic._unit_exponents(p, m)
+            sign = cyclotomic._unit_sign(p, m)
             l = next(cyclotomic._split_primes(4 * p))
-            i_l, plus, minus = cyclotomic._coset_images(p, m, l)
-            for s, row in ((-1, minus), (1, plus)):
-                delta = symbol_sign(2 * s, p, m).value
-                e = (half + 1 - delta) % 4
-                assert exponents[s] == e, (p, m, s)
-                assert [pow(i_l, f, l) == row[0] for f in range(4)] == \
+            i_l = sqrt_minus_one(l)
+            row = cyclotomic._coset_images(p, m, l)
+            assert row[0] == sign % l, (p, m)
+            for s in (-1, 1):
+                e = (half + 1 - symbol_sign(2 * s, p, m).value) % 4
+                assert ((2 - s) * half + 1 - sign) % 4 == e, (p, m, s)
+                image = pow(s * i_l, half, l) * row[0] % l
+                assert [pow(i_l, f, l) == image for f in range(4)] == \
                     [f == e for f in range(4)], (p, m, s)
 
     def test_flipped_symbol_fails_with_dense_actual(self, monkeypatch):
@@ -388,40 +398,43 @@ def count_draws(monkeypatch):
 class TestCosetImages:
     def test_rows_are_index_classes_of_the_walk(self):
         # entry j0 is the coset g^j0 * R, g the primitive root of walk(p, 1):
-        # checked against products of eta^x read by x, not by walk position.
-        # Where 2 is an m-th power every entry is the same I^e, so the pairs
-        # without it are the ones that tell the cosets apart
+        # checked against products of eta^x + eta^-x over one member of each
+        # pair of g^j0 * R, read by x, not by walk position.  Where 2 is an
+        # m-th power every entry is the same +-1, so the pairs without it are
+        # the ones that tell the cosets apart
         for p, m in [(p, m) for p in odd_primes_up_to(199) for m in admissible_m(p)]:
             l = next(cyclotomic._split_primes(4 * p))
-            w = cyclotomic._root_of_order(4 * p, l)
-            i_l, eta = pow(w, p, l), pow(w, 4, l)
+            eta = cyclotomic._root_of_order(p, l)
+            assert eta != 1 and pow(eta, p, l) == 1
             eta_x = [pow(eta, x, l) for x in range(p)]
             g = walk(p, 1)[1]
-            members = residue_set(p, m).members
-            got_i, plus, minus = cyclotomic._coset_images(p, m, l)
-            assert got_i == i_l and len(plus) == len(minus) == m
+            below_half = [k for k in residue_set(p, m).members if 2 * k < p]
+            row = cyclotomic._coset_images(p, m, l)
+            assert len(row) == m
             for j0 in range(m):
                 c = pow(g, j0, p)
-                for s, row in ((1, plus), (-1, minus)):
-                    want = 1
-                    for k in members:
-                        want = want * (i_l + s * eta_x[c * k % p]) % l
-                    assert row[j0] == want, (p, m, j0, s)
+                want = 1
+                for k in below_half:
+                    x = c * k % p
+                    want = want * (eta_x[x] + eta_x[p - x]) % l
+                assert row[j0] == want, (p, m, j0)
 
     def test_factor_tables_are_packed(self):
-        # two tables of 8-byte entries: 16 bytes per residue, where two lists
-        # of ints would take about 88
+        # one table of (p - 1)/2 pair images, 8 bytes each: 4 bytes per
+        # residue, where a list of ints would take about 22
         p = 100003
         l = next(cyclotomic._split_primes(4 * p))
         cyclotomic._factor_images.cache_clear()
         tracemalloc.start()
         try:
-            cyclotomic._factor_images(p, l)
+            terms = cyclotomic._factor_images(p, l)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             cyclotomic._factor_images.cache_clear()
-        assert peak < 20 * p, peak / p
+        assert (terms.typecode, terms.itemsize, len(terms)) == \
+            ("q", 8, (p - 1) // 2)
+        assert peak < 6 * p, peak / p
 
 
 class TestFloatBound:
@@ -471,15 +484,14 @@ class TestFloatBound:
             assert rec.status.startswith("error(split primes"), rec.status
 
     def test_each_certificate_draws_one_prime(self, monkeypatch):
+        # Z = sign(2): P_+ = i^half * Z is claimed to be sign(2) * i^half
         draws = count_draws(monkeypatch)
         for p, m in certified_pairs(1100):
-            half = (p - 1) // (2 * m)
-            want = {s: (half + 1 - symbol_sign(2 * s, p, m).value) % 4
-                    for s in (-1, 1)}
-            cyclotomic._unit_exponents.cache_clear()
+            want = symbol_sign(2, p, m).value
+            cyclotomic._unit_sign.cache_clear()
             draws.clear()
-            assert cyclotomic._unit_exponents(p, m) == want, (p, m)
-            # the exponents are read at the first prime and certified there
+            assert cyclotomic._unit_sign(p, m) == want, (p, m)
+            # the sign is read at the first prime and certified there
             assert len(set(draws)) == 1, (p, m, draws)
         # lazy: every certificate so far was served by the first prime
         assert len(cyclotomic._found_split_primes(4 * 1093)) == 1
@@ -517,8 +529,7 @@ class TestFailurePath:
     def test_no_unit_fails_with_marker(self, monkeypatch):
         # a product no unit certifies is shown as not a power of i at any p;
         # no ring is built, so p = 5009 (n = 20036) fails like p = 31
-        monkeypatch.setattr(cyclotomic, "_unit_exponents",
-                            lambda p, m: {-1: None, 1: None})
+        monkeypatch.setattr(cyclotomic, "_unit_sign", lambda p, m: None)
         for p, m in [(31, 3), (5009, 1)]:
             ctx = PrimeContext(p)
             for check in ("gi", "gi_plus", "thm_main_exact"):
@@ -532,35 +543,37 @@ class TestFailurePath:
 def fresh_certificates():
     """Clear the certificate cache around a test that patches what the
     certificates read, so no verdict reached under the patch outlives it."""
-    cyclotomic._unit_exponents.cache_clear()
+    cyclotomic._unit_sign.cache_clear()
     yield
-    cyclotomic._unit_exponents.cache_clear()
+    cyclotomic._unit_sign.cache_clear()
 
 
-class TestUnitExponent:
+def skew_second_coset(row, l):
+    """row with the second coset's image times 2, a non-unit: no element of
+    Z[zeta_p] has these images, so the row is no longer all one sign."""
+    return row[:1] + (row[1] * 2 % l,) + row[2:]
+
+
+class TestUnitSign:
     def test_picker_certifies_what_it_picks(self, monkeypatch, fresh_certificates):
         pairs = certified_pairs(200)
         for p, m in pairs:
-            half = (p - 1) // (2 * m)
-            for s in (-1, 1):
-                delta = symbol_sign(2 * s, p, m).value
-                assert cyclotomic._unit_exponents(p, m)[s] == (half + 1 - delta) % 4
+            assert cyclotomic._unit_sign(p, m) == symbol_sign(2, p, m).value
+            for fn in EXACT_CHECKS:
+                assert fn(p, m, 1).status == "pass", (fn.__name__, p, m)
 
-        # the second coset's images times I: the product no longer is a
-        # power of i, but its first image, which picks e, still says it is
+        # the second coset's image times 2: Z no longer is +-1, but its
+        # first image, which picks the sign, still says it is
         real = cyclotomic._coset_images
 
         def skewed(p, m, l):
-            i_l, plus, minus = real(p, m, l)
-            return (i_l, plus[:1] + (plus[1] * i_l % l,) + plus[2:],
-                    minus[:1] + (minus[1] * i_l % l,) + minus[2:])
-        cyclotomic._unit_exponents.cache_clear()
+            return skew_second_coset(real(p, m, l), l)
+        cyclotomic._unit_sign.cache_clear()
         monkeypatch.setattr(cyclotomic, "_coset_images", skewed)
         for p, m in pairs:
             if m == 1:
                 continue   # a single coset: there is no second one to skew
-            for s in (-1, 1):
-                assert cyclotomic._unit_exponents(p, m)[s] is None, (p, m, s)
+            assert cyclotomic._unit_sign(p, m) is None, (p, m)
             for fn in EXACT_CHECKS:
                 rec = fn(p, m, 1)
                 shown = rec.expected if fn is verify_tan_cross else rec.actual
@@ -572,31 +585,75 @@ class TestUnitExponent:
         # them is checked, not only the first
         monkeypatch.setattr(cyclotomic, "_log2_bound", lambda p, m: 130)
         draws = count_draws(monkeypatch)
-        assert cyclotomic._unit_exponents(31, 3) == {-1: 3, 1: 1}
+        assert cyclotomic._unit_sign(31, 3) == 1
         assert len(set(draws)) == len(draws) == 3
+        # Z = 1 gives gi's exponent 3 and gi_plus's 1 (half = 5)
+        assert verify_gi(31, 3).actual == cyclotomic._render_i_power(31, 3, 1)
+        assert verify_gi_plus(31, 3).actual == cyclotomic._render_i_power(31, 1, 1)
 
-        # one image of the s = 1 product at the second prime times I: only
-        # that prime sees it, at u = 1 for s = 1 and at u = 3 for s = -1
+        # one coset's image at the second prime times 2: only that prime
+        # sees it, and it decides Z for both signs at once
         second = draws[1]
         real = cyclotomic._coset_images
 
         def skewed(p, m, l):
-            i_l, plus, minus = real(p, m, l)
-            if l == second:
-                plus = plus[:1] + (plus[1] * i_l % l,) + plus[2:]
-            return i_l, plus, minus
-        cyclotomic._unit_exponents.cache_clear()
+            row = real(p, m, l)
+            return skew_second_coset(row, l) if l == second else row
+        cyclotomic._unit_sign.cache_clear()
         monkeypatch.setattr(cyclotomic, "_coset_images", skewed)
-        assert cyclotomic._unit_exponents(31, 3) == {-1: None, 1: None}
+        assert cyclotomic._unit_sign(31, 3) is None
+        for fn in EXACT_CHECKS:
+            rec = fn(31, 3, 1)
+            shown = rec.expected if fn is verify_tan_cross else rec.actual
+            assert (rec.status, shown) == ("fail", cyclotomic.NOT_A_UNIT), \
+                fn.__name__
 
-    def test_cached_exponents_are_read_only(self, fresh_certificates):
-        # every record at (p, m) reads the one cached mapping, so no caller
-        # may change the verdict of the records after it
-        exponents = cyclotomic._unit_exponents(31, 3)
-        with pytest.raises(TypeError):
-            exponents[-1] = 0
-        assert cyclotomic._unit_exponents(31, 3) is exponents
+    def test_cached_sign_is_one_immutable_value(self, fresh_certificates):
+        # every record at (p, m) reads the one cached value, an int or None,
+        # which no caller can change for the records after it
+        sign = cyclotomic._unit_sign(31, 3)
+        assert sign == 1
+        hits = cyclotomic._unit_sign.cache_info().hits
+        assert cyclotomic._unit_sign(31, 3) is sign
         assert verify_gi(31, 3, 5).status == "pass"
+        assert cyclotomic._unit_sign.cache_info().hits == hits + 2
+
+
+def pair_unit(p, m):
+    """Z = prod over the pairs {x, -x} of R_m(p) of (zeta_p^x + zeta_p^-x),
+    expanded in the reference ring Z[zeta_4p], where zeta_p = z^4."""
+    ring = get_ring(4 * p)
+    factors = [(1, 4 * k, 1, 4 * (p - k))
+               for k in residue_set(p, m).members if 2 * k < p]
+    return binomial_product(ring, factors)
+
+
+class TestPairIdentity:
+    def test_products_are_powers_of_i_times_one_real_unit(self,
+                                                          fresh_certificates):
+        # every 2m | p - 1 with p < 200, also where 2 is not an m-th power
+        # residue: P_+ = i^half * Z and P_- = (-1)^half * P_+ always, and
+        # Z = +-1 exactly where Theorem 1.2 applies; elsewhere the
+        # certificate finds no sign
+        certified = set(certified_pairs(200))
+        for p in odd_primes_up_to(199):
+            ring = get_ring(4 * p)
+            for m in admissible_m(p):
+                half = (p - 1) // (2 * m)
+                z = pair_unit(p, m)
+                plus = i_product(p, m, 1)
+                assert plus == ring.monomial(p * half) * z, (p, m)
+                assert i_product(p, m, -1) == plus * (-1) ** half, (p, m)
+                signs = [c for c in (1, -1) if z == c]
+                sign = cyclotomic._unit_sign(p, m)
+                if (p, m) in certified:
+                    assert signs == [sign] == [symbol_sign(2, p, m).value], \
+                        (p, m)
+                else:
+                    assert signs == [] and sign is None, (p, m)
+        # 155 of the 218 pairs have 2 outside R_m(p) and Z != +-1
+        assert (len(certified), sum(len(admissible_m(p))
+                                    for p in odd_primes_up_to(199))) == (63, 218)
 
 
 class TestLargeIntegers:

@@ -590,7 +590,7 @@ class TestCosetSlices:
         # the exact layer's float bound and the numeric products read the
         # same coset sums: the m = 1 sum evaluates the 504 pairs of 1009, and
         # every other coset of every m, exact or numeric, is a slice of it
-        cyclotomic._unit_exponents.cache_clear()
+        cyclotomic._unit_sign.cache_clear()
         calls = []
         real_sin = math.sin
         monkeypatch.setattr(math, "sin",
@@ -604,7 +604,7 @@ class TestCosetSlices:
                                                       capsys):
         # at one (p, m) the bound sums all m = 4 cosets cold, and the
         # numeric product reads its cosets from them: (1049 - 1)/2 sins
-        cyclotomic._unit_exponents.cache_clear()
+        cyclotomic._unit_sign.cache_clear()
         residues._walks.cache_clear()
         calls = []
         real_sin = math.sin
