@@ -4,18 +4,36 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-# Deterministic Miller-Rabin witness set: the first 13 primes.  The least
-# strong pseudoprime to all of them is psi_13 = 3317044064679887385961981
-# (Sorenson and Webster, 2015), so the test is proven correct below it.  The
-# first 12 primes alone stop at psi_12 = 318665857834031151167461.
+# Deterministic Miller-Rabin witness set: the first 13 primes.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+
+# (psi_k, k): psi_k is the least strong pseudoprime to all of the first k
+# prime bases (OEIS A014233; Jaeschke 1993; Sorenson and Webster 2015), so an
+# odd n < psi_k that passes those k bases is prime.  Where psi_k equals
+# psi_(k+1) the smaller k is kept.
+_MR_PREFIXES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),           # = psi_8
+    (3825123056546413051, 9),       # = psi_10 = psi_11
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+_MR_BOUND = _MR_PREFIXES[-1][0]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3317044064679887385961981 (~3.3e24).
 
-    Raises ValueError for larger n, where the witness set proves nothing.
+    After trial division by the 13 witnesses, n is tested to the first k
+    prime bases only, for the least k with n < psi_k (_MR_PREFIXES): by the
+    definition of psi_k, no composite below it passes those k bases, so the
+    remaining bases could not reject n.  Below 2047 that is base 2 alone.
+    Raises ValueError for n >= psi_13, where the witness set proves nothing.
     """
     if n >= _MR_BOUND:
         raise ValueError(f"{n} is beyond the proven primality range (< {_MR_BOUND})")
@@ -26,12 +44,13 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
+    k = next(k for psi, k in _MR_PREFIXES if n < psi)
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -17,13 +17,17 @@ key, so the concatenation is exactly the global sort.
 
 One engine runs every scan.  Its unit of work is a batch: a contiguous,
 ascending run of primes whose sum is about 1/(8*workers) of the range's,
-since a prime's cost grows about linearly in p.  A batch scans its primes,
-formats their lines itself with the formatter emit_report uses, and sends
-back that text, its counts of pass, fail, skipped and error records and,
-only when the caller keeps records, their field tuples.  The process pool
-returns the batches in submission order, so the parent appends each text
-to the report as it arrives and the file is the concatenation of the
-per-prime runs.  `resitan scan` takes the counts only (scan_counts), so
+since a prime's cost grows about linearly in p, cut further into runs of at
+most BATCH_PRIMES primes.  That cap keeps a worker's memory independent of
+the range: without it the first run of 50..12000 at two workers holds 384
+primes, and its records, text and pickled copy all at once.  A batch scans
+its primes one at a time, formats each prime's lines as soon as they exist
+with the formatter emit_report uses, and keeps no record past its prime.
+It sends back that text, its counts of pass, fail, skipped and error
+records and, only when the caller keeps records, their field tuples.  The
+process pool returns the batches in submission order, so the parent appends
+each text to the report as it arrives and the file is the concatenation of
+the per-prime runs.  `resitan scan` takes the counts only (scan_counts), so
 its parent never rebuilds a record; scan() rebuilds them all.
 """
 
@@ -269,15 +273,23 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+# the most primes one batch holds (see the module docstring)
+BATCH_PRIMES = 64
+
+
 def _cost_batches(primes: list[int], workers: int) -> list[list[int]]:
-    """The primes cut into contiguous ascending runs of about equal cost.
+    """The primes cut into contiguous ascending runs of about equal cost,
+    none longer than BATCH_PRIMES.
 
     A prime's checks cost roughly in proportion to p, so a prime joins run
     floor(S * 8*workers / total), where S is the sum of the primes below it:
     each run holds about 1/(8*workers) of the sum of all the primes.  Eight
     tasks per worker amortise each task's round trip, and runs of equal cost
     leave no worker finishing the largest primes alone, so the last run
-    holds fewer primes than the first.
+    holds fewer primes than the first.  A run longer than BATCH_PRIMES is
+    then cut into the fewest consecutive runs of near-equal length within
+    the cap, so that what a worker holds at once does not grow with the
+    range: small primes are many per unit of cost.
     """
     if not primes:
         return []
@@ -286,10 +298,16 @@ def _cost_batches(primes: list[int], workers: int) -> list[list[int]]:
     for p in primes:
         runs.setdefault(below * cuts // total, []).append(p)
         below += p
-    return list(runs.values())
+    batches = []
+    for run in runs.values():
+        n = len(run)
+        k = -(-n // BATCH_PRIMES)
+        batches += (run[i * n // k:(i + 1) * n // k] for i in range(k))
+    return batches
 
 
 _ROW = attrgetter(*REPORT_FIELDS)
+_STATUS = attrgetter("status")
 
 
 def _sweep_batch(task):
@@ -297,22 +315,29 @@ def _sweep_batch(task):
 
     Returns the run's report text (empty unless asked for), its counts of
     (pass, fail, skipped, error) records, and its records as field tuples
-    when asked for, else None.  Tuples pickle in C; a record pickles
-    through a Python call to its __reduce__.
+    when asked for, else None.  Each prime's records are formatted and
+    counted as soon as they exist and dropped with the next prime.  Tuples
+    pickle in C; a record pickles through a Python call to its __reduce__.
     """
     config, primes, want_text, want_rows = task
-    records = [rec for p in primes for rec in _scan_prime((config, p))]
-    text = ""
+    buf = None
     if want_text:
         from io import StringIO
         buf = StringIO(newline="")
-        _write_rows(buf, records, config.fmt)
-        text = buf.getvalue()
-    seen = Counter(rec.status for rec in records)
+    seen = Counter()
+    rows = [] if want_rows else None
+    for p in primes:
+        records = _scan_prime((config, p))
+        if buf is not None:
+            _write_rows(buf, records, config.fmt)
+        seen.update(map(_STATUS, records))
+        if rows is not None:
+            rows += map(_ROW, records)
+    total = seen.total()
     failed, skipped = seen.pop(FAIL, 0), seen.pop(SKIPPED, 0)
     errored = sum(n for status, n in seen.items() if status.startswith("error("))
-    tally = (len(records) - failed - skipped - errored, failed, skipped, errored)
-    return text, tally, list(map(_ROW, records)) if want_rows else None
+    tally = (total - failed - skipped - errored, failed, skipped, errored)
+    return "" if buf is None else buf.getvalue(), tally, rows
 
 
 def _sweep(config: ScanConfig, keep_records: bool):

@@ -36,9 +36,13 @@ def int_str(c: int) -> str:
     return sign + head + "".join(f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
 
 
-def error_status(message) -> str:
-    """Status string for an unexpected error, collapsed to a single line."""
-    return "error(%s)" % " ".join(str(message).split())
+def error_status(exc: BaseException) -> str:
+    """Status string for an unexpected error: its exception type and, if it
+    has one, its message collapsed to a single line, as in
+    "error(ValueError: math domain error)" or "error(ZeroDivisionError)"."""
+    message = " ".join(str(exc).split())
+    name = type(exc).__name__
+    return f"error({name}: {message})" if message else f"error({name})"
 
 
 _FIELDS = ("p", "m", "a", "check", "status", "expected", "actual",

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from conftest import odd_primes_up_to, primes_up_to
-from resitan import PrimeContext, is_prime, jacobi, mod_pow, sqrt_mod
+from resitan import PrimeContext, arith, is_prime, jacobi, mod_pow, sqrt_mod
 
 
 def trial_division_prime(n: int) -> bool:
@@ -36,6 +37,42 @@ class TestIsPrime:
         assert not is_prime(3825123056546413051)
         # psi_12: smallest strong pseudoprime to the first twelve prime bases
         assert not is_prime(318665857834031151167461)
+
+    # psi_k, the least strong pseudoprime to the first k prime bases
+    # (OEIS A014233), with its factors; psi_7 = psi_8 and psi_9 = psi_11
+    PSI = {1: (23, 89), 2: (829, 1657), 3: (2251, 11251),
+           4: (151, 751, 28351), 5: (6763, 10627, 29947),
+           6: (1303, 16927, 157543), 7: (10670053, 32010157),
+           8: (10670053, 32010157), 9: (149491, 747451, 34233211),
+           10: (149491, 747451, 34233211), 11: (149491, 747451, 34233211),
+           12: (399165290221, 798330580441),
+           13: (1287836182261, 2575672364521)}
+    BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    @staticmethod
+    def strong_probable_prime(n, a):
+        d, r = n - 1, 0
+        while d % 2 == 0:
+            d, r = d // 2, r + 1
+        x = pow(a, d, n)
+        return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1
+                                      for i in range(1, r))
+
+    def test_each_witness_prefix_stops_short_of_its_psi(self):
+        # psi_k is composite yet passes its first k bases: from psi_k up,
+        # is_prime must test more than k of them
+        least_k = {}
+        for k, factors in self.PSI.items():
+            psi = math.prod(factors)
+            least_k.setdefault(psi, k)
+            assert all(self.strong_probable_prime(psi, a)
+                       for a in self.BASES[:k]), k
+            if k < 13:
+                assert not is_prime(psi), k
+        # below each psi, is_prime tests the least k that psi allows
+        assert arith._MR_PREFIXES == tuple(least_k.items())
+        with pytest.raises(ValueError, match="beyond the proven"):
+            is_prime(math.prod(self.PSI[13]))
 
     def test_64_bit_boundary(self):
         assert is_prime(2 ** 64 - 59)

@@ -249,7 +249,7 @@ def raise_at_13(ctx, m):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("runner, status", [(fail_at_13, "fail"),
-                                            (raise_at_13, "error(forced at 13)")])
+                                            (raise_at_13, "error(ArithmeticError: forced at 13)")])
 def test_scan_failure_or_error_exits_1_with_record_counts(
         threads, runner, status, tmp_path, monkeypatch, capsys):
     require_fork(threads)

@@ -171,6 +171,19 @@ class TestScan:
             ScanConfig(3, 10, tolerance=tol)
 
 
+@pytest.mark.parametrize("exc, status", [
+    (ArithmeticError("split primes 1 mod 4p ran out"),
+     "error(ArithmeticError: split primes 1 mod 4p ran out)"),
+    (ZeroDivisionError(), "error(ZeroDivisionError)"),
+    (KeyError(7), "error(KeyError: 7)"),
+    (ValueError(" two\n  lines "), "error(ValueError: two lines)")])
+def test_error_record_names_the_exception_type(exc, status):
+    def boom():
+        raise exc
+    rec = harness.run_guarded(resitan.PrimeContext(7), 1, 0, "lemma21", boom)
+    assert (rec.status, rec.expected, rec.actual) == (status, "", "")
+
+
 def random_records(count, rng):
     statuses = ["pass", "fail", "skipped(hypothesis)", "error(boom, quoted \"txt\")"]
     alphabet = string.ascii_letters + string.digits + " ,;\"'*^+-=()"
@@ -346,6 +359,13 @@ class TestSweep:
         assert removed == []
 
 
+def cost_runs(primes, workers, monkeypatch):
+    """_cost_batches with no cap: the cost-balanced runs alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "BATCH_PRIMES", len(primes))
+        return harness._cost_batches(primes, workers)
+
+
 class TestPool:
     def test_default_threads_are_the_usable_cores(self, monkeypatch):
         monkeypatch.delenv("RESITAN_THREADS", raising=False)
@@ -366,26 +386,39 @@ class TestPool:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert harness._thread_count() == 1
 
-    def test_batching(self):
+    def test_batching(self, monkeypatch):
         assert harness._cost_batches([], 2) == []
         assert harness._cost_batches([3], 4) == [[3]]
         # more runs asked for than primes: one prime each, none empty
         assert harness._cost_batches([3, 5, 7], 2) == [[3], [5], [7]]
+        cap = harness.BATCH_PRIMES
         for pmax, workers in itertools.product((400, 6000), (1, 2, 3, 8)):
             primes = odd_primes_up_to(pmax)
             batches = harness._cost_batches(primes, workers)
-            # contiguous ascending runs that hold every prime once
+            # contiguous ascending batches that hold every prime once
             assert [p for batch in batches for p in batch] == primes
-            assert all(batch for batch in batches)
+            assert all(0 < len(batch) <= cap for batch in batches)
+            runs = cost_runs(primes, workers, monkeypatch)
             # 8 runs per worker, each about 1/(8 workers) of the prime sum;
             # a prime above that share may leave a run empty, and none is kept
             share = sum(primes) / (8 * workers)
-            assert all(sum(batch) < share + batch[-1] for batch in batches)
-            assert len(batches) <= 8 * workers
+            assert all(sum(run) < share + run[-1] for run in runs)
+            assert len(runs) <= 8 * workers
             if primes[-1] <= share:
-                assert len(batches) == 8 * workers
+                assert len(runs) == 8 * workers
             # cost grows with p: the last run holds fewer primes than the first
-            assert len(batches[-1]) < len(batches[0])
+            assert len(runs[-1]) < len(runs[0])
+            # each run is cut into the fewest near-equal batches within the cap
+            it = iter(batches)
+            for run in runs:
+                pieces = [next(it) for _ in range(-(-len(run) // cap))]
+                assert [p for piece in pieces for p in piece] == run
+                assert max(map(len, pieces)) - min(map(len, pieces)) <= 1
+            assert next(it, None) is None
+        # the numeric scan's first run at two workers outgrows the cap
+        primes = [p for p in odd_primes_up_to(6000) if p >= 50]
+        assert len(cost_runs(primes, 2, monkeypatch)[0]) == 205
+        assert len(harness._cost_batches(primes, 2)[0]) < cap < 205
 
     def test_pool_gets_batched_tasks(self, monkeypatch):
         import concurrent.futures
@@ -411,6 +444,43 @@ class TestPool:
         assert sum(seen["primes"]) == 77
         monkeypatch.setenv("RESITAN_THREADS", "1")
         assert scan(ScanConfig(3, 400, checks=("lemma21",))) == recs
+
+    def test_pooled_report_equals_serial_past_the_cap(self, tmp_path,
+                                                      monkeypatch):
+        # 3..3000's first cost run holds more than BATCH_PRIMES primes at
+        # every process count here, so the cap cuts it into several batches
+        primes = odd_primes_up_to(3000)
+        reports = []
+        for threads in (1, 2, 3):
+            runs = cost_runs(primes, threads, monkeypatch)
+            assert len(runs[0]) > harness.BATCH_PRIMES
+            monkeypatch.setenv("RESITAN_THREADS", str(threads))
+            out = tmp_path / f"scan-{threads}.jsonl"
+            harness.scan_counts(ScanConfig(
+                3, 3000, checks=("thm_main_numeric", "lemma21"), out=str(out)))
+            reports.append(out.read_bytes())
+        assert reports[0] and reports[1] == reports[0] and reports[2] == reports[0]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_streamed_batch_equals_whole_batch(self, fmt):
+        config = ScanConfig(3, 200, checks=("gi", "lemma21", "pmd_thm14"),
+                            fmt=fmt)
+        primes = odd_primes_up_to(200)
+        records = [rec for p in primes
+                   for rec in harness._scan_prime((config, p))]
+        from io import StringIO
+        buf = StringIO(newline="")
+        harness._write_rows(buf, records, fmt)
+        statuses = [rec.status for rec in records]
+        tally = (statuses.count("pass"), statuses.count("fail"),
+                 statuses.count("skipped(hypothesis)"),
+                 sum(s.startswith("error(") for s in statuses))
+        assert sum(tally) == len(records) and tally[0] and tally[2]
+        text, got, rows = harness._sweep_batch((config, primes, True, False))
+        assert text == buf.getvalue() and got == tally and rows is None
+        text, got, rows = harness._sweep_batch((config, primes, False, True))
+        assert text == "" and got == tally
+        assert [VerificationRecord(*row) for row in rows] == records
 
 
 def test_package_has_no_assert_statements():
