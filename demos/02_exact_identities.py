@@ -1,38 +1,47 @@
 #!/usr/bin/env python3
 """Exact product identities in the cyclotomic ring Z[zeta_4p].
 
-Everything here is integer arithmetic: zeta_4p^p acts as i, zeta_4p^(4k)
-realizes e^(2*pi*i*k/p), and products of the sparse binomials (i - zeta^(4ak))
-collapse to a single signed power of i once reduced modulo Phi_4p.  The
-renders below are canonical forms, so string equality is ring equality.
+Write z = zeta_4p, so that z^p is i and z^4 is zeta_p.  For 2m | p - 1 with
+2 an m-th power residue mod p, the product of (i - zeta_p^(ak)) over R_m(p)
+is sign(-2) * i^((p-1)/(2m)), where sign(-2) is the m-th power residue
+symbol of -2.  A record renders each side in the canonical basis of
+Z[zeta_4p], as 'c*z^e' with e in {0, p}, so string equality is ring
+equality.
 
-The first product is expanded in the reference ring of resitan.ring; the
-checks after it are decided by certificates modulo split primes and never
-expand a product.
+No product is expanded.  The checks certify that one real unit of
+Z[zeta_p] is +-1 by its images modulo split primes l = 1 (mod 4p), and that
+verdict serves both signs and every a.
 """
 
-from resitan import symbol_sign, verify_gi, verify_gi_plus, verify_tan_cross
-from resitan.residues import residue_set
-from resitan.ring import binomial_product, get_ring
+from resitan import (HypothesisViolation, symbol_sign, verify_gi,
+                     verify_gi_plus, verify_tan_cross)
 
-p, m, a = 31, 3, 1
-ring = get_ring(4 * p)
-print(f"ring: {ring!r}, i = z^{p}, Phi_{4 * p} has degree {ring.phi_n}")
+p, m = 31, 3
+half = (p - 1) // (2 * m)
+delta = symbol_sign(-2, p, m).value
+print(f"p={p}, m={m}: i = z^{p}, |R_{m}({p})|/2 = {half}, sign(-2) = {delta:+d}")
+print(f"claim: prod over R_{m}({p}) of (i - z^(4ak)) = {delta:+d} * i^{half}")
+for a in (1, 2, 3, 30):
+    rec = verify_gi(p, m, a)
+    print(f"  a={a:2d}: {rec.status}  expected {rec.expected}  actual {rec.actual}")
 
-members = residue_set(p, m).members
-factors = [(1, p, -1, 4 * a * k % (4 * p)) for k in members]
-product = binomial_product(ring, factors)
-print(f"prod over R_{m}({p}) of (i - z^(4k)) = {product.render()}   (that is -i)")
 print()
-
-for args in [(31, 3, 1), (31, 3, 2), (5, 1, 1), (113, 4, 3)]:
+print("the residue symbol picks the sign; the power of i is (p-1)/(2m):")
+for args in [(31, 3, 1), (5, 1, 1), (113, 4, 3), (73, 4, 5)]:
+    p_, m_, a_ = args
+    sym = symbol_sign(-2, p_, m_).value
     rec = verify_gi(*args)
-    print(f"gi{args!r:>12}: {rec.status}  both sides {rec.actual}")
+    print(f"  gi{args!r:>12}: sign(-2) = {sym:+d}, i^{(p_ - 1) // (2 * m_)}"
+          f"  -> {rec.status}  both sides {rec.actual}")
 
 print()
-for args in [(31, 3, 1), (5, 1, 1)]:
+print("the companion product over (i + z^(4ak)) takes the symbol of +2:")
+for args in [(31, 3, 1), (5, 1, 1), (113, 4, 3)]:
+    p_, m_, a_ = args
+    sym = symbol_sign(2, p_, m_).value
     rec = verify_gi_plus(*args)
-    print(f"gi_plus{args!r:>12}: {rec.status}  both sides {rec.actual}")
+    print(f"  gi_plus{args!r:>12}: sign(2) = {sym:+d}  -> {rec.status}"
+          f"  both sides {rec.actual}")
 
 print()
 print("cross-multiplied tangent identity, no floats involved:")
@@ -41,4 +50,13 @@ for args in [(31, 3, 1), (5, 1, 1), (113, 4, 1)]:
     rec = verify_tan_cross(*args)
     scalar = symbol_sign(-2, p_, m_).value * (-2) ** ((p_ - 1) // (2 * m_))
     print(f"  (i-1)^|R| = {scalar} * prod(i - z^(4ak)) for (p,m,a)={args}: {rec.status}")
-    print(f"    tangent product over R_{m_}({p_}) is exactly {scalar}")
+    print(f"    both sides {rec.actual}; the tangent product over R_{m_}({p_}) "
+          f"is exactly {scalar}")
+
+print()
+print("outside the hypothesis there is no claim to check:")
+try:
+    verify_gi(13, 2)
+except HypothesisViolation as exc:
+    print(f"  gi(13, 2, 1): HypothesisViolation: {exc}")
+    print("  (a scan records it as skipped(hypothesis))")

@@ -2,18 +2,15 @@
 identities over m-th power residue classes modulo primes.
 
 The exact layer decides the identities in Z[zeta_4p] by certificates modulo
-split primes and is the ground truth; `ring` holds the dense ring Z[zeta_n]
-as a reference for tests, and is loaded only when one of its names is first
-read from the package.  The numeric layer evaluates the same products in
-sign and log2-magnitude form as an independent sanity check.  The harness sweeps prime
-ranges and writes deterministic JSONL/CSV reports.
+split primes and is the ground truth.  The numeric layer evaluates the same
+products in sign and log2-magnitude form as an independent sanity check.
+The harness sweeps prime ranges and writes deterministic JSONL/CSV reports.
 """
 
 from .arith import PrimeContext, is_prime, jacobi, mod_pow, sqrt_mod
 from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
 from .errors import (BranchViolation, HypothesisViolation, NonRealSymbol,
-                     NotRepresentable, PoleProximity, ResitanError,
-                     RingMismatch)
+                     NotRepresentable, PoleProximity, ResitanError)
 from .harness import (CHECK_NAMES, ScanConfig, emit_report, parse_report,
                       scan, verify_cor11, verify_cor12)
 from .numeric import (SignedMagnitude, pmd_lemma_identity,
@@ -31,25 +28,13 @@ __all__ = [
     "PrimeContext", "is_prime", "jacobi", "mod_pow", "sqrt_mod",
     "ResidueSet", "SignSymbol", "is_mth_residue", "residue_set",
     "residue_sum_check", "symbol_sign",
-    "CycloElement", "CycloRing", "binomial_product", "cyclotomic_poly",
-    "get_ring", "verify_gi", "verify_gi_plus", "verify_tan_cross",
+    "verify_gi", "verify_gi_plus", "verify_tan_cross",
     "Representation", "cornacchia", "check_lemma31", "two_residue_criterion",
     "SignedMagnitude", "tan_product", "verify_theorem_main_numeric",
     "pmd_lemma_identity", "pmd_theorem14_numeric",
     "VerificationRecord", "ScanConfig", "scan", "emit_report", "parse_report",
     "verify_cor11", "verify_cor12", "CHECK_NAMES",
     "ResitanError", "HypothesisViolation", "NonRealSymbol", "NotRepresentable",
-    "BranchViolation", "PoleProximity", "RingMismatch",
+    "BranchViolation", "PoleProximity",
 ]
 
-# served by __getattr__, so that `import resitan` does not load the ring
-_RING_NAMES = frozenset({"CycloElement", "CycloRing", "binomial_product",
-                         "cyclotomic_poly", "get_ring"})
-
-
-def __getattr__(name):
-    """Load the reference ring on first use of one of its names (PEP 562)."""
-    if name in _RING_NAMES:
-        from . import ring
-        return getattr(ring, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -91,9 +91,14 @@ image differs modulo a split prime, and equal elements have equal images.
 So when the certificate rejects, or the first image is not +-1, Z is not
 +-1, P_s is no power of i, and the record fails with "not a power of i" in
 place of the product.  A check whose product is i^e with e not the claimed
-exponent fails and renders i^e.  Either way no ring is built and no size
-limit applies; the dense ring of ring.py is kept only as the tests'
-reference.
+exponent fails and renders i^e.  Either way no ring is built.  A rejection
+needs no bound, so _unit_sign reads the first prime's images before it sums
+the float bound, and only a certificate that may pass pays for the bound.
+
+Each split prime drawn costs O(p) time and a table of (p - 1)/2 images, and
+the float bound O(p) sines, whatever the size of R_m(p); the numeric checks
+walk R_m(p) alone, so they are the ones to run at a large p with a small
+R_m(p).
 """
 
 from __future__ import annotations
@@ -225,26 +230,31 @@ def _unit_sign(p: int, m: int) -> int | None:
     float bound B = 2^b + 1.
     """
     primes = _split_primes(4 * p)
-    # the first prime comes before the bound, so where there is none (4p >
-    # 2^62, as at p = 2^61 - 1) the certificate fails before any coset work
+    # the first prime comes before any coset work, so where there is none
+    # (4p > 2^62, as at p = 2^61 - 1) the certificate fails at once
     l = next(primes)
-    bound = 2 ** _log2_bound(p, m) + 1
     row = _coset_images(p, m, l)
     # an image that is neither 1 nor -1 is not -1 either, and fails below
     sign = -1 if row[0] == l - 1 else 1
+    # Equal elements have equal images: Z = +-1 maps to itself at every
+    # coset, and row[0] leaves sign as its one candidate.  So a row that is
+    # not all sign proves Z != +-1 with no bound, and only a first row that
+    # is all sign pays for summing the bound
+    if set(row) != {sign % l}:
+        return None
+    bound = 2 ** _log2_bound(p, m) + 1
     modulus = l
-    while set(row) == {sign % l}:
-        if modulus > bound:
-            return sign
+    while modulus <= bound:
         l = next(primes)
-        row = _coset_images(p, m, l)
+        if set(_coset_images(p, m, l)) != {sign % l}:
+            return None
         modulus *= l
-    return None
+    return sign
 
 
 def _render_i_power(p: int, q: int, c: int) -> str:
-    """ring.CycloElement.render() of c * i^q in Z[zeta_4p], i = z^p, built
-    without the ring.
+    """c * i^q in Z[zeta_4p], i = z^p, rendered as 'c*z^e' from its
+    coefficients in the canonical basis z^0, ..., z^(phi(4p) - 1).
 
     z^(2p) = -1 folds i^2 to -1 and i^3 to -z^p, and z^0, z^p are already
     canonical because p < phi(4p) = 2p - 2.

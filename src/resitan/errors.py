@@ -23,7 +23,3 @@ class BranchViolation(HypothesisViolation):
 
 class PoleProximity(ResitanError, ValueError):
     """A tangent argument is too close to a pole of tan."""
-
-
-class RingMismatch(ResitanError, ValueError):
-    """Elements of two different cyclotomic rings were combined."""

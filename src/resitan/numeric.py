@@ -104,12 +104,6 @@ class SignedMagnitude(namedtuple("SignedMagnitude", "sign log2_mag",
     sign: int
     log2_mag: float
 
-    def __mul__(self, other: "SignedMagnitude") -> "SignedMagnitude":
-        if self.sign == 0 or other.sign == 0:
-            return SignedMagnitude(0)
-        return SignedMagnitude(self.sign * other.sign,
-                               self.log2_mag + other.log2_mag)
-
     def value(self) -> float:
         if self.sign == 0:
             return 0.0

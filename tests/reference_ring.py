@@ -8,12 +8,11 @@ degree below phi(n), is computed only for equality tests and rendering.
 Coefficients of a product of j two-term factors can reach 2^j, far past any
 machine word, which is why everything stays in Python integers.
 
-No check runs on this module: the exact checks in cyclotomic.py are decided
-by modular certificates and never expand a product.  The ring is kept as an
-independent reference, which the tests expand products in to compare
-records against, and which demos/02_exact_identities.py prints from.  A
-product over R_m(p) in n = 4p costs about n * |R| coefficient operations,
-so it is meant for small p.
+The package does not use this module: its exact checks are decided by
+modular certificates and never expand a product.  The ring is the tests'
+independent reference, which they expand products in to compare records
+against.  A product over R_m(p) in n = 4p costs about n * |R| coefficient
+operations, so it is meant for small p.
 """
 
 from __future__ import annotations
@@ -21,8 +20,11 @@ from __future__ import annotations
 import cmath
 import functools
 
-from .arith import divisors
-from .errors import RingMismatch
+from resitan.arith import divisors
+
+
+class RingMismatch(ValueError):
+    """Elements of two different cyclotomic rings were combined."""
 
 
 def _mobius(n: int) -> int:

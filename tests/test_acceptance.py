@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import admissible_m, odd_primes_up_to
-from resitan import (ScanConfig, check_lemma31, cornacchia, cyclotomic_poly,
-                     is_mth_residue, mod_pow, pmd_lemma_identity,
-                     pmd_theorem14_numeric, residue_set, residue_sum_check,
-                     scan, two_residue_criterion, verify_cor11, verify_cor12,
+from reference_ring import cyclotomic_poly
+from resitan import (ScanConfig, check_lemma31, cornacchia, is_mth_residue,
+                     mod_pow, pmd_lemma_identity, pmd_theorem14_numeric,
+                     residue_set, residue_sum_check, scan,
+                     two_residue_criterion, verify_cor11, verify_cor12,
                      verify_gi, verify_gi_plus, verify_tan_cross,
                      verify_theorem_main_numeric)
 

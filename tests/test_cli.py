@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -81,7 +82,6 @@ UNLOADED_BY_CLI = {
     "decimal": "exact angle reduction is plain integer arithmetic",
     "json": "only report I/O needs it, and imports it where it runs",
     "csv": "only report I/O needs it, and imports it where it runs",
-    "resitan.ring": "the package root serves the ring's names on first use",
     "dataclasses": "the value types are namedtuples and slotted classes",
     "inspect": "nothing at start-up introspects code",
 }
@@ -89,21 +89,18 @@ UNLOADED_BY_CLI = {
 
 @pytest.fixture(scope="module")
 def cli_import():
-    """One fresh interpreter: the modules of UNLOADED_BY_CLI that
-    `import resitan.cli` loads, and whether `from resitan import CycloRing`
-    then loads resitan.ring."""
+    """The modules of UNLOADED_BY_CLI that `import resitan.cli` loads in one
+    fresh interpreter."""
     src = str(Path(resitan.__file__).resolve().parent.parent)
     code = ("import sys, resitan.cli; "
-            f"print(*[m for m in {list(UNLOADED_BY_CLI)!r} if m in sys.modules]); "
-            "from resitan import CycloRing; print('resitan.ring' in sys.modules)")
+            f"print(*[m for m in {list(UNLOADED_BY_CLI)!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    loaded, ring_after_use = out.stdout.split("\n")[:2]
-    return set(loaded.split()), ring_after_use == "True"
+    return set(out.stdout.split())
 
 
 def assert_not_loaded(cli_import, *modules):
-    loaded = sorted(cli_import[0] & set(modules))
+    loaded = sorted(cli_import & set(modules))
     assert not loaded, {m: UNLOADED_BY_CLI[m] for m in loaded}
 
 
@@ -119,9 +116,17 @@ def test_import_loads_no_json_or_csv(cli_import):
     assert_not_loaded(cli_import, "json", "csv")
 
 
+# the dense ring's names, which tests/reference_ring.py holds
+RING_NAMES = ("CycloElement", "CycloRing", "binomial_product",
+              "cyclotomic_poly", "get_ring", "RingMismatch")
+
+
 def test_import_loads_no_reference_ring(cli_import):
-    assert_not_loaded(cli_import, "resitan.ring")
-    assert cli_import[1]
+    # the package holds only the verifier: no ring module, none of the
+    # ring's names, and a CLI import that loads none of UNLOADED_BY_CLI
+    assert importlib.util.find_spec("resitan.ring") is None
+    assert [name for name in RING_NAMES if hasattr(resitan, name)] == []
+    assert_not_loaded(cli_import, *UNLOADED_BY_CLI)
 
 
 def test_import_loads_no_dataclasses_or_inspect(cli_import):

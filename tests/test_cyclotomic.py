@@ -7,15 +7,15 @@ import tracemalloc
 import pytest
 
 from conftest import admissible_m, odd_primes_up_to
-from resitan import (HypothesisViolation, RingMismatch, SignSymbol,
-                     binomial_product, cyclotomic, cyclotomic_poly,
+from reference_ring import (RingMismatch, binomial_product, cyclotomic_poly,
+                            get_ring)
+from resitan import (HypothesisViolation, SignSymbol, cyclotomic,
                      is_mth_residue, jacobi, residue_set, symbol_sign, verify_gi,
                      verify_gi_plus, verify_tan_cross)
 from resitan.arith import PrimeContext
 from resitan.harness import run_check
 from resitan.records import int_str
 from resitan.residues import walk
-from resitan.ring import get_ring
 
 
 def poly_divmod(num, den):
@@ -609,6 +609,34 @@ class TestUnitSign:
             shown = rec.expected if fn is verify_tan_cross else rec.actual
             assert (rec.status, shown) == ("fail", cyclotomic.NOT_A_UNIT), \
                 fn.__name__
+
+    def test_rejection_sums_no_bound(self, monkeypatch, fresh_certificates):
+        # a first row that is not all one sign proves Z != +-1 by itself, so
+        # every pair with p < 200 and 2 outside R_m(p) is rejected with the
+        # float bound out of reach
+        def no_bound(p, m):
+            raise AssertionError(f"bound summed for ({p}, {m})")
+        monkeypatch.setattr(cyclotomic, "_log2_bound", no_bound)
+        certified = set(certified_pairs(200))
+        rejected = [(p, m) for p in odd_primes_up_to(199)
+                    for m in admissible_m(p) if (p, m) not in certified]
+        assert len(rejected) == 155
+        for p, m in rejected:
+            assert cyclotomic._unit_sign(p, m) is None, (p, m)
+
+    def test_rows_of_one_sign_certify_only_past_the_bound(self, monkeypatch,
+                                                          fresh_certificates):
+        # every row all -1: only the bound ends the prime loop, so the
+        # primes are drawn until their product passes 2^130 + 1, which takes
+        # three above 2^61, and a first row alone certifies nothing
+        monkeypatch.setattr(cyclotomic, "_coset_images",
+                            lambda p, m, l: (l - 1,) * m)
+        monkeypatch.setattr(cyclotomic, "_log2_bound", lambda p, m: 130)
+        draws = count_draws(monkeypatch)
+        assert cyclotomic._unit_sign(31, 3) == -1
+        bound = 2 ** 130 + 1
+        assert len(draws) == 3, draws
+        assert math.prod(draws[:2]) <= bound < math.prod(draws)
 
     def test_cached_sign_is_one_immutable_value(self, fresh_certificates):
         # every record at (p, m) reads the one cached value, an int or None,
