@@ -105,26 +105,12 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from array import array
 
-from .arith import PrimeContext, as_prime, is_prime
-from .errors import HypothesisViolation
+from .arith import PrimeContext, is_prime
 from .numeric import coset_log2
 from .records import VerificationRecord, finish, int_str
-from .residues import (_subgroup_generator, is_mth_residue, require_even_index,
-                       symbol_sign)
-
-
-def _product_context(p, m: int, a: int) -> PrimeContext:
-    """Validate the hypotheses shared by the exact checks."""
-    ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
-    require_even_index(ctx, m)
-    if not is_mth_residue(2, ctx, m):
-        raise HypothesisViolation(f"2 is not a {m}-th power residue mod {ctx.p}")
-    return ctx
+from .residues import _product_context, _subgroup_generator, symbol_sign
 
 
 # Certificate primes come down from 2^62, so each passes 2^61 and a product
@@ -275,7 +261,6 @@ def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationReco
     thm_main_exact puts the scaled product in expected and (i-1)^|R| in
     actual; gi and gi_plus put the claim in expected and the product in actual.
     """
-    t0 = time.perf_counter()
     ctx = _product_context(p, m, a)
     half = ctx.p_minus_1 // (2 * m)
     delta = symbol_sign(2 * s, ctx, m).value
@@ -288,7 +273,7 @@ def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationReco
     product = NOT_A_UNIT if e is None else _render_i_power(ctx.p, e, scale)
     expected, actual = (product, claim) if tangent else (claim, product)
     return finish(ctx.p, m, a, check, e == (half + 1 - delta) % 4,
-                  expected, actual, t0)
+                  expected, actual)
 
 
 def verify_gi(p, m: int, a: int = 1) -> VerificationRecord:

@@ -8,12 +8,14 @@ p-1, 2 not an m-th power residue, p not representable by the relevant
 quadratic form, wrong congruence branch) become skipped(hypothesis) records,
 never silent omissions, so sweep coverage is auditable.
 
-Reports are in (p, m, a, check) order with elapsed_ms zeroed, which makes
-repeated scans with the same configuration byte-identical at any number of
-processes.  No global sort produces that order.  Each prime's records are
-sorted by (m, a, check) where they are computed, and the per-prime runs are
-concatenated in ascending p: the primes are disjoint and p is the leading
-key, so the concatenation is exactly the global sort.
+Reports are in (p, m, a, check) order, and no check carries a clock
+(elapsed_ms is 0.0 in every record), which makes repeated scans with the
+same configuration byte-identical at any number of processes.  No global
+sort produces that order.  Each prime's records are sorted by (m, a, check)
+where they are computed, and the per-prime runs are concatenated in
+ascending p: the primes are disjoint and p is the leading key, so the
+concatenation is exactly the global sort.  Records are frozen: each is
+reported exactly as its check built it.
 
 One engine runs every scan.  Its unit of work is a batch: a contiguous,
 ascending run of primes whose sum is about 1/(8*workers) of the range's,
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from collections import Counter
 from itertools import starmap
 from operator import add, attrgetter
@@ -51,7 +52,7 @@ from .records import (FAIL, PASS, SKIPPED, VerificationRecord, error_status,
 from .residues import symbol_sign, verify_residue_sum
 
 # a report's columns are the record's fields, in order
-REPORT_FIELDS = VerificationRecord.__slots__
+REPORT_FIELDS = VerificationRecord._fields
 
 # x grid used by the pmd_lemma check inside scans; index j maps to x = j/20
 PMD_X_GRID = tuple(j / 20 for j in range(1, 10))
@@ -65,7 +66,6 @@ def _corollary(p, a: int, m: int, form_exponent, side_check,
     it is checked against the sign symbol of -2, the exact cross-multiplied
     identity and side_check(ctx, rep), which returns (ok, label).
     """
-    t0 = time.perf_counter()
     ctx = as_prime(p)
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
@@ -81,7 +81,7 @@ def _corollary(p, a: int, m: int, form_exponent, side_check,
     actual = int_str(got)
     if not (exact.status == PASS and side_ok):
         actual += f" [exact={exact.status}, {side_label}]"
-    return finish(ctx.p, m, a, check, ok, int_str(want), actual, t0)
+    return finish(ctx.p, m, a, check, ok, int_str(want), actual)
 
 
 def verify_cor11(p, a: int = 1) -> VerificationRecord:
@@ -168,14 +168,11 @@ def run_guarded(ctx: PrimeContext, m: int, a: int, check: str, thunk):
     """Run one work item; map hypothesis failures to skipped records and any
     other exception to an error record."""
     try:
-        rec = thunk()
+        return thunk()
     except HypothesisViolation as exc:
-        return VerificationRecord(ctx.p, m, a, check, SKIPPED, "", str(exc), 0.0)
+        return VerificationRecord(ctx.p, m, a, check, SKIPPED, "", str(exc))
     except Exception as exc:  # auditable sweeps never die on one item
-        return VerificationRecord(ctx.p, m, a, check, error_status(exc),
-                                  "", "", 0.0)
-    rec.m, rec.a = m, a
-    return rec
+        return VerificationRecord(ctx.p, m, a, check, error_status(exc), "", "")
 
 
 def _m_grid(ctx: PrimeContext, config: ScanConfig):
@@ -200,10 +197,11 @@ def _each_a(m: int):
 
 
 # name -> (grid, runner, verify mode).  grid(ctx, config) lists the (m, a)
-# work items of one prime, runner(ctx, m, a, tol) returns one record, and the
-# verify mode ("exact", "numeric" or None) says which `resitan verify --mode`
-# runs the check.  Runners look their function up by module-global name at
-# call time, so rebinding that name reaches every caller.
+# work items of one prime, runner(ctx, m, a, tol) returns the item's record
+# exactly as it is reported, with that m and a, and the verify mode
+# ("exact", "numeric" or None) says which `resitan verify --mode` runs the
+# check.  Runners look their function up by module-global name at call
+# time, so rebinding that name reaches every caller.
 CHECKS = {
     "gi": (_each_m_a, lambda ctx, m, a, tol: verify_gi(ctx, m, a), "exact"),
     "gi_plus": (_each_m_a, lambda ctx, m, a, tol: verify_gi_plus(ctx, m, a),
@@ -224,10 +222,11 @@ CHECKS = {
         lambda ctx, m, a, tol: two_residue_criterion(ctx, m), None),
     "cor11": (_each_a(3), lambda ctx, m, a, tol: verify_cor11(ctx, a), None),
     "cor12": (_each_a(4), lambda ctx, m, a, tol: verify_cor12(ctx, a), None),
-    # a indexes PMD_X_GRID from 1
+    # a indexes PMD_X_GRID from 1; pmd_lemma_identity itself reports a = 0
     "pmd_lemma": (
         lambda ctx, config: [(1, j) for j in range(1, len(PMD_X_GRID) + 1)],
-        lambda ctx, m, a, tol: pmd_lemma_identity(ctx.p, PMD_X_GRID[a - 1], tol),
+        lambda ctx, m, a, tol:
+            pmd_lemma_identity(ctx.p, PMD_X_GRID[a - 1], tol)._replace(a=a),
         None),
     "pmd_thm14": (_each_a(1),
                   lambda ctx, m, a, tol: pmd_theorem14_numeric(ctx, a, tol), None),
@@ -247,15 +246,13 @@ _PRIME_ORDER = attrgetter("m", "a", "check")
 
 
 def _scan_prime(args) -> list[VerificationRecord]:
-    """One prime's records, sorted by (m, a, check), with elapsed_ms zeroed."""
+    """One prime's records, sorted by (m, a, check)."""
     config, p = args
     ctx = PrimeContext(p)
     records = [run_check(ctx, m, a, check, config.tolerance)
                for check in config.selected_checks()
                for m, a in CHECKS[check][0](ctx, config)]
     records.sort(key=_PRIME_ORDER)
-    for rec in records:
-        rec.elapsed_ms = 0.0
     return records
 
 
@@ -306,7 +303,6 @@ def _cost_batches(primes: list[int], workers: int) -> list[list[int]]:
     return batches
 
 
-_ROW = attrgetter(*REPORT_FIELDS)
 _STATUS = attrgetter("status")
 
 
@@ -316,8 +312,9 @@ def _sweep_batch(task):
     Returns the run's report text (empty unless asked for), its counts of
     (pass, fail, skipped, error) records, and its records as field tuples
     when asked for, else None.  Each prime's records are formatted and
-    counted as soon as they exist and dropped with the next prime.  Tuples
-    pickle in C; a record pickles through a Python call to its __reduce__.
+    counted as soon as they exist and dropped with the next prime.  Plain
+    tuples pickle in C; a record, a namedtuple, pickles through a Python
+    call to its __getnewargs__.
     """
     config, primes, want_text, want_rows = task
     buf = None
@@ -332,7 +329,7 @@ def _sweep_batch(task):
             _write_rows(buf, records, config.fmt)
         seen.update(map(_STATUS, records))
         if rows is not None:
-            rows += map(_ROW, records)
+            rows += map(tuple, records)
     total = seen.total()
     failed, skipped = seen.pop(FAIL, 0), seen.pop(SKIPPED, 0)
     errored = sum(n for status, n in seen.items() if status.startswith("error("))
@@ -395,8 +392,8 @@ def scan(config: ScanConfig) -> list[VerificationRecord]:
     """Run the configured checks over every prime in [p_min, p_max].
 
     Primes may run across RESITAN_THREADS processes in contiguous batches.
-    The records come back in (p, m, a, check) order with elapsed_ms zeroed
-    (see the module docstring), so reports are reproducible byte for byte.
+    The records come back in (p, m, a, check) order (see the module
+    docstring), so reports are reproducible byte for byte.
     The report, if config.out is set, is the one emit_report would write.
     """
     return _sweep(config, True)[1]
@@ -445,7 +442,7 @@ def _write_rows(fh, records, fmt: str) -> None:
                       for rec in records)
     else:
         import csv
-        csv.writer(fh).writerows(map(_ROW, records))
+        csv.writer(fh).writerows(records)
 
 
 def emit_report(records, fmt: str, path) -> None:

@@ -83,14 +83,13 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from array import array
 from collections import namedtuple
 
 from .arith import PrimeContext, as_prime, jacobi
-from .errors import BranchViolation, HypothesisViolation, PoleProximity
+from .errors import BranchViolation, PoleProximity
 from .records import VerificationRecord, finish
-from .residues import is_mth_residue, require_even_index, symbol_sign, walk
+from .residues import _product_context, require_even_index, symbol_sign, walk
 
 POLE_EPS = 1e-9
 ZERO_CROSS = 1e-9
@@ -213,6 +212,15 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
                            math.fsum((h2, -2.0 * h, ctx.p_minus_1 // (2 * m))))
 
 
+def _power_record(p: int, m: int, a: int, check: str, got: SignedMagnitude,
+                  want_sign: int, k: int, rel_tol: float) -> VerificationRecord:
+    """The record of the claim got = want_sign * 2^k: the sign must match
+    exactly, and the magnitude within rel_tol, in the log2 domain."""
+    ok = got.sign == want_sign and abs(got.log2_mag - k) <= _log_tolerance(rel_tol)
+    expected = f"{'+' if want_sign > 0 else '-'}2^{k} (rel_tol={rel_tol:g})"
+    return finish(p, m, a, check, ok, expected, got.render())
+
+
 def verify_theorem_main_numeric(p, m: int, a: int = 1,
                                 rel_tol: float = 1e-6) -> VerificationRecord:
     """Compare tan_product against the predicted sign * 2^((p-1)/(2m)).
@@ -220,20 +228,12 @@ def verify_theorem_main_numeric(p, m: int, a: int = 1,
     The predicted value is sign(-2) * (-2)^((p-1)/(2m)); the magnitude is
     compared in the log2 domain within rel_tol, the sign must match exactly.
     """
-    t0 = time.perf_counter()
-    ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
-    require_even_index(ctx, m)
-    if not is_mth_residue(2, ctx, m):
-        raise HypothesisViolation(f"2 is not a {m}-th power residue mod {ctx.p}")
+    ctx = _product_context(p, m, a)
     half = ctx.p_minus_1 // (2 * m)
     delta = symbol_sign(-2, ctx, m).value
     want_sign = delta * (-1 if half % 2 else 1)
-    got = tan_product(ctx, m, a)
-    ok = got.sign == want_sign and abs(got.log2_mag - half) <= _log_tolerance(rel_tol)
-    expected = f"{'+' if want_sign > 0 else '-'}2^{half} (rel_tol={rel_tol:g})"
-    return finish(ctx.p, m, a, "thm_main_numeric", ok, expected, got.render(), t0)
+    return _power_record(ctx.p, m, a, "thm_main_numeric",
+                         tan_product(ctx, m, a), want_sign, half, rel_tol)
 
 
 def pmd_lemma_identity(n: int, x: float,
@@ -245,7 +245,6 @@ def pmd_lemma_identity(n: int, x: float,
     Both sides may be zero; when the right side is exactly zero (or smaller
     than 1e-9 in magnitude) the comparison is absolute rather than relative.
     """
-    t0 = time.perf_counter()
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
     if not math.isfinite(x):
@@ -297,7 +296,7 @@ def pmd_lemma_identity(n: int, x: float,
             abs(lhs.log2_mag - rhs.log2_mag) <= _log_tolerance(rel_tol)
     expected = f"x={x:g}: {rhs.render()} (rel_tol={rel_tol:g})"
     actual = f"x={x:g}: {lhs.render()}"
-    return finish(n, 1, 0, "pmd_lemma", ok, expected, actual, t0)
+    return finish(n, 1, 0, "pmd_lemma", ok, expected, actual)
 
 
 @functools.lru_cache(maxsize=1)
@@ -318,7 +317,6 @@ def pmd_theorem14_numeric(p, a: int = 1,
     so the left side is tan_product(p, 2, a), and the residues k below p/4
     are the members of R_2(p) up to (p-1)/4, counted once per prime.
     """
-    t0 = time.perf_counter()
     ctx = as_prime(p)
     if ctx.p % 8 != 1:
         raise BranchViolation(
@@ -326,9 +324,6 @@ def pmd_theorem14_numeric(p, a: int = 1,
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
     got = tan_product(ctx, 2, a)
-    quarter = ctx.p_minus_1 // 4
     want_sign = -1 if _low_squares(ctx) % 2 else 1
-    ok = got.sign == want_sign and \
-        abs(got.log2_mag - quarter) <= _log_tolerance(rel_tol)
-    expected = f"{'+' if want_sign > 0 else '-'}2^{quarter} (rel_tol={rel_tol:g})"
-    return finish(ctx.p, 1, a, "pmd_thm14", ok, expected, got.render(), t0)
+    return _power_record(ctx.p, 1, a, "pmd_thm14", got, want_sign,
+                         ctx.p_minus_1 // 4, rel_tol)

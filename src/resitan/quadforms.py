@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 from collections import namedtuple
 
 from .arith import as_prime, jacobi, sqrt_mod
@@ -81,7 +80,6 @@ def cornacchia(p, d: int) -> Representation | None:
 def check_lemma31(p) -> VerificationRecord:
     """Sign law for p = x^2 + 27*y^2: jacobi(-2, p) = (-1)^(xy/2), together
     with its congruence form 4 | xy iff p = 1, 3 (mod 8)."""
-    t0 = time.perf_counter()
     ctx = as_prime(p)
     rep = cornacchia(ctx, 27)
     if rep is None:
@@ -93,7 +91,7 @@ def check_lemma31(p) -> VerificationRecord:
     expected = f"jacobi(-2,p)={sign:+d}; 4|xy<=>p%8in{{1,3}}=True"
     actual = f"jacobi(-2,p)={jac:+d}; 4|xy<=>p%8in{{1,3}}={equiv}"
     return finish(ctx.p, 3, 0, "lemma31", jac == sign and equiv,
-                  expected, actual, t0)
+                  expected, actual)
 
 
 def two_residue_criterion(p, m: int) -> VerificationRecord:
@@ -101,7 +99,6 @@ def two_residue_criterion(p, m: int) -> VerificationRecord:
 
     The form is x^2 + 27*y^2 for m = 3 and x^2 + 64*y^2 for m = 4.
     """
-    t0 = time.perf_counter()
     ctx = as_prime(p)
     if m not in (3, 4):
         raise ValueError("the criterion applies to m = 3 or m = 4 only")
@@ -113,4 +110,4 @@ def two_residue_criterion(p, m: int) -> VerificationRecord:
     expected = f"2 in R_{m}(p): {representable}"
     actual = f"2 in R_{m}(p): {residue}"
     return finish(ctx.p, m, 0, "criterion", residue == representable,
-                  expected, actual, t0)
+                  expected, actual)

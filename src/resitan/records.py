@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from operator import attrgetter
+from collections import namedtuple
 
 PASS = "pass"
 FAIL = "fail"
@@ -45,55 +44,32 @@ def error_status(exc: BaseException) -> str:
     return f"error({name}: {message})" if message else f"error({name})"
 
 
-_FIELDS = ("p", "m", "a", "check", "status", "expected", "actual",
-           "elapsed_ms")
-_field_values = attrgetter(*_FIELDS)
-
-
-class VerificationRecord:
+class VerificationRecord(namedtuple(
+        "VerificationRecord",
+        "p m a check status expected actual elapsed_ms", defaults=(0.0,))):
     """One (p, m, a, check) outcome.
 
     For checks that do not depend on a (or m) the field holds a sentinel:
     a = 0, and a fixed m describing the check's context.
 
-    Records are mutable and unhashable, and compare equal when they are of
-    the same class with equal fields.  A pooled scan pickles every record in
-    a worker and unpickles it in the parent, so a record pickles as its
-    class and one tuple of its fields, not as a dict of its attribute names.
+    A frozen tuple of the eight report columns: use _replace to change a
+    field.  No check times itself, so elapsed_ms is 0.0 in every record and
+    reports are timing-free.
     """
 
-    __slots__ = _FIELDS
-
-    def __init__(self, p: int, m: int, a: int, check: str, status: str,
-                 expected: str, actual: str, elapsed_ms: float):
-        self.p = p
-        self.m = m
-        self.a = a
-        self.check = check
-        self.status = status
-        self.expected = expected
-        self.actual = actual
-        self.elapsed_ms = elapsed_ms
-
-    def __repr__(self):
-        return "VerificationRecord(%s)" % ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(_FIELDS, _field_values(self)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _field_values(self) == _field_values(other)
-
-    __hash__ = None
-
-    def __reduce__(self):
-        return (VerificationRecord, _field_values(self))
+    __slots__ = ()
+    p: int
+    m: int
+    a: int
+    check: str
+    status: str
+    expected: str
+    actual: str
+    elapsed_ms: float
 
 
 def finish(p: int, m: int, a: int, check: str, passed: bool,
-           expected: str, actual: str, t0: float) -> VerificationRecord:
-    """Build a pass/fail record, timing from the perf_counter() start t0."""
-    elapsed = (time.perf_counter() - t0) * 1000.0
+           expected: str, actual: str) -> VerificationRecord:
+    """Build a pass/fail record."""
     return VerificationRecord(p, m, a, check, PASS if passed else FAIL,
-                              expected, actual, elapsed)
+                              expected, actual)

@@ -27,7 +27,6 @@ of a walk holds one member of each pair {k, p - k}.
 from __future__ import annotations
 
 import functools
-import time
 from collections import namedtuple
 
 from .arith import PrimeContext, as_prime
@@ -78,6 +77,18 @@ def is_mth_residue(k: int, p: int | PrimeContext, m: int) -> bool:
     if k % ctx.p == 0:
         raise HypothesisViolation(f"k={k} is divisible by p={ctx.p}")
     return pow(k % ctx.p, ctx.p_minus_1 // m, ctx.p) == 1
+
+
+def _product_context(p, m: int, a: int) -> PrimeContext:
+    """Validate the hypotheses of Theorem 1.2, shared by its exact and
+    numeric checks: p prime, a not 0 mod p, 2m | p - 1, 2 in R_m(p)."""
+    ctx = as_prime(p)
+    if a % ctx.p == 0:
+        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    require_even_index(ctx, m)
+    if not is_mth_residue(2, ctx, m):
+        raise HypothesisViolation(f"2 is not a {m}-th power residue mod {ctx.p}")
+    return ctx
 
 
 @functools.lru_cache(maxsize=65536)
@@ -161,13 +172,12 @@ def residue_set(p: int | PrimeContext, m: int) -> ResidueSet:
 def verify_residue_sum(p: int | PrimeContext, m: int) -> VerificationRecord:
     """Lemma 2.1 as a lemma21 record: the members of R_m(p) sum to
     p(p-1)/(2m)."""
-    t0 = time.perf_counter()
     ctx = as_prime(p)
     require_even_index(ctx, m)
     target = ctx.p * ctx.p_minus_1 // (2 * m)
     total = sum(walk(ctx, m))
     return finish(ctx.p, m, 0, "lemma21", total == target,
-                  str(target), str(total), t0)
+                  str(target), str(total))
 
 
 def residue_sum_check(p: int | PrimeContext, m: int) -> bool:

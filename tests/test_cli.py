@@ -241,9 +241,7 @@ def test_scan_summary_and_report_at_any_process_count(fmt, pmin, pmax,
 
 def fail_at_13(ctx, m):
     rec = verify_residue_sum(ctx, m)
-    if ctx.p == 13:
-        rec.status = "fail"
-    return rec
+    return rec._replace(status="fail") if ctx.p == 13 else rec
 
 
 def raise_at_13(ctx, m):

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resitan
-from resitan import (NotRepresentable, ScanConfig, VerificationRecord,
-                     emit_report, parse_report, scan, verify_cor11,
-                     verify_cor12)
+from resitan import (NotRepresentable, PrimeContext, ScanConfig,
+                     VerificationRecord, emit_report, parse_report, scan,
+                     verify_cor11, verify_cor12)
 from resitan import harness
 from resitan.harness import CHECK_NAMES, PMD_X_GRID, REPORT_FIELDS
 
@@ -40,9 +40,9 @@ class TestRecordPickle:
         assert not hasattr(self.RECORD, "__dict__")
         fields = {name: getattr(self.RECORD, name) for name in REPORT_FIELDS}
         assert VerificationRecord(**fields) == self.RECORD
-        rec = VerificationRecord(**{**fields, "status": "fail"})
-        assert rec.status == "fail"
-        assert rec != self.RECORD
+        rec = self.RECORD._replace(status="fail")
+        assert rec == VerificationRecord(**{**fields, "status": "fail"})
+        assert rec != self.RECORD and self.RECORD.status == "pass"
         assert copy.copy(self.RECORD) == self.RECORD
 
 
@@ -71,9 +71,7 @@ class TestCor11:
         real = resitan.harness.verify_theorem_main_numeric
 
         def fails(*args):
-            rec = copy.copy(real(*args))
-            rec.status = "fail"
-            return rec
+            return real(*args)._replace(status="fail")
 
         monkeypatch.setattr(resitan.harness, "verify_theorem_main_numeric", fails)
         for p in (31, 2017):
@@ -150,6 +148,21 @@ class TestScan:
     def test_elapsed_zeroed(self):
         recs = scan(ScanConfig(3, 20))
         assert all(r.elapsed_ms == 0.0 for r in recs)
+
+    def test_direct_check_equals_scanned_record(self):
+        # a runner's record is reported as it is: a check called directly
+        # gives the scan's record, elapsed_ms included, for every work item
+        config = ScanConfig(3, 59)
+        scanned = {(r.p, r.m, r.a, r.check): r for r in scan(config)}
+        direct = {}
+        for p in odd_primes_up_to(59):
+            ctx = PrimeContext(p)
+            for check, (grid, _, _) in harness.CHECKS.items():
+                for m, a in grid(ctx, config):
+                    rec = harness.run_check(ctx, m, a, check, config.tolerance)
+                    assert (rec.p, rec.m, rec.a, rec.check) == (p, m, a, check)
+                    direct[p, m, a, check] = rec
+        assert direct == scanned
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 from fractions import Fraction
 
 import mpmath
@@ -146,7 +145,6 @@ def _reference_tan_factor(arg: Fraction) -> SignedMagnitude:
 def reference_pmd_lemma(n, x, rel_tol=1e-9):
     """pmd_lemma_identity in exact Fraction arithmetic, as it was before the
     reduction moved to plain integers."""
-    t0 = time.perf_counter()
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
     fx = Fraction(x)  # exact: binary floats are dyadic rationals
@@ -185,7 +183,7 @@ def reference_pmd_lemma(n, x, rel_tol=1e-9):
             abs(lhs.log2_mag - rhs.log2_mag) <= _log_tolerance(rel_tol)
     expected = f"x={x:g}: {rhs.render()} (rel_tol={rel_tol:g})"
     actual = f"x={x:g}: {lhs.render()}"
-    return finish(n, 1, 0, "pmd_lemma", ok, expected, actual, t0)
+    return finish(n, 1, 0, "pmd_lemma", ok, expected, actual)
 
 
 def a_values(p):

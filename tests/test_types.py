@@ -1,11 +1,11 @@
 """The contract of the package's value types.
 
-PrimeContext, ResidueSet, SignSymbol, SignedMagnitude and Representation are
-frozen namedtuples; VerificationRecord is a mutable slotted class and
-ScanConfig a plain validated class.  Their reprs, equality, hashing, copying
-and pickling are part of the public behaviour, and the validated types must
-validate on every construction path.  The record's pickling and slots are
-tested in test_harness.py, beside the scan that relies on them.
+PrimeContext, ResidueSet, SignSymbol, SignedMagnitude, Representation and
+VerificationRecord are frozen namedtuples, and ScanConfig a plain validated
+class.  Their reprs, equality, hashing, copying and pickling are part of the
+public behaviour, and the validated types must validate on every
+construction path.  That a pickled record holds no field names is tested in
+test_harness.py, beside the scan that relies on it.
 """
 
 import ast
@@ -41,6 +41,11 @@ FROZEN = [
      SignedMagnitude(0, 1.0)),
     (cornacchia(31, 27), "Representation(p=31, d=27, x=2, y=1)",
      Representation(43, 27, 4, 1)),
+    (record(),
+     "VerificationRecord(p=31, m=3, a=2, check='thm_main_numeric', "
+     "status='pass', expected='+2^5 (rel_tol=1e-06)', "
+     "actual='+2^5.000000000', elapsed_ms=0.25)",
+     record()._replace(status="fail")),
 ]
 FROZEN_IDS = [r.split("(")[0] for _, r, _ in FROZEN]
 
@@ -65,8 +70,9 @@ class TestFrozen:
             assert type(clone) is type(value) and clone == value
 
     def test_frozen(self, value, text, other):
-        with pytest.raises(AttributeError):
-            setattr(value, value._fields[0], 1)
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
         with pytest.raises(AttributeError):
             value.extra = 1
 
@@ -74,6 +80,7 @@ class TestFrozen:
 def test_defaults():
     assert PrimeContext(31, 5).p_minus_1 == 30   # always p - 1
     assert SignedMagnitude(1).log2_mag == 0.0
+    assert VerificationRecord(31, 3, 2, "gi", "pass", "", "").elapsed_ms == 0.0
 
 
 def tampered(value, old: bytes, new: bytes, proto: int) -> bytes:
@@ -106,25 +113,6 @@ def test_every_construction_path_validates():
     assert PrimeContext(31)._replace(p=37) == PrimeContext(37)
 
 
-class TestVerificationRecord:
-    def test_repr(self):
-        assert repr(record()) == (
-            "VerificationRecord(p=31, m=3, a=2, check='thm_main_numeric', "
-            "status='pass', expected='+2^5 (rel_tol=1e-06)', "
-            "actual='+2^5.000000000', elapsed_ms=0.25)")
-
-    def test_equality_by_fields_within_the_class(self):
-        rec = record()
-        assert rec == record()
-        rec.status = "fail"
-        assert rec != record()
-        fields = (31, 3, 2, "thm_main_numeric", "pass",
-                  "+2^5 (rel_tol=1e-06)", "+2^5.000000000", 0.25)
-        assert record() != fields
-        with pytest.raises(TypeError):
-            hash(record())
-
-
 class TestScanConfig:
     def test_repr_and_defaults(self):
         assert repr(ScanConfig(3, 60)) == (
@@ -152,13 +140,26 @@ class TestScanConfig:
         assert copy.copy(config) == config
 
 
+def imported_modules(path: Path) -> set:
+    """The modules a source file imports, by the names its imports give."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    return names
+
+
+PACKAGE_FILES = sorted(Path(resitan.__file__).parent.glob("*.py"))
+
+
 def test_no_module_imports_dataclasses():
-    for path in Path(resitan.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module]
-            else:
-                continue
-            assert "dataclasses" not in names, path.name
+    for path in PACKAGE_FILES:
+        assert "dataclasses" not in imported_modules(path), path.name
+
+
+def test_no_module_imports_time():
+    # no check carries a clock: timings belong to whoever runs the checks
+    for path in PACKAGE_FILES:
+        assert "time" not in imported_modules(path), path.name
