@@ -33,8 +33,7 @@ with tempfile.TemporaryDirectory() as td:
     for r in records[:3] + records[-2:]:
         print(f"  p={r.p:3d} m={r.m:2d} a={r.a:2d} {r.check}: {r.status}")
 
-    scan(ScanConfig(p_min=3, p_max=100, a_count=3,
-                    checks=config.checks, out=str(out2)))
+    scan(config._replace(out=str(out2)))
     print()
     print("byte-identical re-run:", out1.read_bytes() == out2.read_bytes())
 

@@ -25,20 +25,20 @@ the range: without it the first run of 50..12000 at two workers holds 384
 primes, and its records, text and pickled copy all at once.  A batch scans
 its primes one at a time, formats each prime's lines as soon as they exist
 with the formatter emit_report uses, and keeps no record past its prime.
-It sends back that text, its counts of pass, fail, skipped and error
-records and, only when the caller keeps records, their field tuples.  The
-process pool returns the batches in submission order, so the parent appends
-each text to the report as it arrives and the file is the concatenation of
-the per-prime runs.  `resitan scan` takes the counts only (scan_counts), so
-its parent never rebuilds a record; scan() rebuilds them all.
+It sends back that text and its counts of pass, fail, skipped and error
+records.  The process pool returns the batches in submission order, so the
+parent appends each text to the report as it arrives and the file is the
+concatenation of the per-prime runs.  `resitan scan` takes the counts only
+(scan_counts), so its parent never rebuilds a record; scan() reads its
+records back from the text with the decoder of parse_report.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
-from itertools import starmap
+from collections import Counter, namedtuple
+from io import StringIO
 from operator import add, attrgetter
 
 from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
@@ -110,24 +110,34 @@ def verify_cor12(p, a: int = 1) -> VerificationRecord:
     return _corollary(p, a, 4, lambda rep: rep.y, congruence, "cor12")
 
 
-class ScanConfig:
+class ScanConfig(namedtuple(
+        "ScanConfig", "p_min p_max m_policy a_count checks tolerance out fmt",
+        defaults=("all", 5, "all", 1e-6, None, "jsonl"))):
     """Sweep description: prime range, m/a policies, checks, tolerance, output.
 
     m_policy is either "all" (every m with 2m | p-1) or an explicit tuple of
     m values; explicit values that fail 2m | p-1 produce skipped records.
+    The policy selects the m of gi, gi_plus, thm_main_exact,
+    thm_main_numeric and lemma21; the fixed-m checks (lemma31, criterion,
+    cor11, cor12, pmd_lemma, pmd_thm14) always run at their own m.
     The a grid is {1..a_count} intersected with [1, p-1], plus always p - 1.
+
+    A frozen tuple of its eight fields: use _replace to change one.  Every
+    way of building one validates and normalises the fields: the
+    constructor, _make, _replace, copy and unpickling all pass through
+    __new__.
     """
 
-    def __init__(self, p_min: int, p_max: int,
-                 m_policy: str | tuple[int, ...] = "all", a_count: int = 5,
-                 checks: str | tuple[str, ...] = "all",
-                 tolerance: float = 1e-6, out: str | None = None,
-                 fmt: str = "jsonl"):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        p_min, p_max, m_policy, a_count, checks, tolerance, out, fmt = \
+            super().__new__(cls, *args, **kwargs)
         if p_min < 3:
             raise ValueError("p_min must be at least 3")
         if a_count < 1:
             raise ValueError("a_count must be at least 1")
-        if fmt not in ("jsonl", "csv"):
+        if fmt not in _REPORT_HEAD:
             raise ValueError(f"unknown report format {fmt!r}")
         check_tolerance(tolerance)
         if m_policy != "all":
@@ -140,25 +150,15 @@ class ScanConfig:
             if unknown:
                 raise ValueError(f"unknown checks: {sorted(unknown)}")
             checks = tuple(c for c in CHECK_NAMES if c in wanted)
-        self.p_min = p_min
-        self.p_max = p_max
-        self.m_policy = m_policy
-        self.a_count = a_count
-        self.checks = checks
-        self.tolerance = tolerance
-        self.out = out
-        self.fmt = fmt
+        return tuple.__new__(cls, (p_min, p_max, m_policy, a_count, checks,
+                                   tolerance, out, fmt))
 
-    def __repr__(self):
-        return "ScanConfig(%s)" % ", ".join(
-            f"{name}={value!r}" for name, value in vars(self).items())
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None
+    def __reduce__(self):
+        return (type(self), tuple(self))
 
     def selected_checks(self) -> tuple:
         return CHECK_NAMES if self.checks == "all" else self.checks
@@ -216,10 +216,8 @@ CHECKS = {
                 lambda ctx, m, a, tol: verify_residue_sum(ctx, m), None),
     "lemma31": (lambda ctx, config: [(3, 0)],
                 lambda ctx, m, a, tol: check_lemma31(ctx), None),
-    "criterion": (
-        lambda ctx, config: [(m, 0) for m in (3, 4) if config.m_policy == "all"
-                             or m in config.m_policy],
-        lambda ctx, m, a, tol: two_residue_criterion(ctx, m), None),
+    "criterion": (lambda ctx, config: [(3, 0), (4, 0)],
+                  lambda ctx, m, a, tol: two_residue_criterion(ctx, m), None),
     "cor11": (_each_a(3), lambda ctx, m, a, tol: verify_cor11(ctx, a), None),
     "cor12": (_each_a(4), lambda ctx, m, a, tol: verify_cor12(ctx, a), None),
     # a indexes PMD_X_GRID from 1; pmd_lemma_identity itself reports a = 0
@@ -309,37 +307,28 @@ _STATUS = attrgetter("status")
 def _sweep_batch(task):
     """One pool task: scan a contiguous run of primes.
 
-    Returns the run's report text (empty unless asked for), its counts of
-    (pass, fail, skipped, error) records, and its records as field tuples
-    when asked for, else None.  Each prime's records are formatted and
-    counted as soon as they exist and dropped with the next prime.  Plain
-    tuples pickle in C; a record, a namedtuple, pickles through a Python
-    call to its __getnewargs__.
+    Returns the run's report text and its counts of (pass, fail, skipped,
+    error) records.  Each prime's records are formatted and counted as soon
+    as they exist and dropped with the next prime.
     """
-    config, primes, want_text, want_rows = task
-    buf = None
-    if want_text:
-        from io import StringIO
-        buf = StringIO(newline="")
+    config, primes = task
+    buf = StringIO(newline="")
     seen = Counter()
-    rows = [] if want_rows else None
     for p in primes:
         records = _scan_prime((config, p))
-        if buf is not None:
-            _write_rows(buf, records, config.fmt)
+        _write_rows(buf, records, config.fmt)
         seen.update(map(_STATUS, records))
-        if rows is not None:
-            rows += map(tuple, records)
     total = seen.total()
     failed, skipped = seen.pop(FAIL, 0), seen.pop(SKIPPED, 0)
     errored = sum(n for status, n in seen.items() if status.startswith("error("))
     tally = (total - failed - skipped - errored, failed, skipped, errored)
-    return "" if buf is None else buf.getvalue(), tally, rows
+    return buf.getvalue(), tally
 
 
-def _sweep(config: ScanConfig, keep_records: bool):
-    """The sweep engine of scan and scan_counts: ((pass, fail, skipped,
-    error), records), records empty unless keep_records.
+def _sweep(config: ScanConfig, texts: list | None = None):
+    """The sweep engine of scan and scan_counts: the numbers of (pass, fail,
+    skipped, error) records.  Each batch's report text is appended to texts
+    when it is given.
 
     Batches run across RESITAN_THREADS processes, and their report text is
     written to config.out as each batch arrives, in ascending p.  If any
@@ -353,8 +342,8 @@ def _sweep(config: ScanConfig, keep_records: bool):
     # the pool is capped at the number of batches, so no worker sits idle
     workers = min(threads, len(batches))
     out = config.out
-    tasks = [(config, batch, out is not None, keep_records) for batch in batches]
-    counts, records = (0, 0, 0, 0), []
+    tasks = [(config, batch) for batch in batches]
+    counts = (0, 0, 0, 0)
     pool = fh = None
     try:
         if out is not None:
@@ -368,12 +357,12 @@ def _sweep(config: ScanConfig, keep_records: bool):
             results = pool.map(_sweep_batch, tasks)
         else:
             results = map(_sweep_batch, tasks)
-        for text, tally, rows in results:
+        for text, tally in results:
             if fh is not None:
                 fh.write(text)
+            if texts is not None:
+                texts.append(text)
             counts = tuple(map(add, counts, tally))
-            if rows:
-                records += starmap(VerificationRecord, rows)
     except BaseException:
         # a device such as /dev/null is written to, never removed
         if fh is not None and os.path.isfile(out):
@@ -385,24 +374,27 @@ def _sweep(config: ScanConfig, keep_records: bool):
             pool.shutdown(cancel_futures=True)
         if fh is not None:
             fh.close()
-    return counts, records
+    return counts
 
 
 def scan(config: ScanConfig) -> list[VerificationRecord]:
     """Run the configured checks over every prime in [p_min, p_max].
 
     Primes may run across RESITAN_THREADS processes in contiguous batches.
-    The records come back in (p, m, a, check) order (see the module
-    docstring), so reports are reproducible byte for byte.
-    The report, if config.out is set, is the one emit_report would write.
+    The records are read back from the report text the batches return, with
+    the decoder of parse_report, so they are exactly the records of the
+    report at config.out, if it is set, in (p, m, a, check) order (see the
+    module docstring).
     """
-    return _sweep(config, True)[1]
+    texts = []
+    _sweep(config, texts)
+    return _read_rows("".join(texts), config.fmt)
 
 
 def scan_counts(config: ScanConfig) -> tuple[int, int, int, int]:
     """Run scan(config), report included, but return only the numbers of
     (pass, fail, skipped, error) records; no record reaches the caller."""
-    return _sweep(config, False)[0]
+    return _sweep(config)
 
 
 def _json_number(x) -> str:
@@ -431,7 +423,7 @@ def _write_rows(fh, records, fmt: str) -> None:
     A JSONL line has the bytes json.dumps gives the record's dict.
     """
     if fmt == "jsonl":
-        # imported here, as in parse_report, so that `import resitan.cli`,
+        # imported here, as in _read_rows, so that `import resitan.cli`,
         # and with it every `resitan verify`, does not load json or csv.
         # This is the escaper json.dumps itself uses for ASCII output.
         from json.encoder import encode_basestring_ascii as quote
@@ -459,23 +451,27 @@ def emit_report(records, fmt: str, path) -> None:
         _write_rows(fh, records, fmt)
 
 
+def _read_rows(text: str, fmt: str) -> list[VerificationRecord]:
+    """The records of report text written by _write_rows, head excluded.
+
+    JSONL lines are split on "\n" alone: json.dumps escapes every other
+    line break inside a string.
+    """
+    if fmt == "jsonl":
+        import json
+        return [VerificationRecord(**json.loads(line))
+                for line in text.split("\n") if line]
+    import csv
+    return [VerificationRecord(int(p), int(m), int(a), check, status,
+                               expected, actual, float(elapsed_ms))
+            for p, m, a, check, status, expected, actual, elapsed_ms
+            in csv.reader(StringIO(text, newline=""))]
+
+
 def parse_report(path, fmt: str) -> list[VerificationRecord]:
     """Read a report written by emit_report back into records."""
-    import csv
-    import json
-    out = []
-    if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    out.append(VerificationRecord(**json.loads(line)))
-    elif fmt == "csv":
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                out.append(VerificationRecord(
-                    int(row["p"]), int(row["m"]), int(row["a"]), row["check"],
-                    row["status"], row["expected"], row["actual"],
-                    float(row["elapsed_ms"])))
-    else:
+    if fmt not in _REPORT_HEAD:
         raise ValueError(f"unknown report format {fmt!r}")
-    return out
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    return _read_rows(text.removeprefix(_REPORT_HEAD[fmt]), fmt)

@@ -251,25 +251,22 @@ def pmd_lemma_identity(n: int, x: float,
         raise ValueError("x must be finite")
     N, D = x.as_integer_ratio()
     nD = n * D
-    sign, log2 = 1, 0.0
-    for r in range(n):
-        num = (N + r * D) % nD
-        t = num / nD
+    nums = [(N + r * D) % nD for r in range(n)]
+    ts = [num / nD for num in nums]
+    for r, t in enumerate(ts):
         if abs(t - 0.5) < POLE_EPS:
             raise PoleProximity(f"argument {(N + r * D) / nD!r} is within "
                                 f"{POLE_EPS:g} of a tangent pole")
-        if sign == 0:  # a zero factor: later factors still check for poles
-            continue
-        if 4 * num == 3 * nD:  # 3/4, the only zero of 1 + tan(pi*t) mod 1
-            f = 0.0
-        else:
-            f = 1.0 + math.tan(math.pi * (t - 1.0 if t > 0.5 else t))
-        if f == 0.0:
-            sign, log2 = 0, 0.0
-        else:
-            sign = -sign if f < 0.0 else sign
-            log2 += math.log2(abs(f))
-    lhs = SignedMagnitude(sign, log2)
+    # 3/4 is the only zero of 1 + tan(pi*t) mod 1
+    fs = [0.0 if 4 * num == 3 * nD
+          else 1.0 + math.tan(math.pi * (t - 1.0 if t > 0.5 else t))
+          for num, t in zip(nums, ts)]
+    if 0.0 in fs:
+        lhs = SignedMagnitude(0)
+    else:
+        negatives = sum(f < 0.0 for f in fs)
+        lhs = SignedMagnitude(-1 if negatives % 2 else 1,
+                              math.fsum(map(math.log2, map(abs, fs))))
 
     s2 = jacobi(2, n)
     s1 = jacobi(-1, n)

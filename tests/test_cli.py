@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import resitan
-from resitan import ScanConfig, harness, scan
+from resitan import ScanConfig, harness, parse_report, scan
 from resitan.cli import main
 from resitan.residues import verify_residue_sum
 
@@ -82,7 +82,7 @@ UNLOADED_BY_CLI = {
     "decimal": "exact angle reduction is plain integer arithmetic",
     "json": "only report I/O needs it, and imports it where it runs",
     "csv": "only report I/O needs it, and imports it where it runs",
-    "dataclasses": "the value types are namedtuples and slotted classes",
+    "dataclasses": "the value types are namedtuples",
     "inspect": "nothing at start-up introspects code",
 }
 
@@ -231,6 +231,7 @@ def test_scan_summary_and_report_at_any_process_count(fmt, pmin, pmax,
                      "--format", fmt, "--out", str(out)]) == 0
         assert capsys.readouterr().out == summary_of(records, out)
         assert out.read_bytes() == want.read_bytes()
+    assert parse_report(want, fmt) == records
     if pmin == 24:
         # no prime in range: an empty JSONL file, a CSV header alone
         assert not records

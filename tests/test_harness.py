@@ -123,6 +123,22 @@ class TestScan:
         recs = scan(ScanConfig(13, 13, m_policy=(5,), checks=("gi",)))
         assert recs and all(r.status == "skipped(hypothesis)" for r in recs)
 
+    def test_explicit_m_policy_leaves_fixed_m_checks_alone(self):
+        # an explicit m policy selects the m of gi, gi_plus, thm_main_* and
+        # lemma21; the fixed-m checks run at their own m, as under "all"
+        recs = scan(ScanConfig(3, 400, m_policy=(4,)))
+        ms = {}
+        for r in recs:
+            ms.setdefault(r.check, set()).add(r.m)
+        assert ms == {"gi": {4}, "gi_plus": {4}, "thm_main_exact": {4},
+                      "thm_main_numeric": {4}, "lemma21": {4}, "lemma31": {3},
+                      "criterion": {3, 4}, "cor11": {3}, "cor12": {4},
+                      "pmd_lemma": {1}, "pmd_thm14": {1}}
+        fixed = ("lemma31", "criterion", "cor11", "cor12", "pmd_lemma",
+                 "pmd_thm14")
+        assert [r for r in recs if r.check in fixed] == \
+            scan(ScanConfig(3, 400, checks=fixed))
+
     def test_empty_range(self):
         assert scan(ScanConfig(24, 28)) == []
 
@@ -489,11 +505,9 @@ class TestPool:
                  statuses.count("skipped(hypothesis)"),
                  sum(s.startswith("error(") for s in statuses))
         assert sum(tally) == len(records) and tally[0] and tally[2]
-        text, got, rows = harness._sweep_batch((config, primes, True, False))
-        assert text == buf.getvalue() and got == tally and rows is None
-        text, got, rows = harness._sweep_batch((config, primes, False, True))
-        assert text == "" and got == tally
-        assert [VerificationRecord(*row) for row in rows] == records
+        text, got = harness._sweep_batch((config, primes))
+        assert text == buf.getvalue() and got == tally
+        assert harness._read_rows(text, fmt) == records
 
 
 def test_package_has_no_assert_statements():

@@ -1,11 +1,11 @@
 """The contract of the package's value types.
 
-PrimeContext, ResidueSet, SignSymbol, SignedMagnitude, Representation and
-VerificationRecord are frozen namedtuples, and ScanConfig a plain validated
-class.  Their reprs, equality, hashing, copying and pickling are part of the
-public behaviour, and the validated types must validate on every
-construction path.  That a pickled record holds no field names is tested in
-test_harness.py, beside the scan that relies on it.
+PrimeContext, ResidueSet, SignSymbol, SignedMagnitude, Representation,
+VerificationRecord and ScanConfig are frozen namedtuples.  Their reprs,
+equality, hashing, copying and pickling are part of the public behaviour,
+and the validated types (PrimeContext, Representation and ScanConfig) must
+validate on every construction path.  That a pickled record holds no field
+names is tested in test_harness.py.
 """
 
 import ast
@@ -46,6 +46,10 @@ FROZEN = [
      "status='pass', expected='+2^5 (rel_tol=1e-06)', "
      "actual='+2^5.000000000', elapsed_ms=0.25)",
      record()._replace(status="fail")),
+    (ScanConfig(5, 50, m_policy=(3,), checks=("gi",), fmt="csv"),
+     "ScanConfig(p_min=5, p_max=50, m_policy=(3,), a_count=5, "
+     "checks=('gi',), tolerance=1e-06, out=None, fmt='csv')",
+     ScanConfig(5, 50, m_policy=(3,), checks=("gi",))),
 ]
 FROZEN_IDS = [r.split("(")[0] for _, r, _ in FROZEN]
 
@@ -98,6 +102,9 @@ def test_unpickling_validates(proto):
     old, new = (b"I2\n", b"I3\n") if proto == 0 else (b"K\x02", b"K\x03")
     with pytest.raises(ValueError, match="!= p"):
         pickle.loads(tampered(Representation(31, 27, 2, 1), old, new, proto))
+    old, new = (b"I3\n", b"I2\n") if proto == 0 else (b"K\x03", b"K\x02")
+    with pytest.raises(ValueError, match="p_min must be at least 3"):
+        pickle.loads(tampered(ScanConfig(3, 60), old, new, proto))
 
 
 def test_every_construction_path_validates():
@@ -109,8 +116,14 @@ def test_every_construction_path_validates():
         Representation(31, 27, 2, 1)._replace(x=3)
     with pytest.raises(ValueError, match="!= p"):
         Representation._make((31, 27, 3, 1))
+    with pytest.raises(ValueError, match="p_min must be at least 3"):
+        ScanConfig(3, 60)._replace(p_min=2)
+    with pytest.raises(ValueError, match="p_min must be at least 3"):
+        ScanConfig._make((2, 60))
     assert PrimeContext._make((31, 0)) == PrimeContext(31)
     assert PrimeContext(31)._replace(p=37) == PrimeContext(37)
+    # _replace normalises as the constructor does
+    assert ScanConfig(3, 60)._replace(m_policy=[4, 2]) == ScanConfig(3, 60, (2, 4))
 
 
 class TestScanConfig:
@@ -128,16 +141,10 @@ class TestScanConfig:
             "checks=('gi', 'lemma21'), tolerance=1e-06, out=None, fmt='jsonl')")
 
     def test_equality_by_fields(self):
-        assert ScanConfig(3, 60, m_policy=(4, 2)) == ScanConfig(3, 60, m_policy=(2, 4))
+        config = ScanConfig(3, 60, m_policy=(4, 2))
+        assert config == ScanConfig(3, 60, m_policy=(2, 4))
+        assert hash(config) == hash(ScanConfig(3, 60, m_policy=(2, 4)))
         assert ScanConfig(3, 60) != ScanConfig(3, 61)
-        with pytest.raises(TypeError):
-            hash(ScanConfig(3, 60))
-
-    def test_pickle_and_copy(self):
-        config = ScanConfig(5, 50, m_policy=(3,), checks=("gi",), fmt="csv")
-        for proto in PROTOCOLS:
-            assert pickle.loads(pickle.dumps(config, protocol=proto)) == config
-        assert copy.copy(config) == config
 
 
 def imported_modules(path: Path) -> set:
