@@ -83,7 +83,7 @@ def _cmd_verify(args) -> int:
     check_tolerance(args.tol)
     ctx = PrimeContext(args.p)
     recs = [run_check(ctx, args.m, args.a, name, args.tol)
-            for name, (_, _, mode) in CHECKS.items()
+            for name, (_, _, mode, _) in CHECKS.items()
             if mode and args.mode in (mode, "both")]
     return _print_records(recs)
 

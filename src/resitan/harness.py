@@ -8,6 +8,16 @@ p-1, 2 not an m-th power residue, p not representable by the relevant
 quadratic form, wrong congruence branch) become skipped(hypothesis) records,
 never silent omissions, so sweep coverage is auditable.
 
+A scan runs each check once per (check, m, coset of a), not once per work
+item.  A check whose record reads a only through the coset a*R_k(p), k a
+field of its CHECKS entry, runs for the first a of each coset, and once per
+m when that run is skipped; every other a of the grid gets a copy of that
+record with its own a.  The copy is the record the item would give: the
+exact layer certifies one verdict per (p, m) for every a (cyclotomic's
+docstring), and a numeric product reads a through one math.fsum per coset,
+the same float for every a of the coset (numeric's docstring).  The case of
+each check is argued beside the table.
+
 Reports are in (p, m, a, check) order, and no check carries a clock
 (elapsed_ms is 0.0 in every record), which makes repeated scans with the
 same configuration byte-identical at any number of processes.  No global
@@ -15,12 +25,13 @@ sort produces that order.  Each prime's records are sorted by (m, a, check)
 where they are computed, and the per-prime runs are concatenated in
 ascending p: the primes are disjoint and p is the leading key, so the
 concatenation is exactly the global sort.  Records are frozen: each is
-reported exactly as its check built it.
+reported as its check built it, or as a copy of it with another a of the
+same coset.
 
 One engine runs every scan.  Its unit of work is a batch: a contiguous,
-ascending run of primes whose sum is about 1/(8*workers) of the range's,
-since a prime's cost grows about linearly in p, cut further into runs of at
-most BATCH_PRIMES primes.  That cap keeps a worker's memory independent of
+ascending run of primes whose sum is about 1/(8*workers) of the range's
+(each prime weighted by p, a rough cost; see _cost_batches), cut further
+into runs of at most BATCH_PRIMES primes.  That cap keeps a worker's memory independent of
 the range: without it the first run of 50..12000 at two workers holds 384
 primes, and its records, text and pickled copy all at once.  A batch scans
 its primes one at a time, formats each prime's lines as soon as they exist
@@ -196,38 +207,58 @@ def _each_a(m: int):
     return lambda ctx, config: [(m, a) for a in _a_grid(ctx, config)]
 
 
-# name -> (grid, runner, verify mode).  grid(ctx, config) lists the (m, a)
-# work items of one prime, runner(ctx, m, a, tol) returns the item's record
-# exactly as it is reported, with that m and a, and the verify mode
+# name -> (grid, runner, verify mode, k).  grid(ctx, config) lists the
+# (m, a) work items of one prime, runner(ctx, m, a, tol) returns the item's
+# record exactly as it is reported, with that m and a, and the verify mode
 # ("exact", "numeric" or None) says which `resitan verify --mode` runs the
 # check.  Runners look their function up by module-global name at call
 # time, so rebinding that name reaches every caller.
+#
+# k says how the record of (m, a) reads a, a unit mod p: only through the
+# coset a*R_k(p), so a scan runs the item once per (m, coset) and gives
+# every other a of that coset the same record with its own a
+# (_check_records).  "m" is the item's own m; None means a is no unit but
+# an index or 0.  No record's text names a, and no hypothesis reads it.
+#   gi, gi_plus, thm_main_exact (k = 1): one verdict per (p, m) serves
+#     both signs and every a (cyclotomic's docstring: zeta_p -> zeta_p^a
+#     fixes i and epsilon), and the rest of the record reads p and m.
+#   cor12 (k = 1): that exact verdict at m = 4, and a congruence mod p.
+#   thm_main_numeric (k = m): tan_product reads a through the sums of
+#     a*R_m(p) and 2a*R_m(p), one math.fsum per coset (numeric's
+#     docstring), and the coset of 2a is fixed by that of a.
+#   cor11 (k = 3): the exact verdict at m = 3 and thm_main_numeric at m = 3.
+#   pmd_thm14 (k = 2): tan_product(p, 2, a), and a sign that reads p alone.
 CHECKS = {
-    "gi": (_each_m_a, lambda ctx, m, a, tol: verify_gi(ctx, m, a), "exact"),
+    "gi": (_each_m_a, lambda ctx, m, a, tol: verify_gi(ctx, m, a), "exact", 1),
     "gi_plus": (_each_m_a, lambda ctx, m, a, tol: verify_gi_plus(ctx, m, a),
-                "exact"),
+                "exact", 1),
     "thm_main_exact": (_each_m_a,
-                       lambda ctx, m, a, tol: verify_tan_cross(ctx, m, a), "exact"),
+                       lambda ctx, m, a, tol: verify_tan_cross(ctx, m, a),
+                       "exact", 1),
     "thm_main_numeric": (
         _each_m_a,
         lambda ctx, m, a, tol: verify_theorem_main_numeric(ctx, m, a, tol),
-        "numeric"),
+        "numeric", "m"),
     "lemma21": (lambda ctx, config: [(m, 0) for m in _m_grid(ctx, config)],
-                lambda ctx, m, a, tol: verify_residue_sum(ctx, m), None),
+                lambda ctx, m, a, tol: verify_residue_sum(ctx, m), None, None),
     "lemma31": (lambda ctx, config: [(3, 0)],
-                lambda ctx, m, a, tol: check_lemma31(ctx), None),
+                lambda ctx, m, a, tol: check_lemma31(ctx), None, None),
     "criterion": (lambda ctx, config: [(3, 0), (4, 0)],
-                  lambda ctx, m, a, tol: two_residue_criterion(ctx, m), None),
-    "cor11": (_each_a(3), lambda ctx, m, a, tol: verify_cor11(ctx, a), None),
-    "cor12": (_each_a(4), lambda ctx, m, a, tol: verify_cor12(ctx, a), None),
+                  lambda ctx, m, a, tol: two_residue_criterion(ctx, m),
+                  None, None),
+    "cor11": (_each_a(3), lambda ctx, m, a, tol: verify_cor11(ctx, a),
+              None, 3),
+    "cor12": (_each_a(4), lambda ctx, m, a, tol: verify_cor12(ctx, a),
+              None, 1),
     # a indexes PMD_X_GRID from 1; pmd_lemma_identity itself reports a = 0
     "pmd_lemma": (
         lambda ctx, config: [(1, j) for j in range(1, len(PMD_X_GRID) + 1)],
         lambda ctx, m, a, tol:
             pmd_lemma_identity(ctx.p, PMD_X_GRID[a - 1], tol)._replace(a=a),
-        None),
+        None, None),
     "pmd_thm14": (_each_a(1),
-                  lambda ctx, m, a, tol: pmd_theorem14_numeric(ctx, a, tol), None),
+                  lambda ctx, m, a, tol: pmd_theorem14_numeric(ctx, a, tol),
+                  None, 2),
 }
 
 CHECK_NAMES = tuple(CHECKS)
@@ -243,13 +274,43 @@ def run_check(ctx: PrimeContext, m: int, a: int, check: str,
 _PRIME_ORDER = attrgetter("m", "a", "check")
 
 
+def _coset(ctx: PrimeContext, k: int, a: int) -> int:
+    """The name of the coset a*R_k(p): R_k(p), the k-th powers, has index
+    d = gcd(k, p - 1) and is the kernel of x -> x^((p-1)/d), so a and b
+    have the same image iff a*R_k(p) = b*R_k(p)."""
+    return pow(a, ctx.p_minus_1 // math.gcd(k, ctx.p_minus_1), ctx.p)
+
+
+def _check_records(ctx: PrimeContext, config: ScanConfig,
+                   check: str) -> list[VerificationRecord]:
+    """One check's records for one prime, in its grid's order.  A check with
+    a coset index k runs once per (m, coset of a in R_k(p)), and once per m
+    when that run is skipped; every other a gets a copy of the record with
+    its own a (see CHECKS)."""
+    grid, _, _, k = CHECKS[check]
+    tol = config.tolerance
+    if k is None:
+        return [run_check(ctx, m, a, check, tol) for m, a in grid(ctx, config)]
+    records, runs, skips = [], {}, {}
+    for m, a in grid(ctx, config):
+        rec = skips.get(m)
+        if rec is None:
+            key = m, _coset(ctx, m if k == "m" else k, a)
+            rec = runs.get(key)
+            if rec is None:
+                rec = runs[key] = run_check(ctx, m, a, check, tol)
+                if rec.status == SKIPPED:
+                    skips[m] = rec
+        records.append(rec if rec.a == a else rec._replace(a=a))
+    return records
+
+
 def _scan_prime(args) -> list[VerificationRecord]:
     """One prime's records, sorted by (m, a, check)."""
     config, p = args
     ctx = PrimeContext(p)
-    records = [run_check(ctx, m, a, check, config.tolerance)
-               for check in config.selected_checks()
-               for m, a in CHECKS[check][0](ctx, config)]
+    records = [rec for check in config.selected_checks()
+               for rec in _check_records(ctx, config, check)]
     records.sort(key=_PRIME_ORDER)
     return records
 
@@ -273,15 +334,22 @@ BATCH_PRIMES = 64
 
 
 def _cost_batches(primes: list[int], workers: int) -> list[list[int]]:
-    """The primes cut into contiguous ascending runs of about equal cost,
+    """The primes cut into contiguous ascending runs of about equal weight,
     none longer than BATCH_PRIMES.
 
-    A prime's checks cost roughly in proportion to p, so a prime joins run
+    Each prime is weighted by p, so a prime joins run
     floor(S * 8*workers / total), where S is the sum of the primes below it:
-    each run holds about 1/(8*workers) of the sum of all the primes.  Eight
-    tasks per worker amortise each task's round trip, and runs of equal cost
-    leave no worker finishing the largest primes alone, so the last run
-    holds fewer primes than the first.  A run longer than BATCH_PRIMES is
+    each run holds about 1/(8*workers) of the sum of all the primes, and
+    the last run holds fewer primes than the first.  Eight tasks per worker
+    amortise each task's round trip.  The weight is rough: a prime's cost
+    also has a part that does not grow with p (its grid of work items and
+    their records), so per unit of p small primes cost more.  Timed per
+    batch at two workers (2 vCPU, Python 3.11), the full scan of 12..250
+    spends 18-25 ms on its first batch (p = 13..59) against 3-13 ms on
+    later ones of about the same sum, and the numeric scan of 97..6000
+    about 2.3 us per unit of p below p = 370 against 0.4 us above 3000: the
+    first batches of the full scan are its costliest.  A run longer than
+    BATCH_PRIMES is
     then cut into the fewest consecutive runs of near-equal length within
     the cap, so that what a worker holds at once does not grow with the
     range: small primes are many per unit of cost.

@@ -296,14 +296,6 @@ def pmd_lemma_identity(n: int, x: float,
     return finish(n, 1, 0, "pmd_lemma", ok, expected, actual)
 
 
-@functools.lru_cache(maxsize=1)
-def _low_squares(ctx: PrimeContext) -> int:
-    """The number of members of R_2(p) up to (p-1)/4, counted along its walk
-    once for the current prime: it does not depend on a."""
-    quarter = ctx.p_minus_1 // 4
-    return len([k for k in walk(ctx, 2) if k <= quarter])
-
-
 def pmd_theorem14_numeric(p, a: int = 1,
                           rel_tol: float = 1e-6) -> VerificationRecord:
     """Quadratic-residue tangent product for p = 1 (mod 8).
@@ -312,7 +304,7 @@ def pmd_theorem14_numeric(p, a: int = 1,
     sign (-1)^#{1 <= k < p/4 : (k/p) = 1} and magnitude 2^((p-1)/4).
     The k^2 run over R_2(p) once each (k and p - k have the same square),
     so the left side is tan_product(p, 2, a), and the residues k below p/4
-    are the members of R_2(p) up to (p-1)/4, counted once per prime.
+    are the members of R_2(p) up to (p-1)/4, counted along its walk.
     """
     ctx = as_prime(p)
     if ctx.p % 8 != 1:
@@ -321,6 +313,7 @@ def pmd_theorem14_numeric(p, a: int = 1,
     if a % ctx.p == 0:
         raise ValueError(f"a={a} is divisible by p={ctx.p}")
     got = tan_product(ctx, 2, a)
-    want_sign = -1 if _low_squares(ctx) % 2 else 1
-    return _power_record(ctx.p, 1, a, "pmd_thm14", got, want_sign,
-                         ctx.p_minus_1 // 4, rel_tol)
+    quarter = ctx.p_minus_1 // 4
+    low = len([k for k in walk(ctx, 2) if k <= quarter])
+    return _power_record(ctx.p, 1, a, "pmd_thm14", got, -1 if low % 2 else 1,
+                         quarter, rel_tol)

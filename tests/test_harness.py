@@ -9,6 +9,8 @@ import os
 import pickle
 import random
 import string
+from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ import resitan
 from resitan import (NotRepresentable, PrimeContext, ScanConfig,
                      VerificationRecord, emit_report, parse_report, scan,
                      verify_cor11, verify_cor12)
-from resitan import harness
+from resitan import harness, numeric
 from resitan.harness import CHECK_NAMES, PMD_X_GRID, REPORT_FIELDS
 
 from conftest import odd_primes_up_to, require_fork
@@ -104,6 +106,23 @@ class TestCor12:
             verify_cor12(17, 1)
 
 
+def per_item_records(config, p):
+    """One prime's records with every work item run by run_check, sorted as
+    _scan_prime sorts them."""
+    ctx = PrimeContext(p)
+    records = []
+    for check in config.selected_checks():
+        for m, a in harness.CHECKS[check][0](ctx, config):
+            rec = harness.run_check(ctx, m, a, check, config.tolerance)
+            assert (rec.p, rec.m, rec.a, rec.check) == (p, m, a, check)
+            records.append(rec)
+    return sorted(records, key=attrgetter("m", "a", "check"))
+
+
+def coset_name(p, m, a):
+    return pow(a, (p - 1) // m, p)
+
+
 class TestScan:
     def test_lemma21_range_all_pass(self):
         recs = scan(ScanConfig(5, 50, checks=("lemma21",)))
@@ -165,20 +184,17 @@ class TestScan:
         recs = scan(ScanConfig(3, 20))
         assert all(r.elapsed_ms == 0.0 for r in recs)
 
-    def test_direct_check_equals_scanned_record(self):
-        # a runner's record is reported as it is: a check called directly
-        # gives the scan's record, elapsed_ms included, for every work item
-        config = ScanConfig(3, 59)
-        scanned = {(r.p, r.m, r.a, r.check): r for r in scan(config)}
-        direct = {}
-        for p in odd_primes_up_to(59):
-            ctx = PrimeContext(p)
-            for check, (grid, _, _) in harness.CHECKS.items():
-                for m, a in grid(ctx, config):
-                    rec = harness.run_check(ctx, m, a, check, config.tolerance)
-                    assert (rec.p, rec.m, rec.a, rec.check) == (p, m, a, check)
-                    direct[p, m, a, check] = rec
-        assert direct == scanned
+    @pytest.mark.parametrize("config", [
+        ScanConfig(3, 399),
+        ScanConfig(3, 399, m_policy=(1, 2, 3, 100), a_count=12)],
+        ids=["default", "explicit-m"])
+    def test_direct_check_equals_scanned_record(self, config):
+        # a scan runs each check once per (m, coset of a) and copies the
+        # record to the other a of the coset: it must report exactly the
+        # record each work item gives on its own, elapsed_ms included
+        direct = [rec for p in odd_primes_up_to(config.p_max)
+                  for rec in per_item_records(config, p)]
+        assert scan(config) == direct
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +214,90 @@ class TestScan:
     def test_config_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
         with pytest.raises(ValueError, match="tolerance must be finite"):
             ScanConfig(3, 10, tolerance=tol)
+
+
+class TestCosetReuse:
+    """A scan runs each check once per (m, coset of a) and copies the record
+    to the other a of the coset."""
+
+    @pytest.mark.parametrize("p, m", [(73, 2), (73, 4), (31, 3)])
+    def test_one_wrong_coset_fails_exactly_its_a(self, p, m, monkeypatch):
+        # 2 has order 9 mod 73 and 5 mod 31, so 2 is in R_m(p) for these
+        # (p, m): thm_main_numeric passes there, and so do pmd_thm14 (R_2)
+        # at 73 = 1 (mod 8) and cor11 (R_3) at 31 = 2^2 + 27*1^2.  A coset
+        # sum made wrong on the coset of 5, which is no m-th power, must
+        # fail the a of that coset and no other
+        bad = coset_name(p, m, 5)
+        assert bad != 1
+        real = numeric.coset_log2
+
+        def wrong(ctx, mm, a):
+            h, negatives = real(ctx, mm, a)
+            if mm == m and coset_name(ctx.p, m, a) == bad:
+                h += 1.0
+            return h, negatives
+
+        config = ScanConfig(3, 3, a_count=p - 1,
+                            checks=("thm_main_numeric", "cor11", "pmd_thm14"))
+        clean = harness._scan_prime((config, p))
+        monkeypatch.setattr(numeric, "coset_log2", wrong)
+        faulty = harness._scan_prime((config, p))
+        assert faulty == per_item_records(config, p)
+        coset = [a for a in range(1, p) if coset_name(p, m, a) == bad]
+        assert len(coset) == (p - 1) // m
+        want = {("thm_main_numeric", m, a) for a in coset}
+        if m == 2:
+            want |= {("pmd_thm14", 1, a) for a in coset}
+        if m == 3:
+            want |= {("cor11", 3, a) for a in coset}
+        key = attrgetter("check", "m", "a")
+        assert {key(rec) for rec in faulty if rec.status == "fail"} == want
+        assert [rec for rec in faulty if key(rec) not in want] == \
+            [rec for rec in clean if key(rec) not in want]
+
+    def test_runs_once_per_m_and_coset(self, monkeypatch):
+        # gi reads one verdict per (p, m); thm_main_numeric one sum per coset
+        # of R_m(p), or nothing past a hypothesis that fails for every a
+        monkeypatch.setenv("RESITAN_THREADS", "1")
+        calls = {"verify_gi": [], "verify_theorem_main_numeric": []}
+        in_cor11 = []
+
+        def counting(name):
+            real = getattr(harness, name)
+
+            def run(ctx, m, a, *rest):
+                if not in_cor11:
+                    calls[name].append((ctx.p, m, a))
+                return real(ctx, m, a, *rest)
+            return run
+
+        def cor11(*args):
+            # cor11's own numeric side check is not a thm_main_numeric item
+            in_cor11.append(1)
+            try:
+                return real_cor11(*args)
+            finally:
+                in_cor11.pop()
+
+        real_cor11 = harness.verify_cor11
+        for name in calls:
+            monkeypatch.setattr(harness, name, counting(name))
+        monkeypatch.setattr(harness, "verify_cor11", cor11)
+        records = scan(ScanConfig(3, 200))
+        gi = Counter((p, m) for p, m, a in calls["verify_gi"])
+        assert gi == Counter((r.p, r.m) for r in records if r.check == "gi"
+                             and r.a == 1)
+        want = {}
+        for r in records:
+            if r.check == "thm_main_numeric":
+                name = (r.status == "skipped(hypothesis)"
+                        or coset_name(r.p, r.m, r.a))
+                want.setdefault((r.p, r.m), set()).add(name)
+        runs = calls["verify_theorem_main_numeric"]
+        assert Counter((p, m) for p, m, a in runs) == \
+            {key: len(names) for key, names in want.items()}
+        assert len({(p, m, coset_name(p, m, a)) for p, m, a in runs}) == \
+            len(runs)
 
 
 @pytest.mark.parametrize("exc, status", [
