@@ -37,11 +37,16 @@ primes, and its records, text and pickled copy all at once.  A batch scans
 its primes one at a time, formats each prime's lines as soon as they exist
 with the formatter emit_report uses, and keeps no record past its prime.
 It sends back that text and its counts of pass, fail, skipped and error
-records.  The process pool returns the batches in submission order, so the
-parent appends each text to the report as it arrives and the file is the
-concatenation of the per-prime runs.  `resitan scan` takes the counts only
-(scan_counts), so its parent never rebuilds a record; scan() reads its
-records back from the text with the decoder of parse_report.
+records.  With more than one worker the batches run in children forked from
+the scan's process (_forked_map): they inherit the batch list, the parent
+hands each idle child the index of the next batch over a pipe, and a child
+sends back its text and counts with marshal.  The parent writes the texts in
+batch order, holding any that arrives early, so the file is the
+concatenation of the per-prime runs.  No process pool module is imported.
+Where os.fork does not exist a scan runs in one process.  `resitan scan`
+takes the counts only (scan_counts), so its parent never rebuilds a record;
+scan() reads its records back from the text with the decoder of
+parse_report.
 """
 
 from __future__ import annotations
@@ -316,7 +321,10 @@ def _scan_prime(args) -> list[VerificationRecord]:
 
 
 def _thread_count() -> int:
-    """RESITAN_THREADS if it is a positive integer, else the usable cores."""
+    """RESITAN_THREADS if it is a positive integer, else the usable cores;
+    1 where os.fork does not exist, since the pool forks its workers."""
+    if not hasattr(os, "fork"):
+        return 1
     raw = os.environ.get("RESITAN_THREADS", "")
     try:
         v = int(raw)
@@ -393,15 +401,139 @@ def _sweep_batch(task):
     return buf.getvalue(), tally
 
 
+def _forked_map(fn, tasks: list, workers: int):
+    """fn(task) for each task, in order, computed in `workers` forked children.
+
+    The children inherit fn and tasks through os.fork, so nothing is pickled
+    on the way in: child w starts on task w, and each time a child returns a
+    result the parent writes it the index of the next task over its task
+    pipe, or closes that pipe when none is left, which ends the child.  A
+    child sends back a result with marshal, or the exception fn raised,
+    pickled, which the parent raises.  The parent waits on every result
+    pipe at once, holds a result that arrives before an earlier one and
+    yields them in task order.
+
+    A child that exits without sending its result makes the parent raise
+    RuntimeError naming its exit status or signal.  However the generator
+    ends, every child is reaped, and one still running is killed first.
+    Forking is safe here because a scan's process runs no other thread.
+    """
+    import marshal
+    import selectors
+
+    # the parent's end of each result pipe (a file) -> [pid, the parent's
+    # end of the task pipe, index of the child's task]; pid is None once
+    # the child is reaped, and the task pipe once it is closed
+    children = {}
+    finished = False
+    try:
+        for first in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            children[open(result_r, "rb")] = child = [None, task_w, first]
+            try:
+                child[0] = os.fork()
+                if child[0] == 0:
+                    _serve(fn, tasks, first, task_r, result_w, children)
+            finally:
+                os.close(task_r)
+                os.close(result_w)
+        with selectors.DefaultSelector() as sel:
+            for reader in children:
+                sel.register(reader, selectors.EVENT_READ)
+            held, sent = {}, workers
+            for want in range(len(tasks)):
+                while want not in held:
+                    for key, _ in sel.select():
+                        reader = key.fileobj
+                        child = children[reader]
+                        head = reader.read(8)
+                        size = int.from_bytes(head, "little")
+                        body = reader.read(size)
+                        if len(head) < 8 or len(body) < size:
+                            pid, child[0] = child[0], None
+                            status = os.waitpid(pid, 0)[1]
+                            raise RuntimeError(
+                                f"scan worker {pid} {_exit_cause(status)} "
+                                f"before returning task {child[2]}")
+                        result, error = marshal.loads(body)
+                        if error is not None:
+                            import pickle
+                            raise pickle.loads(error)
+                        held[child[2]] = result
+                        if sent < len(tasks):
+                            os.write(child[1], sent.to_bytes(4, "little"))
+                            child[2] = sent
+                            sent += 1
+                        else:
+                            sel.unregister(reader)
+                            os.close(child[1])
+                            child[1] = None
+                yield held.pop(want)
+        finished = True
+    finally:
+        for reader, (pid, task_w, _) in children.items():
+            reader.close()
+            if task_w is not None:
+                os.close(task_w)
+            if pid is not None:
+                if not finished:
+                    import signal
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _serve(fn, tasks: list, i: int, task_r: int, result_w: int,
+           parent_ends: dict):
+    """A forked child's life; it never returns.  It closes the parent's ends
+    of its own pipes and its older siblings', since a task pipe ends only
+    once every copy of its write end is closed.  Then it runs task i, sends
+    its result framed by its length and reads the next index, until its
+    task pipe ends.  It exits 0 then, and 1 on any other way out."""
+    code = 1
+    try:
+        import marshal
+        for reader, (_, task_w, _) in parent_ends.items():
+            os.close(reader.fileno())
+            os.close(task_w)
+        out = open(result_w, "wb")
+        while True:
+            try:
+                body = marshal.dumps((fn(tasks[i]), None))
+            except Exception as exc:
+                import pickle
+                body = marshal.dumps((None, pickle.dumps(exc)))
+            out.write(len(body).to_bytes(8, "little"))
+            out.write(body)
+            out.flush()
+            index = os.read(task_r, 4)
+            if not index:
+                code = 0
+                break
+            i = int.from_bytes(index, "little")
+    finally:
+        os._exit(code)
+
+
+def _exit_cause(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        import signal
+        return f"was killed by signal {signal.Signals(-code).name}"
+    return f"exited with status {code}"
+
+
 def _sweep(config: ScanConfig, texts: list | None = None):
     """The sweep engine of scan and scan_counts: the numbers of (pass, fail,
     skipped, error) records.  Each batch's report text is appended to texts
     when it is given.
 
-    Batches run across RESITAN_THREADS processes, and their report text is
-    written to config.out as each batch arrives, in ascending p.  If any
-    batch raises, the report at config.out is removed before the exception
-    propagates, so a failed scan leaves no partial report.
+    Batches run across RESITAN_THREADS processes, forked children of this
+    one (_forked_map), and their report text is written to config.out in
+    batch order, so in ascending p.  If any batch raises, or a child dies
+    before its batch is returned, the report at config.out is removed
+    before the exception propagates, so a failed scan leaves no partial
+    report.
     """
     primes = [p for p in range(max(config.p_min, 3), config.p_max + 1)
               if is_prime(p)]
@@ -418,11 +550,10 @@ def _sweep(config: ScanConfig, texts: list | None = None):
             fh = open(out, "w", encoding="utf-8", newline="")
             fh.write(_REPORT_HEAD[config.fmt])
         if workers > 1:
-            # imported here so that `import resitan.cli`, and with it every
-            # `resitan verify`, does not load the process pool machinery
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=workers)
-            results = pool.map(_sweep_batch, tasks)
+            # the formatter imports its module on first use: do it here,
+            # once, rather than once in every child
+            _write_rows(StringIO(), (), config.fmt)
+            pool = results = _forked_map(_sweep_batch, tasks, workers)
         else:
             results = map(_sweep_batch, tasks)
         for text, tally in results:
@@ -439,7 +570,7 @@ def _sweep(config: ScanConfig, texts: list | None = None):
         raise
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.close()
         if fh is not None:
             fh.close()
     return counts

@@ -85,6 +85,7 @@ import functools
 import math
 from array import array
 from collections import namedtuple
+from operator import itemgetter
 
 from .arith import PrimeContext, as_prime, jacobi
 from .errors import BranchViolation, PoleProximity
@@ -140,20 +141,24 @@ def _coset_sums(q: int) -> dict[tuple[int, int], tuple]:
 
 def _pair_terms(q: int, a: int, ks) -> tuple[array, bytes]:
     """T[r] = log2(2 sin(pi*(q - 2r)/(2q))) and the flags 4r > q of the pairs
-    named by a*k mod q for k in ks, in order, each image folded to
-    r = min(r, q - r) < q/2.  The angle's quotient is of two integers.  The
-    terms are packed doubles: the m = 1 entry keeps (q-1)/2 of them."""
-    below = q // 2
-    if a == 1:
-        # the m = 1 table among them: 0 < k < q is its own image
-        folded = [k if k <= below else q - k for k in ks]
-    else:
-        folded = [r if (r := a * k % q) <= below else q - r for k in ks]
+    named by a*k mod q for k in ks, in order, r = min(k', q - k') < q/2 for
+    the image k'.  q - 2r is |q - 2k'|, so the angle's quotient is of two
+    integers, and 4r > q iff q/4 < k' < 3q/4.  The terms are packed doubles:
+    the m = 1 entry keeps (q-1)/2 of them."""
+    if a != 1:
+        ks = [a * k % q for k in ks]
     two_q = 2 * q
     sin, log2, pi = math.sin, math.log2, math.pi
-    terms = array("d", [log2(2.0 * sin(pi * ((q - 2 * r) / two_q)))
-                        for r in folded])
-    return terms, bytes([4 * r > q for r in folded])
+    terms = array("d", [log2(2.0 * sin(pi * (abs(q - 2 * k) / two_q)))
+                        for k in ks])
+    lo, hi = q // 4 + 1, (3 * q - 1) // 4 + 1
+    if 1 < len(ks) and q <= 8 * len(ks):
+        # a q-byte table of the flags, built only where it is no larger
+        # than the terms (m < 4): at a large q and m it would not fit.  A
+        # single k would make itemgetter return a scalar
+        band = bytes(lo) + b"\x01" * (hi - lo) + bytes(q - hi)
+        return terms, bytes(itemgetter(*ks)(band))
+    return terms, bytes([lo <= k < hi for k in ks])
 
 
 @functools.lru_cache(maxsize=1)

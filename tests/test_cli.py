@@ -77,7 +77,7 @@ def test_verify_large_prime_exact(capsys):
 # modules that `import resitan.cli`, and so every `resitan verify`, must not
 # load, each with the reason it can do without
 UNLOADED_BY_CLI = {
-    "concurrent.futures": "only a pooled scan starts the process pool",
+    "concurrent.futures": "a pooled scan forks its workers with os.fork",
     "fractions": "exact angle reduction is plain integer arithmetic",
     "decimal": "exact angle reduction is plain integer arithmetic",
     "json": "only report I/O needs it, and imports it where it runs",
@@ -106,6 +106,23 @@ def assert_not_loaded(cli_import, *modules):
 
 def test_import_loads_no_process_pool(cli_import):
     assert_not_loaded(cli_import, "concurrent.futures")
+
+
+def test_pooled_scan_loads_no_process_pool_modules(tmp_path):
+    # the scan's pool is os.fork and pipes: none of these is needed
+    modules = ["concurrent.futures", "multiprocessing", "logging"]
+    src = str(Path(resitan.__file__).resolve().parent.parent)
+    out = tmp_path / "report.jsonl"
+    code = ("import sys; from resitan.harness import ScanConfig, scan_counts; "
+            f"print(scan_counts(ScanConfig(3, 100, out={str(out)!r}))); "
+            f"print(*[m for m in {modules!r} if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "RESITAN_THREADS": "2"})
+    counts, loaded = run.stdout.split("\n")[:2]
+    assert counts.startswith("(") and out.stat().st_size
+    assert loaded == ""
 
 
 def test_import_loads_no_fractions_or_decimal(cli_import):

@@ -478,6 +478,55 @@ class TestSweep:
                                fmt=fmt))
             assert not out.exists()
 
+    def test_killed_worker_names_its_signal(self, monkeypatch):
+        import signal
+        real = harness._scan_prime
+
+        def scan_prime(args):
+            if args[1] == 101:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(args)
+
+        monkeypatch.setattr(harness, "_scan_prime", scan_prime)
+        monkeypatch.setenv("RESITAN_THREADS", "2")
+        with pytest.raises(RuntimeError, match="killed by signal SIGKILL"):
+            harness.scan_counts(ScanConfig(3, 400, checks=("lemma21",)))
+
+    @pytest.mark.parametrize("fault, error", [
+        (None, None), ("raise", "boom at 101"), ("exit", "exited with status 3")])
+    def test_pooled_scan_leaves_no_child_or_pipe(self, fault, error, tmp_path,
+                                                 monkeypatch):
+        # a worker that raises, or dies without a result, fails the scan
+        # and removes its report; no scan leaves a child or a pipe behind
+        real = harness._scan_prime
+
+        def scan_prime(args):
+            if args[1] == 101:
+                if fault == "raise":
+                    raise RuntimeError("boom at 101")
+                os._exit(3)
+            return real(args)
+
+        if fault is not None:
+            monkeypatch.setattr(harness, "_scan_prime", scan_prime)
+        monkeypatch.setenv("RESITAN_THREADS", "2")
+        out = tmp_path / "report.jsonl"
+        config = ScanConfig(3, 400, checks=("lemma21",), out=str(out))
+        fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") \
+            else []
+        if fault is None:
+            passed, failed, skipped, errored = harness.scan_counts(config)
+            assert passed and not (failed or skipped or errored)
+            assert out.stat().st_size
+        else:
+            with pytest.raises(RuntimeError, match=error):
+                harness.scan_counts(config)
+            assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if fds:
+            assert os.listdir("/proc/self/fd") == fds
+
     def test_report_to_a_device_is_not_removed(self, monkeypatch):
         removed = []
         monkeypatch.setattr(harness.os, "remove", removed.append)
@@ -550,29 +599,51 @@ class TestPool:
         assert len(harness._cost_batches(primes, 2)[0]) < cap < 205
 
     def test_pool_gets_batched_tasks(self, monkeypatch):
-        import concurrent.futures
         seen = {}
+        real = harness._forked_map
 
-        class Pool:
-            def __init__(self, max_workers):
-                seen["workers"] = max_workers
+        def forked_map(fn, tasks, workers):
+            seen["workers"] = workers
+            seen["primes"] = [len(task[1]) for task in tasks]
+            seen["covered"] = [p for task in tasks for p in task[1]]
+            return real(fn, tasks, workers)
 
-            def map(self, fn, tasks):
-                seen["primes"] = [len(task[1]) for task in tasks]
-                return map(fn, tasks)
-
-            def shutdown(self, cancel_futures):
-                seen["shutdown"] = cancel_futures
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_forked_map", forked_map)
         monkeypatch.setenv("RESITAN_THREADS", "2")
         recs = scan(ScanConfig(3, 400, checks=("lemma21",)))
-        assert seen["workers"] == 2 and seen["shutdown"]
-        # 77 primes in 16 tasks of several primes each
+        assert seen["workers"] == 2
+        # 77 primes in 16 tasks of several primes each, in ascending order
         assert len(seen["primes"]) == 16 and min(seen["primes"]) >= 2
-        assert sum(seen["primes"]) == 77
+        assert seen["covered"] == odd_primes_up_to(400)
         monkeypatch.setenv("RESITAN_THREADS", "1")
         assert scan(ScanConfig(3, 400, checks=("lemma21",))) == recs
+
+    def test_no_fork_means_one_process(self, monkeypatch):
+        monkeypatch.setenv("RESITAN_THREADS", "4")
+        monkeypatch.delattr(harness.os, "fork")
+        assert harness._thread_count() == 1
+
+    def test_results_come_back_in_task_order(self):
+        # later tasks finish first: the parent holds them until their turn
+        import time
+
+        def task(i):
+            time.sleep(0.002 * (12 - i))
+            return i * i
+
+        assert list(harness._forked_map(task, list(range(12)), 3)) == \
+            [i * i for i in range(12)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_stopping_early_kills_and_reaps_every_child(self):
+        import time
+        results = harness._forked_map(lambda i: time.sleep(0.05 * i) or i,
+                                      list(range(8)), 3)
+        assert next(results) == 0
+        results.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_pooled_report_equals_serial_past_the_cap(self, tmp_path,
                                                       monkeypatch):

@@ -362,6 +362,27 @@ class TestPmdLemmaIdentity:
                 assert (rec.status, rec.expected, rec.actual) == \
                     (want.status, want.expected, want.actual), (n, x)
 
+    def test_pair_terms_fold_each_image(self):
+        # each image k' = a*k mod q is folded to r = min(k', q - k'): the
+        # terms are T[r] bit for bit and the flags 4r > q, whether the flags
+        # come from the q-byte table (m <= 4) or one comparison each
+        def folded(q, a, ks):
+            rs = [min(a * k % q, q - a * k % q) for k in ks]
+            return t_terms(q, rs + [q - r for r in rs]), [4 * r > q for r in rs]
+
+        for q in odd_primes_up_to(199):
+            ctx = PrimeContext(q)
+            for m in admissible_m(q):
+                ks = residues.walk(ctx, m)[:(q - 1) // (2 * m)]
+                for a in {1, 2, q - 1}:
+                    terms, flags = numeric._pair_terms(q, a, ks)
+                    assert (list(terms), list(map(bool, flags))) == \
+                        folded(q, a, ks), (q, m, a)
+        q = 2147483647
+        ks = [1, 5, q // 4, q // 4 + 1, q // 2, q - 3]
+        terms, flags = numeric._pair_terms(q, 3, ks)
+        assert (list(terms), list(map(bool, flags))) == folded(q, 3, ks)
+
     def test_log2_within_error_model(self):
         # |L - log2|prod|| <= 1e-9: the 9-decimal rendering adds at most
         # 5e-10, the float factors and their sum far less at n < 200
@@ -647,6 +668,27 @@ class TestTanProductErrorModel:
                 r2 = min(2 * r, q - 2 * r)
                 want = t_terms(q, [r2, q - r2])[0] - 2 * t_terms(q, [r, q - r])[0] + 1
                 assert abs(pair - want) <= 1e-9, (q, r)
+
+    def test_pair_terms_fold_each_image(self):
+        # each image k' = a*k mod q is folded to r = min(k', q - k'): the
+        # terms are T[r] bit for bit and the flags 4r > q, whether the flags
+        # come from the q-byte table (m <= 4) or one comparison each
+        def folded(q, a, ks):
+            rs = [min(a * k % q, q - a * k % q) for k in ks]
+            return t_terms(q, rs + [q - r for r in rs]), [4 * r > q for r in rs]
+
+        for q in odd_primes_up_to(199):
+            ctx = PrimeContext(q)
+            for m in admissible_m(q):
+                ks = residues.walk(ctx, m)[:(q - 1) // (2 * m)]
+                for a in {1, 2, q - 1}:
+                    terms, flags = numeric._pair_terms(q, a, ks)
+                    assert (list(terms), list(map(bool, flags))) == \
+                        folded(q, a, ks), (q, m, a)
+        q = 2147483647
+        ks = [1, 5, q // 4, q // 4 + 1, q // 2, q - 3]
+        terms, flags = numeric._pair_terms(q, 3, ks)
+        assert (list(terms), list(map(bool, flags))) == folded(q, 3, ks)
 
     def test_log2_within_error_model(self):
         # |L - log2|prod|| <= 1e-9 for every record at p < 200: the 9-decimal
