@@ -63,12 +63,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeContext(namedtuple("PrimeContext", "p p_minus_1", defaults=(0,))):
+class Validated:
+    """Mixin, before the namedtuple base, of the validated types: every way
+    of building one passes through its own __new__.  _make (so _replace)
+    calls the constructor, and copy and unpickling call it on the fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return (type(self), tuple(self))
+
+
+class PrimeContext(Validated, namedtuple("PrimeContext", "p p_minus_1",
+                                         defaults=(0,))):
     """A verified odd prime p together with p - 1, the order of its unit group.
 
-    A frozen tuple (p, p - 1).  Every way of building one validates p and
-    sets p_minus_1 from it: the constructor, _make, _replace, copy and
-    unpickling all pass through __new__.
+    A frozen tuple (p, p - 1).  Its __new__ validates p and sets p_minus_1
+    from it, on every construction path (Validated).
     """
 
     __slots__ = ()
@@ -79,13 +94,6 @@ class PrimeContext(namedtuple("PrimeContext", "p p_minus_1", defaults=(0,))):
         if p < 3 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
         return tuple.__new__(cls, (p, p - 1))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return (type(self), tuple(self))
 
 
 def as_prime(p: int | PrimeContext) -> PrimeContext:

@@ -57,7 +57,8 @@ from collections import Counter, namedtuple
 from io import StringIO
 from operator import add, attrgetter
 
-from .arith import PrimeContext, as_prime, divisors, is_prime, mod_pow
+from .arith import (PrimeContext, Validated, as_prime, divisors, is_prime,
+                    mod_pow)
 from .cyclotomic import verify_gi, verify_gi_plus, verify_tan_cross
 from .errors import HypothesisViolation, NotRepresentable
 from .numeric import (check_tolerance, pmd_lemma_identity,
@@ -126,7 +127,7 @@ def verify_cor12(p, a: int = 1) -> VerificationRecord:
     return _corollary(p, a, 4, lambda rep: rep.y, congruence, "cor12")
 
 
-class ScanConfig(namedtuple(
+class ScanConfig(Validated, namedtuple(
         "ScanConfig", "p_min p_max m_policy a_count checks tolerance out fmt",
         defaults=("all", 5, "all", 1e-6, None, "jsonl"))):
     """Sweep description: prime range, m/a policies, checks, tolerance, output.
@@ -138,10 +139,9 @@ class ScanConfig(namedtuple(
     cor11, cor12, pmd_lemma, pmd_thm14) always run at their own m.
     The a grid is {1..a_count} intersected with [1, p-1], plus always p - 1.
 
-    A frozen tuple of its eight fields: use _replace to change one.  Every
-    way of building one validates and normalises the fields: the
-    constructor, _make, _replace, copy and unpickling all pass through
-    __new__.
+    A frozen tuple of its eight fields: use _replace to change one.  Its
+    __new__ validates and normalises the fields on every construction path
+    (arith.Validated).
     """
 
     __slots__ = ()
@@ -168,13 +168,6 @@ class ScanConfig(namedtuple(
             checks = tuple(c for c in CHECK_NAMES if c in wanted)
         return tuple.__new__(cls, (p_min, p_max, m_policy, a_count, checks,
                                    tolerance, out, fmt))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return (type(self), tuple(self))
 
     def selected_checks(self) -> tuple:
         return CHECK_NAMES if self.checks == "all" else self.checks
@@ -276,9 +269,6 @@ def run_check(ctx: PrimeContext, m: int, a: int, check: str,
     return run_guarded(ctx, m, a, check, lambda: runner(ctx, m, a, tol))
 
 
-_PRIME_ORDER = attrgetter("m", "a", "check")
-
-
 def _coset(ctx: PrimeContext, k: int, a: int) -> int:
     """The name of the coset a*R_k(p): R_k(p), the k-th powers, has index
     d = gcd(k, p - 1) and is the kernel of x -> x^((p-1)/d), so a and b
@@ -316,7 +306,7 @@ def _scan_prime(args) -> list[VerificationRecord]:
     ctx = PrimeContext(p)
     records = [rec for check in config.selected_checks()
                for rec in _check_records(ctx, config, check)]
-    records.sort(key=_PRIME_ORDER)
+    records.sort(key=attrgetter("m", "a", "check"))
     return records
 
 
@@ -325,9 +315,8 @@ def _thread_count() -> int:
     1 where os.fork does not exist, since the pool forks its workers."""
     if not hasattr(os, "fork"):
         return 1
-    raw = os.environ.get("RESITAN_THREADS", "")
     try:
-        v = int(raw)
+        v = int(os.environ.get("RESITAN_THREADS", ""))
     except ValueError:
         v = 0
     if v >= 1:
@@ -357,10 +346,9 @@ def _cost_batches(primes: list[int], workers: int) -> list[list[int]]:
     later ones of about the same sum, and the numeric scan of 97..6000
     about 2.3 us per unit of p below p = 370 against 0.4 us above 3000: the
     first batches of the full scan are its costliest.  A run longer than
-    BATCH_PRIMES is
-    then cut into the fewest consecutive runs of near-equal length within
-    the cap, so that what a worker holds at once does not grow with the
-    range: small primes are many per unit of cost.
+    BATCH_PRIMES is then cut into the fewest consecutive runs of near-equal
+    length within the cap, so that what a worker holds at once does not
+    grow with the range: small primes are many per unit of cost.
     """
     if not primes:
         return []
@@ -377,9 +365,6 @@ def _cost_batches(primes: list[int], workers: int) -> list[list[int]]:
     return batches
 
 
-_STATUS = attrgetter("status")
-
-
 def _sweep_batch(task):
     """One pool task: scan a contiguous run of primes.
 
@@ -393,7 +378,7 @@ def _sweep_batch(task):
     for p in primes:
         records = _scan_prime((config, p))
         _write_rows(buf, records, config.fmt)
-        seen.update(map(_STATUS, records))
+        seen.update(rec.status for rec in records)
     total = seen.total()
     failed, skipped = seen.pop(FAIL, 0), seen.pop(SKIPPED, 0)
     errored = sum(n for status, n in seen.items() if status.startswith("error("))
@@ -409,9 +394,10 @@ def _forked_map(fn, tasks: list, workers: int):
     result the parent writes it the index of the next task over its task
     pipe, or closes that pipe when none is left, which ends the child.  A
     child sends back a result with marshal, or the exception fn raised,
-    pickled, which the parent raises.  The parent waits on every result
-    pipe at once, holds a result that arrives before an earlier one and
-    yields them in task order.
+    pickled, with its traceback's text: the parent raises that exception
+    from a RuntimeError that carries the text.  The parent waits on every
+    result pipe at once, holds a result that arrives before an earlier one
+    and yields them in task order.
 
     A child that exits without sending its result makes the parent raise
     RuntimeError naming its exit status or signal.  However the generator
@@ -456,10 +442,11 @@ def _forked_map(fn, tasks: list, workers: int):
                             raise RuntimeError(
                                 f"scan worker {pid} {_exit_cause(status)} "
                                 f"before returning task {child[2]}")
-                        result, error = marshal.loads(body)
+                        result, error, text = marshal.loads(body)
                         if error is not None:
                             import pickle
-                            raise pickle.loads(error)
+                            raise pickle.loads(error) from RuntimeError(
+                                f"scan worker {child[0]} raised:\n{text}")
                         held[child[2]] = result
                         if sent < len(tasks):
                             os.write(child[1], sent.to_bytes(4, "little"))
@@ -499,10 +486,11 @@ def _serve(fn, tasks: list, i: int, task_r: int, result_w: int,
         out = open(result_w, "wb")
         while True:
             try:
-                body = marshal.dumps((fn(tasks[i]), None))
+                body = marshal.dumps((fn(tasks[i]), None, None))
             except Exception as exc:
                 import pickle
-                body = marshal.dumps((None, pickle.dumps(exc)))
+                from traceback import format_exc
+                body = marshal.dumps((None, pickle.dumps(exc), format_exc()))
             out.write(len(body).to_bytes(8, "little"))
             out.write(body)
             out.flush()

@@ -249,29 +249,40 @@ def pmd_lemma_identity(n: int, x: float,
     Right side: (2/n) * 2^((n-1)/2) * (1 + (-1/n)*tan(pi*x)), Jacobi symbols.
     Both sides may be zero; when the right side is exactly zero (or smaller
     than 1e-9 in magnitude) the comparison is absolute rather than relative.
+
+    The left side is one pass over r that holds nothing growing with n and
+    feeds each log2|factor| straight into one math.fsum, which rounds the
+    exact sum once, whatever the order of its inputs.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     N, D = x.as_integer_ratio()
-    nD = n * D
-    nums = [(N + r * D) % nD for r in range(n)]
-    ts = [num / nD for num in nums]
-    for r, t in enumerate(ts):
-        if abs(t - 0.5) < POLE_EPS:
-            raise PoleProximity(f"argument {(N + r * D) / nD!r} is within "
-                                f"{POLE_EPS:g} of a tangent pole")
-    # 3/4 is the only zero of 1 + tan(pi*t) mod 1
-    fs = [0.0 if 4 * num == 3 * nD
-          else 1.0 + math.tan(math.pi * (t - 1.0 if t > 0.5 else t))
-          for num, t in zip(nums, ts)]
-    if 0.0 in fs:
-        lhs = SignedMagnitude(0)
-    else:
-        negatives = sum(f < 0.0 for f in fs)
-        lhs = SignedMagnitude(-1 if negatives % 2 else 1,
-                              math.fsum(map(math.log2, map(abs, fs))))
+    nD, zero_num = n * D, 3 * n * D
+    tan, log2, pi = math.tan, math.log2, math.pi
+    sign = 1
+
+    def logs():  # every pole raises, even one after a zero factor
+        nonlocal sign
+        num = N % nD  # (N + r*D) mod n*D, stepped by D <= n*D
+        for r in range(n):
+            t = num / nD
+            if abs(t - 0.5) < POLE_EPS:
+                raise PoleProximity(f"argument {(N + r * D) / nD!r} is within "
+                                    f"{POLE_EPS:g} of a tangent pole")
+            # 3/4 is the only zero of 1 + tan(pi*t) mod 1
+            f = 0.0 if 4 * num == zero_num \
+                else 1.0 + tan(pi * (t - 1.0 if t > 0.5 else t))
+            sign *= (f > 0.0) - (f < 0.0)
+            if f:
+                yield log2(abs(f))
+            num += D
+            if num >= nD:
+                num -= nD
+
+    log2_mag = math.fsum(logs())
+    lhs = SignedMagnitude(sign, log2_mag if sign else 0.0)
 
     s2 = jacobi(2, n)
     s1 = jacobi(-1, n)

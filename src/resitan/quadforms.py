@@ -5,18 +5,17 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .arith import as_prime, jacobi, sqrt_mod
+from .arith import Validated, as_prime, jacobi, sqrt_mod
 from .errors import HypothesisViolation, NotRepresentable
 from .records import VerificationRecord, finish
 from .residues import is_mth_residue
 
 
-class Representation(namedtuple("Representation", "p d x y")):
+class Representation(Validated, namedtuple("Representation", "p d x y")):
     """p = x^2 + d*y^2 with x, y positive integers.
 
-    A frozen tuple (p, d, x, y).  Every way of building one validates it:
-    the constructor, _make, _replace, copy and unpickling all pass through
-    __new__.
+    A frozen tuple (p, d, x, y), validated by __new__ on every construction
+    path (arith.Validated).
     """
 
     __slots__ = ()
@@ -33,13 +32,6 @@ class Representation(namedtuple("Representation", "p d x y")):
         if d == 27 and (x - y) % 2 == 0:
             raise ValueError("x and y must have opposite parity when d = 27")
         return tuple.__new__(cls, (p, d, x, y))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return (type(self), tuple(self))
 
 
 def cornacchia(p, d: int) -> Representation | None:

@@ -91,7 +91,6 @@ def _product_context(p, m: int, a: int) -> PrimeContext:
     return ctx
 
 
-@functools.lru_cache(maxsize=65536)
 def _subgroup_generator(p: int, m: int) -> int:
     """A generator of R_m(p), the subgroup of order (p-1)/m of (Z/p)*.
 

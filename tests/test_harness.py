@@ -478,6 +478,27 @@ class TestSweep:
                                fmt=fmt))
             assert not out.exists()
 
+    def test_pooled_fault_keeps_the_worker_traceback(self, monkeypatch):
+        # the parent raises the worker's exception from one that carries
+        # the worker's traceback, which names the frame that raised
+        require_fork(2)
+        real = harness._scan_prime
+
+        def faulty_scan_prime(args):
+            if args[1] == 101:
+                raise RuntimeError("boom at 101")
+            return real(args)
+
+        monkeypatch.setattr(harness, "_scan_prime", faulty_scan_prime)
+        monkeypatch.setenv("RESITAN_THREADS", "2")
+        with pytest.raises(RuntimeError) as info:
+            harness.scan_counts(ScanConfig(3, 400, checks=("lemma21",)))
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == "boom at 101"
+        cause = str(info.value.__cause__)
+        assert "in faulty_scan_prime" in cause
+        assert 'raise RuntimeError("boom at 101")' in cause
+
     def test_killed_worker_names_its_signal(self, monkeypatch):
         import signal
         real = harness._scan_prime

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -340,6 +341,26 @@ class TestPmdLemmaIdentity:
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
             pmd_lemma_identity(4, 0.1)
+
+    def test_pole_after_a_zero_factor_raises(self, monkeypatch):
+        # at odd n a zero and a pole are 1e-9 apart only when n > 10^8, so
+        # widen the pole window: at n = 3, x = 2.25 factor 0 is the exact
+        # zero (x/3 = 3/4) and factor 2 the pole (4.25/3 is 0.083 from 1/2)
+        monkeypatch.setattr(numeric, "POLE_EPS", 0.1)
+        with pytest.raises(PoleProximity, match=r"^argument 1\.41666"):
+            pmd_lemma_identity(3, 2.25)
+
+    def test_memory_does_not_grow_with_n(self):
+        # one pass over r holds nothing of length n; a list of the n
+        # factors alone would take several MB here
+        tracemalloc.start()
+        try:
+            rec = pmd_lemma_identity(200001, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.status == "pass"
+        assert peak < 4 * 2 ** 20, peak
 
     # zeros (0.25, 0.75, -0.25), poles (0.5, 1.5 + 3e-10, and -1.5, whose
     # message shows the unreduced argument), a signed zero, an int, a
