@@ -144,8 +144,8 @@ def jacobi(a: int, n: int) -> int:
 def sqrt_mod(a: int, p: int | PrimeContext) -> int | None:
     """Smaller square root of a modulo an odd prime, or None for a non-residue.
 
-    Tonelli-Shanks in general; for p = 3 (mod 4) the direct exponent shortcut
-    is used.  For a != 0 the returned root r satisfies 0 < r <= (p-1)/2.
+    Tonelli-Shanks; for p = 3 (mod 4), s = 1 and the root is a^((p+1)/4)
+    with no descent step.  For a != 0 the returned root r satisfies 0 < r <= (p-1)/2.
     """
     ctx = as_prime(p)
     q = ctx.p
@@ -154,9 +154,6 @@ def sqrt_mod(a: int, p: int | PrimeContext) -> int | None:
         return 0
     if pow(a, (q - 1) // 2, q) != 1:
         return None
-    if q % 4 == 3:
-        r = pow(a, (q + 1) // 4, q)
-        return min(r, q - r)
     # write q - 1 = d * 2^s with d odd
     d, s = q - 1, 0
     while d % 2 == 0:

@@ -83,8 +83,8 @@ def _cmd_verify(args) -> int:
     check_tolerance(args.tol)
     ctx = PrimeContext(args.p)
     recs = [run_check(ctx, args.m, args.a, name, args.tol)
-            for name, (_, _, mode, _) in CHECKS.items()
-            if mode and args.mode in (mode, "both")]
+            for name, check in CHECKS.items()
+            if check.mode and args.mode in (check.mode, "both")]
     return _print_records(recs)
 
 

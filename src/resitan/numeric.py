@@ -241,6 +241,42 @@ def verify_theorem_main_numeric(p, m: int, a: int = 1,
                          tan_product(ctx, m, a), want_sign, half, rel_tol)
 
 
+def _factor_product(N: int, D: int, n: int, s: int) -> SignedMagnitude:
+    """prod over r = 0..n-1 of (1 + s*tan(pi*(x+r)/n)), x = N/D and s = +-1.
+
+    One pass over r that holds nothing growing with n and feeds each
+    log2|factor| straight into one math.fsum, which rounds the exact sum
+    once, whatever the order of its inputs.  The angle of r is num/(nD),
+    num = (N + r*D) mod nD in integers; it raises PoleProximity at the
+    first pole, even one after a zero factor, and a factor is exactly zero
+    at 4*num = (2 + s)*nD: tan = -s only at 3/4 (s = 1) and 1/4 (s = -1).
+    """
+    nD = n * D
+    zero_num = (2 + s) * nD
+    tan, log2, pi = math.tan, math.log2, math.pi
+    sign = 1
+
+    def logs():
+        nonlocal sign
+        num = N % nD  # stepped by D <= n*D
+        for r in range(n):
+            t = num / nD
+            if abs(t - 0.5) < POLE_EPS:
+                raise PoleProximity(f"argument {(N + r * D) / nD!r} is within "
+                                    f"{POLE_EPS:g} of a tangent pole")
+            f = 0.0 if 4 * num == zero_num \
+                else 1.0 + s * tan(pi * (t - 1.0 if t > 0.5 else t))
+            sign *= (f > 0.0) - (f < 0.0)
+            if f:
+                yield log2(abs(f))
+            num += D
+            if num >= nD:
+                num -= nD
+
+    log2_mag = math.fsum(logs())
+    return SignedMagnitude(sign, log2_mag if sign else 0.0)
+
+
 def pmd_lemma_identity(n: int, x: float,
                        rel_tol: float = 1e-9) -> VerificationRecord:
     """Full residue-system tangent product for odd n against its closed form.
@@ -250,55 +286,21 @@ def pmd_lemma_identity(n: int, x: float,
     Both sides may be zero; when the right side is exactly zero (or smaller
     than 1e-9 in magnitude) the comparison is absolute rather than relative.
 
-    The left side is one pass over r that holds nothing growing with n and
-    feeds each log2|factor| straight into one math.fsum, which rounds the
-    exact sum once, whatever the order of its inputs.
+    Both sides are _factor_product: the left at n with s = 1, the factor of
+    the right at n = 1 with s = (-1/n).  The right side needs no pole test
+    of its own: the left runs first, and its argument at the r with
+    (x - x mod 1 + r) = (n-1)/2 (mod n) lies n times closer to 1/2 than
+    x mod 1 does.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     N, D = x.as_integer_ratio()
-    nD, zero_num = n * D, 3 * n * D
-    tan, log2, pi = math.tan, math.log2, math.pi
-    sign = 1
-
-    def logs():  # every pole raises, even one after a zero factor
-        nonlocal sign
-        num = N % nD  # (N + r*D) mod n*D, stepped by D <= n*D
-        for r in range(n):
-            t = num / nD
-            if abs(t - 0.5) < POLE_EPS:
-                raise PoleProximity(f"argument {(N + r * D) / nD!r} is within "
-                                    f"{POLE_EPS:g} of a tangent pole")
-            # 3/4 is the only zero of 1 + tan(pi*t) mod 1
-            f = 0.0 if 4 * num == zero_num \
-                else 1.0 + tan(pi * (t - 1.0 if t > 0.5 else t))
-            sign *= (f > 0.0) - (f < 0.0)
-            if f:
-                yield log2(abs(f))
-            num += D
-            if num >= nD:
-                num -= nD
-
-    log2_mag = math.fsum(logs())
-    lhs = SignedMagnitude(sign, log2_mag if sign else 0.0)
-
-    s2 = jacobi(2, n)
-    s1 = jacobi(-1, n)
-    qn = N % D  # x mod 1 = qn/D
-    t = qn / D
-    if abs(t - 0.5) < POLE_EPS:
-        raise PoleProximity(f"x={x!r} is within {POLE_EPS:g} of a tangent pole")
-    if (s1 == 1 and 4 * qn == 3 * D) or (s1 == -1 and 4 * qn == D):
-        rhs = SignedMagnitude(0)
-    else:
-        base = 1.0 + s1 * math.tan(math.pi * (t - 1.0 if t > 0.5 else t))
-        if base == 0.0:
-            rhs = SignedMagnitude(0)
-        else:
-            rhs = SignedMagnitude(s2 * (1 if base > 0.0 else -1),
-                                  (n - 1) / 2 + math.log2(abs(base)))
+    lhs = _factor_product(N, D, n, 1)
+    base = _factor_product(N, D, 1, jacobi(-1, n))
+    rhs = SignedMagnitude(jacobi(2, n) * base.sign,
+                          (n - 1) / 2 + base.log2_mag if base.sign else 0.0)
 
     if lhs.sign == 0 and rhs.sign == 0:
         ok = True

@@ -167,8 +167,17 @@ class TestSqrtMod:
         assert sqrt_mod(0, 13) == 0
 
     def test_consistent_with_jacobi_and_squares_back(self):
-        for p in odd_primes_up_to(300):
-            for a in range(1, p):
+        # every a below p < 300, and 40 a at each p = 3 (mod 4) up to 3000,
+        # where Tonelli-Shanks has s = 1 and no descent step
+        rng = random.Random(3)
+        for p in odd_primes_up_to(3000):
+            if p < 300:
+                az = range(1, p)
+            elif p % 4 == 3:
+                az = rng.sample(range(1, p), 40)
+            else:
+                continue
+            for a in az:
                 r = sqrt_mod(a, p)
                 if jacobi(a, p) == 1:
                     assert r is not None and 0 < r < p
@@ -177,9 +186,10 @@ class TestSqrtMod:
                 else:
                     assert r is None
 
-    def test_large_prime_two_adic_part(self):
-        # p - 1 divisible by a large power of two exercises the full descent
-        p = 786433  # 3 * 2^18 + 1
+    # 786433 = 3 * 2^18 + 1: p - 1 divisible by a large power of two
+    # exercises the full descent; the others are 3 (mod 4), with none
+    @pytest.mark.parametrize("p", [786433, 2 ** 31 - 1, 2 ** 61 - 1, 1000003])
+    def test_large_prime(self, p):
         assert is_prime(p)
         rng = random.Random(5)
         hits = 0
@@ -187,8 +197,10 @@ class TestSqrtMod:
             a = rng.randrange(1, p)
             r = sqrt_mod(a, p)
             if r is not None:
-                assert r * r % p == a
+                assert r * r % p == a and 0 < r <= (p - 1) // 2
                 hits += 1
+            else:
+                assert jacobi(a, p) == -1
         assert hits > 50
 
 

@@ -112,11 +112,35 @@ def per_item_records(config, p):
     ctx = PrimeContext(p)
     records = []
     for check in config.selected_checks():
-        for m, a in harness.CHECKS[check][0](ctx, config):
+        for m, a in harness._items(ctx, config, harness.CHECKS[check]):
             rec = harness.run_check(ctx, m, a, check, config.tolerance)
             assert (rec.p, rec.m, rec.a, rec.check) == (p, m, a, check)
             records.append(rec)
     return sorted(records, key=attrgetter("m", "a", "check"))
+
+
+# p = 13: the m policy "all" is every m with 2m | 12, and the a grid of
+# a_count 5 is 1..5 plus p - 1 = 12; p = 5: m in (1, 2) and a in 1..4
+@pytest.mark.parametrize("p, config, policy, grid", [
+    (13, ScanConfig(3, 3), (1, 2, 3, 6), (1, 2, 3, 4, 5, 12)),
+    (13, ScanConfig(3, 3, m_policy=(1, 2, 3, 100)), (1, 2, 3, 100),
+     (1, 2, 3, 4, 5, 12)),
+    (13, ScanConfig(3, 3, a_count=12), (1, 2, 3, 6),
+     (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+    (5, ScanConfig(3, 3), (1, 2), (1, 2, 3, 4))],
+    ids=["default", "explicit-m", "a-count-12", "small-p"])
+def test_items_of_every_row(p, config, policy, grid):
+    want = {"gi": (policy, grid), "gi_plus": (policy, grid),
+            "thm_main_exact": (policy, grid),
+            "thm_main_numeric": (policy, grid), "lemma21": (policy, (0,)),
+            "lemma31": ((3,), (0,)), "criterion": ((3, 4), (0,)),
+            "cor11": ((3,), grid), "cor12": ((4,), grid),
+            "pmd_lemma": ((1,), (1, 2, 3, 4, 5, 6, 7, 8, 9)),
+            "pmd_thm14": ((1,), grid)}
+    assert tuple(want) == CHECK_NAMES
+    for check, (ms, az) in want.items():
+        items = harness._items(PrimeContext(p), config, harness.CHECKS[check])
+        assert items == [(m, a) for m in ms for a in az], check
 
 
 def coset_name(p, m, a):
@@ -239,9 +263,9 @@ class TestCosetReuse:
 
         config = ScanConfig(3, 3, a_count=p - 1,
                             checks=("thm_main_numeric", "cor11", "pmd_thm14"))
-        clean = harness._scan_prime((config, p))
+        clean = harness._scan_prime(config, p)
         monkeypatch.setattr(numeric, "coset_log2", wrong)
-        faulty = harness._scan_prime((config, p))
+        faulty = harness._scan_prime(config, p)
         assert faulty == per_item_records(config, p)
         coset = [a for a in range(1, p) if coset_name(p, m, a) == bad]
         assert len(coset) == (p - 1) // m
@@ -464,10 +488,10 @@ class TestSweep:
         require_fork(threads)
         real = harness._scan_prime
 
-        def scan_prime(args):
-            if args[1] == 101:
+        def scan_prime(config, p):
+            if p == 101:
                 raise RuntimeError("boom at 101")
-            return real(args)
+            return real(config, p)
 
         monkeypatch.setattr(harness, "_scan_prime", scan_prime)
         monkeypatch.setenv("RESITAN_THREADS", str(threads))
@@ -484,10 +508,10 @@ class TestSweep:
         require_fork(2)
         real = harness._scan_prime
 
-        def faulty_scan_prime(args):
-            if args[1] == 101:
+        def faulty_scan_prime(config, p):
+            if p == 101:
                 raise RuntimeError("boom at 101")
-            return real(args)
+            return real(config, p)
 
         monkeypatch.setattr(harness, "_scan_prime", faulty_scan_prime)
         monkeypatch.setenv("RESITAN_THREADS", "2")
@@ -503,10 +527,10 @@ class TestSweep:
         import signal
         real = harness._scan_prime
 
-        def scan_prime(args):
-            if args[1] == 101:
+        def scan_prime(config, p):
+            if p == 101:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(args)
+            return real(config, p)
 
         monkeypatch.setattr(harness, "_scan_prime", scan_prime)
         monkeypatch.setenv("RESITAN_THREADS", "2")
@@ -521,12 +545,12 @@ class TestSweep:
         # and removes its report; no scan leaves a child or a pipe behind
         real = harness._scan_prime
 
-        def scan_prime(args):
-            if args[1] == 101:
+        def scan_prime(config, p):
+            if p == 101:
                 if fault == "raise":
                     raise RuntimeError("boom at 101")
                 os._exit(3)
-            return real(args)
+            return real(config, p)
 
         if fault is not None:
             monkeypatch.setattr(harness, "_scan_prime", scan_prime)
@@ -551,18 +575,11 @@ class TestSweep:
     def test_report_to_a_device_is_not_removed(self, monkeypatch):
         removed = []
         monkeypatch.setattr(harness.os, "remove", removed.append)
-        monkeypatch.setattr(harness, "_scan_prime", lambda args: 1 / 0)
+        monkeypatch.setattr(harness, "_scan_prime", lambda config, p: 1 / 0)
         monkeypatch.setenv("RESITAN_THREADS", "1")
         with pytest.raises(ZeroDivisionError):
             harness.scan_counts(ScanConfig(3, 20, out=os.devnull))
         assert removed == []
-
-
-def cost_runs(primes, workers, monkeypatch):
-    """_cost_batches with no cap: the cost-balanced runs alone."""
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "BATCH_PRIMES", len(primes))
-        return harness._cost_batches(primes, workers)
 
 
 class TestPool:
@@ -585,10 +602,10 @@ class TestPool:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert harness._thread_count() == 1
 
-    def test_batching(self, monkeypatch):
+    def test_batching(self):
         assert harness._cost_batches([], 2) == []
         assert harness._cost_batches([3], 4) == [[3]]
-        # more runs asked for than primes: one prime each, none empty
+        # a share below every prime: one prime each, none empty
         assert harness._cost_batches([3, 5, 7], 2) == [[3], [5], [7]]
         cap = harness.BATCH_PRIMES
         for pmax, workers in itertools.product((400, 6000), (1, 2, 3, 8)):
@@ -597,27 +614,22 @@ class TestPool:
             # contiguous ascending batches that hold every prime once
             assert [p for batch in batches for p in batch] == primes
             assert all(0 < len(batch) <= cap for batch in batches)
-            runs = cost_runs(primes, workers, monkeypatch)
-            # 8 runs per worker, each about 1/(8 workers) of the prime sum;
-            # a prime above that share may leave a run empty, and none is kept
+            # a batch takes its next prime while its sum is under the share
+            # and it holds fewer than BATCH_PRIMES primes, and only then
             share = sum(primes) / (8 * workers)
-            assert all(sum(run) < share + run[-1] for run in runs)
-            assert len(runs) <= 8 * workers
-            if primes[-1] <= share:
-                assert len(runs) == 8 * workers
-            # cost grows with p: the last run holds fewer primes than the first
-            assert len(runs[-1]) < len(runs[0])
-            # each run is cut into the fewest near-equal batches within the cap
-            it = iter(batches)
-            for run in runs:
-                pieces = [next(it) for _ in range(-(-len(run) // cap))]
-                assert [p for piece in pieces for p in piece] == run
-                assert max(map(len, pieces)) - min(map(len, pieces)) <= 1
-            assert next(it, None) is None
-        # the numeric scan's first run at two workers outgrows the cap
-        primes = [p for p in odd_primes_up_to(6000) if p >= 50]
-        assert len(cost_runs(primes, 2, monkeypatch)[0]) == 205
-        assert len(harness._cost_batches(primes, 2)[0]) < cap < 205
+            assert all(sum(batch[:-1]) < share for batch in batches)
+            assert all(sum(batch) >= share or len(batch) == cap
+                       for batch in batches[:-1])
+            # cost grows with p: the last batch holds fewer primes than the first
+            assert len(batches[-1]) < len(batches[0])
+        # two workers: the full scan of 12..250 and the numeric scan of
+        # 50..6000, whose first batches are cut by the cap
+        assert len(harness._cost_batches(
+            [p for p in odd_primes_up_to(250) if p >= 12], 2)) == 13
+        batches = harness._cost_batches(
+            [p for p in odd_primes_up_to(6000) if p >= 50], 2)
+        assert len(batches) == 19
+        assert [len(b) for b in batches[:6]] == [cap] * 5 + [56]
 
     def test_pool_gets_batched_tasks(self, monkeypatch):
         seen = {}
@@ -625,16 +637,16 @@ class TestPool:
 
         def forked_map(fn, tasks, workers):
             seen["workers"] = workers
-            seen["primes"] = [len(task[1]) for task in tasks]
-            seen["covered"] = [p for task in tasks for p in task[1]]
+            seen["primes"] = [len(task) for task in tasks]
+            seen["covered"] = [p for task in tasks for p in task]
             return real(fn, tasks, workers)
 
         monkeypatch.setattr(harness, "_forked_map", forked_map)
         monkeypatch.setenv("RESITAN_THREADS", "2")
         recs = scan(ScanConfig(3, 400, checks=("lemma21",)))
         assert seen["workers"] == 2
-        # 77 primes in 16 tasks of several primes each, in ascending order
-        assert len(seen["primes"]) == 16 and min(seen["primes"]) >= 2
+        # 77 primes in 14 tasks of several primes each, in ascending order
+        assert len(seen["primes"]) == 14 and min(seen["primes"]) >= 2
         assert seen["covered"] == odd_primes_up_to(400)
         monkeypatch.setenv("RESITAN_THREADS", "1")
         assert scan(ScanConfig(3, 400, checks=("lemma21",))) == recs
@@ -668,13 +680,14 @@ class TestPool:
 
     def test_pooled_report_equals_serial_past_the_cap(self, tmp_path,
                                                       monkeypatch):
-        # 3..3000's first cost run holds more than BATCH_PRIMES primes at
-        # every process count here, so the cap cuts it into several batches
+        # 3..3000's first batch is cut by the cap at every process count
+        # here, before its sum reaches the share
         primes = odd_primes_up_to(3000)
         reports = []
         for threads in (1, 2, 3):
-            runs = cost_runs(primes, threads, monkeypatch)
-            assert len(runs[0]) > harness.BATCH_PRIMES
+            first = harness._cost_batches(primes, threads)[0]
+            assert len(first) == harness.BATCH_PRIMES
+            assert sum(first) < sum(primes) / (8 * threads)
             monkeypatch.setenv("RESITAN_THREADS", str(threads))
             out = tmp_path / f"scan-{threads}.jsonl"
             harness.scan_counts(ScanConfig(
@@ -688,7 +701,7 @@ class TestPool:
                             fmt=fmt)
         primes = odd_primes_up_to(200)
         records = [rec for p in primes
-                   for rec in harness._scan_prime((config, p))]
+                   for rec in harness._scan_prime(config, p)]
         from io import StringIO
         buf = StringIO(newline="")
         harness._write_rows(buf, records, fmt)
@@ -697,7 +710,7 @@ class TestPool:
                  statuses.count("skipped(hypothesis)"),
                  sum(s.startswith("error(") for s in statuses))
         assert sum(tally) == len(records) and tally[0] and tally[2]
-        text, got = harness._sweep_batch((config, primes))
+        text, got = harness._sweep_batch(config, primes)
         assert text == buf.getvalue() and got == tally
         assert harness._read_rows(text, fmt) == records
 

@@ -338,6 +338,15 @@ class TestPmdLemmaIdentity:
         with pytest.raises(PoleProximity):
             pmd_lemma_identity(3, 1.5 + 3e-10)  # (x+0)/3 = 0.5 + 1e-10
 
+    @pytest.mark.parametrize("n", [1, 3, 9, 401])
+    @pytest.mark.parametrize("x", [0.5 + 5e-11, 2.5 - 8e-11, -1.5 + 1e-10 / 3])
+    def test_pole_of_the_right_side_raises_on_the_left(self, n, x):
+        # x mod 1 within 1e-10 of 1/2 is a pole of the right side's factor;
+        # the left side's factor at the r with (x - x mod 1 + r) = (n-1)/2
+        # (mod n) is n times closer to it, and raises first
+        with pytest.raises(PoleProximity, match=r"^argument "):
+            pmd_lemma_identity(n, x)
+
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
             pmd_lemma_identity(4, 0.1)
@@ -619,7 +628,7 @@ class TestCosetSlices:
                             lambda x: calls.append(x) or real_sin(x))
         config = ScanConfig(3, 3, checks=("thm_main_numeric", "pmd_thm14",
                                           "lemma21", "lemma31", "criterion"))
-        records = _scan_prime((config, p))
+        records = _scan_prime(config, p)
         assert {rec.status for rec in records} <= {"pass",
                                                    "skipped(hypothesis)"}
         assert len(calls) == (p - 1) // 2 == {1009: 504, 5449: 2724}[p]
@@ -634,7 +643,7 @@ class TestCosetSlices:
         real_sin = math.sin
         monkeypatch.setattr(math, "sin",
                             lambda x: calls.append(x) or real_sin(x))
-        records = _scan_prime((ScanConfig(3, 3), 1009))
+        records = _scan_prime(ScanConfig(3, 3), 1009)
         assert {rec.status for rec in records} <= {"pass",
                                                    "skipped(hypothesis)"}
         assert len(calls) == 504
