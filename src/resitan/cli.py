@@ -71,10 +71,6 @@ def _print_records(records) -> int:
     for r in records:
         print(f"p={r.p} m={r.m} a={r.a} {r.check}: {r.status}  "
               f"expected={r.expected}  actual={r.actual}")
-    return _exit_code(records)
-
-
-def _exit_code(records) -> int:
     bad = any(r.status == FAIL or r.status.startswith("error(") for r in records)
     return 1 if bad else 0
 

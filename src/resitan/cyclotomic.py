@@ -80,11 +80,13 @@ log2 of one pair is within 2 * 2^-40 of the true value for every p < 2^62:
   fails at once.  The sums are numeric.coset_log2's, so the exact and
   numeric checks of a prime evaluate one sin per pair between them.
 
-Primes are found on demand: the l = 1 (mod 4p) below 2^62 are walked
-downwards, proven by is_prime, and kept per 4p, so a certificate that closes
-with one prime searches for no other.  _unit_sign is cached per (p, m), so
-gi, gi_plus, thm_main_exact, cor11 and cor12 share it for every a; the pair
-images and the float bound's coset sums are kept for the current p only.
+Primes are found on demand: _split_prime walks the l = 1 (mod 4p) down from
+a limit, proves the first by is_prime and keeps it per (4p, limit).  A
+certificate draws its first prime below 2^62 and each further one below the
+last, so a certificate that closes with one prime searches for no other.
+_unit_sign is cached per (p, m), so gi, gi_plus, thm_main_exact, cor11 and
+cor12 share it for every a; the pair images and the float bound's coset sums
+are kept for the current p only.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.
@@ -123,29 +125,15 @@ _FACTOR_ERR = 2.0 ** -40
 
 
 @functools.lru_cache(maxsize=64)
-def _found_split_primes(n: int) -> list[int]:
-    """The primes l = 1 (mod n) that _split_primes has found so far."""
-    return []
-
-
-def _split_primes(n: int):
-    """Yield the primes l = 1 (mod n) below 2^62, largest first.
-
-    Each is found, and proven by is_prime, the first time a certificate
-    reaches it; later certificates for the same n reuse it.
-    """
-    found = _found_split_primes(n)
-    j = 0
-    while True:
-        if j == len(found):
-            candidate = found[-1] - n if found else (_SPLIT_TOP - 2) // n * n + 1
-            while candidate > 1 and not is_prime(candidate):
-                candidate -= n
-            if candidate <= 1:
-                raise ArithmeticError(f"split primes 1 mod {n} ran out")
-            found.append(candidate)
-        yield found[j]
-        j += 1
+def _split_prime(n: int, below: int = _SPLIT_TOP) -> int:
+    """The largest prime l = 1 (mod n) below `below`, proven by is_prime;
+    later certificates for the same n reuse each draw."""
+    candidate = (below - 2) // n * n + 1
+    while candidate > 1 and not is_prime(candidate):
+        candidate -= n
+    if candidate <= 1:
+        raise ArithmeticError(f"split primes 1 mod {n} ran out")
+    return candidate
 
 
 def _root_of_order(p: int, l: int) -> int:
@@ -215,10 +203,9 @@ def _unit_sign(p: int, m: int) -> int | None:
     prime all m images must be epsilon, until the primes' product passes the
     float bound B = 2^b + 1.
     """
-    primes = _split_primes(4 * p)
     # the first prime comes before any coset work, so where there is none
     # (4p > 2^62, as at p = 2^61 - 1) the certificate fails at once
-    l = next(primes)
+    l = _split_prime(4 * p)
     row = _coset_images(p, m, l)
     # an image that is neither 1 nor -1 is not -1 either, and fails below
     sign = -1 if row[0] == l - 1 else 1
@@ -231,7 +218,7 @@ def _unit_sign(p: int, m: int) -> int | None:
     bound = 2 ** _log2_bound(p, m) + 1
     modulus = l
     while modulus <= bound:
-        l = next(primes)
+        l = _split_prime(4 * p, l)
         if set(_coset_images(p, m, l)) != {sign % l}:
             return None
         modulus *= l

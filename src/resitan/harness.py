@@ -68,7 +68,8 @@ from .numeric import (check_tolerance, pmd_lemma_identity,
 from .quadforms import check_lemma31, cornacchia, two_residue_criterion
 from .records import (FAIL, PASS, SKIPPED, VerificationRecord, error_status,
                       finish, int_str)
-from .residues import symbol_sign, verify_residue_sum
+from .residues import (coset_name, require_unit, symbol_sign,
+                       verify_residue_sum)
 
 # a report's columns are the record's fields, in order
 REPORT_FIELDS = VerificationRecord._fields
@@ -86,8 +87,7 @@ def _corollary(p, a: int, m: int, form_exponent, side_check,
     identity and side_check(ctx, rep), which returns (ok, label).
     """
     ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    require_unit(ctx, a)
     rep = cornacchia(ctx, m ** 3)
     if rep is None:
         raise NotRepresentable(f"p={ctx.p} has no representation x^2 + {m ** 3}*y^2")
@@ -261,13 +261,6 @@ def run_check(ctx: PrimeContext, m: int, a: int, check: str,
     return run_guarded(ctx, m, a, check, lambda: run(ctx, m, a, tol))
 
 
-def _coset(ctx: PrimeContext, k: int, a: int) -> int:
-    """The name of the coset a*R_k(p): R_k(p), the k-th powers, has index
-    d = gcd(k, p - 1) and is the kernel of x -> x^((p-1)/d), so a and b
-    have the same image iff a*R_k(p) = b*R_k(p)."""
-    return pow(a, ctx.p_minus_1 // math.gcd(k, ctx.p_minus_1), ctx.p)
-
-
 def _check_records(ctx: PrimeContext, config: ScanConfig,
                    check: str) -> list[VerificationRecord]:
     """One check's records for one prime, in the order of its items.  A
@@ -281,7 +274,7 @@ def _check_records(ctx: PrimeContext, config: ScanConfig,
         rec = skips.get(m)
         if rec is None:
             key = (m, a) if k is None else \
-                (m, _coset(ctx, m if k == "m" else k, a))
+                (m, coset_name(ctx, m if k == "m" else k, a))
             rec = runs.get(key)
             if rec is None:
                 rec = runs[key] = run_check(ctx, m, a, check, config.tolerance)
@@ -372,16 +365,18 @@ def _forked_map(fn, tasks: list, workers: int):
     on the way in: child w starts on task w, and each time a child returns a
     result the parent writes it the index of the next task over its task
     pipe, or closes that pipe when none is left, which ends the child.  A
-    child sends back a result with marshal, or the exception fn raised,
-    pickled, with its traceback's text: the parent raises that exception
-    from a RuntimeError that carries the text.  The parent waits on every
-    result pipe at once, holds a result that arrives before an earlier one
-    and yields them in task order.
+    child sends back a result, or the exception fn raised, pickled, with its
+    traceback's text: the parent raises that exception from a RuntimeError
+    that carries the text.  Each message is one marshal object, which
+    marshal.load reads whole, and no more, from the result pipe; a child has
+    at most one in flight, since it then waits for its next index.  The
+    parent waits on every result pipe at once, holds a result that arrives
+    before an earlier one and yields them in task order.
 
-    A child that exits without sending its result makes the parent raise
-    RuntimeError naming its exit status or signal.  However the generator
-    ends, every child is reaped, and one still running is killed first.
-    Forking is safe here because a scan's process runs no other thread.
+    A child that exits without sending its whole result (the pipe ends
+    before a whole object) makes the parent raise RuntimeError naming its
+    exit status or signal.  However the generator ends, every child is
+    reaped, and one still running is killed first.  Forking is safe here because a scan's process runs no other thread.
     """
     import marshal
     import selectors
@@ -412,16 +407,14 @@ def _forked_map(fn, tasks: list, workers: int):
                     for key, _ in sel.select():
                         reader = key.fileobj
                         child = children[reader]
-                        head = reader.read(8)
-                        size = int.from_bytes(head, "little")
-                        body = reader.read(size)
-                        if len(head) < 8 or len(body) < size:
+                        try:
+                            result, error, text = marshal.load(reader)
+                        except EOFError:
                             pid, child[0] = child[0], None
                             status = os.waitpid(pid, 0)[1]
                             raise RuntimeError(
                                 f"scan worker {pid} {_exit_cause(status)} "
-                                f"before returning task {child[2]}")
-                        result, error, text = marshal.loads(body)
+                                f"before returning task {child[2]}") from None
                         if error is not None:
                             import pickle
                             raise pickle.loads(error) from RuntimeError(
@@ -454,7 +447,7 @@ def _serve(fn, tasks: list, i: int, task_r: int, result_w: int,
     """A forked child's life; it never returns.  It closes the parent's ends
     of its own pipes and its older siblings', since a task pipe ends only
     once every copy of its write end is closed.  Then it runs task i, sends
-    its result framed by its length and reads the next index, until its
+    its result as one marshal object and reads the next index, until its
     task pipe ends.  It exits 0 then, and 1 on any other way out."""
     code = 1
     try:
@@ -465,13 +458,12 @@ def _serve(fn, tasks: list, i: int, task_r: int, result_w: int,
         out = open(result_w, "wb")
         while True:
             try:
-                body = marshal.dumps((fn(tasks[i]), None, None))
+                message = (fn(tasks[i]), None, None)
             except Exception as exc:
                 import pickle
                 from traceback import format_exc
-                body = marshal.dumps((None, pickle.dumps(exc), format_exc()))
-            out.write(len(body).to_bytes(8, "little"))
-            out.write(body)
+                message = (None, pickle.dumps(exc), format_exc())
+            marshal.dump(message, out)
             out.flush()
             index = os.read(task_r, 4)
             if not index:

@@ -37,8 +37,7 @@ lies in the coset of a only when 2 is in R_m(q), the theorem's hypothesis,
 which tan_product does not assume.
 
 A sum over R_m(q) depends on a only through the coset a*R_m(q), named by
-c = a^((q-1)/m) mod q: x -> x^((q-1)/m) is a homomorphism of the cyclic
-group (Z/q)* whose kernel is exactly R_m(q), so a and b give the same c iff
+c = a^((q-1)/m) mod q (residues.coset_name): a and b give the same c iff
 a*R_m(q) = b*R_m(q).  One sum is stored per (m, c), for the current prime
 only.  This is exact, not an approximation: math.fsum returns the correctly
 rounded value of the exact sum of its inputs, whatever their order, so
@@ -90,7 +89,8 @@ from operator import itemgetter
 from .arith import PrimeContext, as_prime, jacobi
 from .errors import BranchViolation, PoleProximity
 from .records import VerificationRecord, finish
-from .residues import _product_context, require_even_index, symbol_sign, walk
+from .residues import (_product_context, coset_name, require_even_index,
+                       require_unit, symbol_sign, walk)
 
 POLE_EPS = 1e-9
 ZERO_CROSS = 1e-9
@@ -177,8 +177,7 @@ def coset_log2(ctx: PrimeContext, m: int, a: int) -> tuple[float, int]:
     they exist, else summed over a times the first half of walk(p, m)."""
     q = ctx.p
     sums = _coset_sums(q)
-    e = (q - 1) // m
-    c = pow(a, e, q)
+    c = coset_name(ctx, m, a)
     entry = sums.get((m, c))
     if entry is None:
         whole = sums.get((1, 1))
@@ -208,8 +207,7 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     always, and 1 - t < 0 iff 4r > p, so the sign is an integer count.
     """
     ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    require_unit(ctx, a)
     require_even_index(ctx, m)
     h, negatives = coset_log2(ctx, m, a)
     h2 = coset_log2(ctx, m, 2 * a)[0]
@@ -328,8 +326,7 @@ def pmd_theorem14_numeric(p, a: int = 1,
     if ctx.p % 8 != 1:
         raise BranchViolation(
             f"p={ctx.p} is not 1 mod 8; only that branch is supported")
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    require_unit(ctx, a)
     got = tan_product(ctx, 2, a)
     quarter = ctx.p_minus_1 // 4
     low = len([k for k in walk(ctx, 2) if k <= quarter])

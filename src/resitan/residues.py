@@ -27,6 +27,7 @@ of a walk holds one member of each pair {k, p - k}.
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 
 from .arith import PrimeContext, as_prime
@@ -70,21 +71,34 @@ def _require_index(ctx: PrimeContext, m: int) -> None:
         raise HypothesisViolation(f"p={ctx.p} is not 1 mod m={m}")
 
 
+def require_unit(ctx: PrimeContext, a: int) -> None:
+    """Raise unless a is a unit mod p, that is not divisible by p."""
+    if a % ctx.p == 0:
+        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+
+
+def coset_name(ctx: PrimeContext, k: int, a: int) -> int:
+    """The name of the coset a*R_k(p), a a unit mod p: R_k(p), the k-th
+    powers, has index d = gcd(k, p - 1) and is the kernel of
+    x -> x^((p-1)/d), so a and b have the same image iff
+    a*R_k(p) = b*R_k(p).  R_k(p) itself is named 1."""
+    return pow(a, ctx.p_minus_1 // math.gcd(k, ctx.p_minus_1), ctx.p)
+
+
 def is_mth_residue(k: int, p: int | PrimeContext, m: int) -> bool:
     """Whether k is an m-th power modulo p, by the exponent criterion."""
     ctx = as_prime(p)
     _require_index(ctx, m)
     if k % ctx.p == 0:
         raise HypothesisViolation(f"k={k} is divisible by p={ctx.p}")
-    return pow(k % ctx.p, ctx.p_minus_1 // m, ctx.p) == 1
+    return coset_name(ctx, m, k) == 1
 
 
 def _product_context(p, m: int, a: int) -> PrimeContext:
     """Validate the hypotheses of Theorem 1.2, shared by its exact and
     numeric checks: p prime, a not 0 mod p, 2m | p - 1, 2 in R_m(p)."""
     ctx = as_prime(p)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    require_unit(ctx, a)
     require_even_index(ctx, m)
     if not is_mth_residue(2, ctx, m):
         raise HypothesisViolation(f"2 is not a {m}-th power residue mod {ctx.p}")
@@ -192,8 +206,7 @@ def symbol_sign(a: int, p: int | PrimeContext, m: int) -> SignSymbol:
     """
     ctx = as_prime(p)
     require_even_index(ctx, m)
-    if a % ctx.p == 0:
-        raise ValueError(f"a={a} is divisible by p={ctx.p}")
+    require_unit(ctx, a)
     t = pow(a % ctx.p, ctx.p_minus_1 // (2 * m), ctx.p)
     if t == 1:
         value = 1

@@ -12,7 +12,7 @@ from reference_ring import (RingMismatch, binomial_product, cyclotomic_poly,
 from resitan import (HypothesisViolation, SignSymbol, cyclotomic,
                      is_mth_residue, jacobi, residue_set, symbol_sign, verify_gi,
                      verify_gi_plus, verify_tan_cross)
-from resitan.arith import PrimeContext
+from resitan.arith import PrimeContext, is_prime
 from resitan.harness import run_check
 from resitan.records import int_str
 from resitan.residues import walk
@@ -325,7 +325,7 @@ class TestCertificate:
         for p, m in certified_pairs(200):
             half = (p - 1) // (2 * m)
             sign = cyclotomic._unit_sign(p, m)
-            l = next(cyclotomic._split_primes(4 * p))
+            l = cyclotomic._split_prime(4 * p)
             i_l = sqrt_minus_one(l)
             row = cyclotomic._coset_images(p, m, l)
             assert row[0] == sign % l, (p, m)
@@ -385,14 +385,38 @@ def conjugates(elem):
 def count_draws(monkeypatch):
     """Record every split prime a certificate draws, in a list returned."""
     draws = []
-    real = cyclotomic._split_primes
+    real = cyclotomic._split_prime
 
-    def counting(n):
-        for l in real(n):
-            draws.append(l)
-            yield l
-    monkeypatch.setattr(cyclotomic, "_split_primes", counting)
+    def counting(n, *below):
+        draws.append(real(n, *below))
+        return draws[-1]
+    monkeypatch.setattr(cyclotomic, "_split_prime", counting)
     return draws
+
+
+class TestSplitPrime:
+    def test_draws_step_down_through_the_primes_1_mod_n(self):
+        # three successive draws are the first three l = 1 (mod 4p) below
+        # 2^62 that is_prime accepts, found here by stepping down
+        for p in odd_primes_up_to(199):
+            n = 4 * p
+            # the largest l = 1 (mod n) below 2^62: n is even, so not 2^62
+            want, candidate = [], 2 ** 62 - (2 ** 62 - 1) % n
+            while len(want) < 3:
+                if is_prime(candidate):
+                    want.append(candidate)
+                candidate -= n
+            got = [cyclotomic._split_prime(n)]
+            while len(got) < 3:
+                got.append(cyclotomic._split_prime(n, got[-1]))
+            assert got == want, p
+
+    def test_small_cases(self):
+        assert cyclotomic._split_prime(12, 100) == 97
+        assert cyclotomic._split_prime(12, 97) == 73
+        with pytest.raises(ArithmeticError,
+                           match=r"^split primes 1 mod 12 ran out$"):
+            cyclotomic._split_prime(12, 13)
 
 
 class TestCosetImages:
@@ -403,7 +427,7 @@ class TestCosetImages:
         # m-th power every entry is the same +-1, so the pairs without it are
         # the ones that tell the cosets apart
         for p, m in [(p, m) for p in odd_primes_up_to(199) for m in admissible_m(p)]:
-            l = next(cyclotomic._split_primes(4 * p))
+            l = cyclotomic._split_prime(4 * p)
             eta = cyclotomic._root_of_order(p, l)
             assert eta != 1 and pow(eta, p, l) == 1
             eta_x = [pow(eta, x, l) for x in range(p)]
@@ -423,7 +447,7 @@ class TestCosetImages:
         # one table of (p - 1)/2 pair images, 8 bytes each: 4 bytes per
         # residue, where a list of ints would take about 22
         p = 100003
-        l = next(cyclotomic._split_primes(4 * p))
+        l = cyclotomic._split_prime(4 * p)
         cyclotomic._factor_images.cache_clear()
         tracemalloc.start()
         try:
@@ -487,6 +511,7 @@ class TestFloatBound:
 
     def test_each_certificate_draws_one_prime(self, monkeypatch):
         # Z = sign(2): P_+ = i^half * Z is claimed to be sign(2) * i^half
+        first = cyclotomic._split_prime
         draws = count_draws(monkeypatch)
         for p, m in certified_pairs(1100):
             want = symbol_sign(2, p, m).value
@@ -494,9 +519,7 @@ class TestFloatBound:
             draws.clear()
             assert cyclotomic._unit_sign(p, m) == want, (p, m)
             # the sign is read at the first prime and certified there
-            assert len(set(draws)) == 1, (p, m, draws)
-        # lazy: every certificate so far was served by the first prime
-        assert len(cyclotomic._found_split_primes(4 * 1093)) == 1
+            assert draws == [first(4 * p)], (p, m, draws)
 
 
 class TestFailurePath:

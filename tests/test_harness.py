@@ -669,6 +669,30 @@ class TestPool:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_message_cut_short_is_a_dead_worker(self, monkeypatch):
+        # a child that dies halfway through writing a message leaves the
+        # parent a pipe that ends before a whole marshal object: that is
+        # the worker's death, named by its exit status, not a decode error
+        import marshal
+        require_fork(2)
+        real = marshal.dump
+
+        def dump(message, out):
+            if message[0] == "task 3" * 400:
+                body = marshal.dumps(message)
+                out.write(body[:len(body) // 2])
+                out.flush()
+                os._exit(3)
+            real(message, out)
+
+        monkeypatch.setattr(marshal, "dump", dump)
+        with pytest.raises(RuntimeError,
+                           match=r"exited with status 3 before returning task 3$"):
+            list(harness._forked_map(lambda i: f"task {i}" * 400,
+                                     list(range(6)), 2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_stopping_early_kills_and_reaps_every_child(self):
         import time
         results = harness._forked_map(lambda i: time.sleep(0.05 * i) or i,

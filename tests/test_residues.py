@@ -8,7 +8,9 @@ from conftest import admissible_m, odd_primes_up_to
 from resitan import (HypothesisViolation, NonRealSymbol, is_mth_residue,
                      jacobi, residue_set, residue_sum_check, symbol_sign)
 from resitan import residues
-from resitan.residues import verify_residue_sum, walk
+from resitan.arith import PrimeContext
+from resitan.residues import (coset_name, require_unit, verify_residue_sum,
+                              walk)
 
 
 class TestIsMthResidue:
@@ -26,11 +28,50 @@ class TestIsMthResidue:
             is_mth_residue(2, 7, 5)  # 5 does not divide 6
 
     def test_matches_definition_by_enumeration(self):
-        for p in [7, 13, 31, 61]:
-            for m in admissible_m(p):
+        # every m <= 12 that divides p - 1, not only those with 2m | p - 1
+        for p in odd_primes_up_to(199):
+            for m in range(1, 13):
+                if (p - 1) % m:
+                    continue
                 powers = {pow(k, m, p) for k in range(1, p)}
                 for k in range(1, p):
-                    assert is_mth_residue(k, p, m) == (k in powers)
+                    assert is_mth_residue(k, p, m) == (k in powers), (p, m, k)
+
+
+def cosets_of(p, powers):
+    """The cosets a*H of the subgroup H = powers of (Z/p)*, as frozensets."""
+    cosets, seen = set(), set()
+    for a in range(1, p):
+        if a not in seen:
+            coset = frozenset(a * h % p for h in powers)
+            cosets.add(coset)
+            seen |= coset
+    return cosets
+
+
+class TestCosetName:
+    def test_names_are_the_cosets_of_the_kth_powers(self):
+        # a and b share a name iff a*b^-1 is a k-th power, that is iff they
+        # lie in one coset of the k-th powers; k need not divide p - 1
+        for p in odd_primes_up_to(199):
+            ctx = PrimeContext(p)
+            for k in range(1, 13):
+                powers = {pow(x, k, p) for x in range(1, p)}
+                classes = {}
+                for a in range(1, p):
+                    classes.setdefault(coset_name(ctx, k, a), set()).add(a)
+                assert {frozenset(c) for c in classes.values()} == \
+                    cosets_of(p, powers), (p, k)
+                assert classes[1] == powers, (p, k)
+
+
+class TestRequireUnit:
+    @pytest.mark.parametrize("a", [0, 13, -13])
+    def test_message(self, a):
+        with pytest.raises(ValueError) as info:
+            require_unit(PrimeContext(13), a)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"a={a} is divisible by p=13"
 
 
 class TestResidueSet:
