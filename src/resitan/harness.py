@@ -19,11 +19,11 @@ docstring), and a numeric product reads a through one math.fsum per coset,
 the same float for every a of the coset (numeric's docstring).  The case of
 each check is argued beside the table.
 
-Reports are in (p, m, a, check) order, and no check carries a clock
-(elapsed_ms is 0.0 in every record), which makes repeated scans with the
-same configuration byte-identical at any number of processes.  No global
-sort produces that order.  Each prime's records are sorted by (m, a, check)
-where they are computed, and the per-prime runs are concatenated in
+Reports are in (p, m, a, check) order, and no record carries a clock (the
+report's elapsed_ms column is the constant 0.0), which makes repeated scans
+with the same configuration byte-identical at any number of processes.  No
+global sort produces that order.  Each prime's records are sorted by (m, a,
+check) where they are computed, and the per-prime runs are concatenated in
 ascending p: the primes are disjoint and p is the leading key, so the
 concatenation is exactly the global sort.  Records are frozen: each is
 reported as its check built it, or as a copy of it with another a of the
@@ -52,7 +52,6 @@ decoder of parse_report.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter, namedtuple
 from functools import partial
@@ -71,8 +70,9 @@ from .records import (FAIL, PASS, SKIPPED, VerificationRecord, error_status,
 from .residues import (coset_name, require_unit, symbol_sign,
                        verify_residue_sum)
 
-# a report's columns are the record's fields, in order
-REPORT_FIELDS = VerificationRecord._fields
+# a report's columns: the record's fields, in order, then elapsed_ms, which
+# the formatter writes as the constant 0.0 and the reader drops
+REPORT_FIELDS = VerificationRecord._fields + ("elapsed_ms",)
 
 # x grid used by the pmd_lemma check inside scans; index j maps to x = j/20
 PMD_X_GRID = tuple(j / 20 for j in range(1, 10))
@@ -155,8 +155,7 @@ class ScanConfig(Validated, namedtuple(
             raise ValueError("p_min must be at least 3")
         if a_count < 1:
             raise ValueError("a_count must be at least 1")
-        if fmt not in _REPORT_HEAD:
-            raise ValueError(f"unknown report format {fmt!r}")
+        _report_head(fmt)
         check_tolerance(tolerance)
         if m_policy != "all":
             m_policy = tuple(sorted({int(m) for m in m_policy}))
@@ -173,17 +172,6 @@ class ScanConfig(Validated, namedtuple(
 
     def selected_checks(self) -> tuple:
         return CHECK_NAMES if self.checks == "all" else self.checks
-
-
-def run_guarded(ctx: PrimeContext, m: int, a: int, check: str, thunk):
-    """Run one work item; map hypothesis failures to skipped records and any
-    other exception to an error record."""
-    try:
-        return thunk()
-    except HypothesisViolation as exc:
-        return VerificationRecord(ctx.p, m, a, check, SKIPPED, "", str(exc))
-    except Exception as exc:  # auditable sweeps never die on one item
-        return VerificationRecord(ctx.p, m, a, check, error_status(exc), "", "")
 
 
 # One row of CHECKS, the table of checks.  run(ctx, m, a, tol) returns the
@@ -256,9 +244,16 @@ def _items(ctx: PrimeContext, config: ScanConfig, check: Check) -> list:
 
 def run_check(ctx: PrimeContext, m: int, a: int, check: str,
               tol: float) -> VerificationRecord:
-    """Run the table check `check` on one (m, a) work item, guarded."""
+    """Run the table check `check` on one (m, a) work item.  A hypothesis
+    failure becomes a skipped record and any other exception an error
+    record; an unknown check name raises KeyError."""
     run = CHECKS[check].run
-    return run_guarded(ctx, m, a, check, lambda: run(ctx, m, a, tol))
+    try:
+        return run(ctx, m, a, tol)
+    except HypothesisViolation as exc:
+        return VerificationRecord(ctx.p, m, a, check, SKIPPED, "", str(exc))
+    except Exception as exc:  # auditable sweeps never die on one item
+        return VerificationRecord(ctx.p, m, a, check, error_status(exc), "", "")
 
 
 def _check_records(ctx: PrimeContext, config: ScanConfig,
@@ -549,22 +544,21 @@ def scan(config: ScanConfig) -> list[VerificationRecord]:
     return _read_rows("".join(texts), config.fmt)
 
 
-def _json_number(x) -> str:
-    """x as json.dumps writes it: repr, or NaN, Infinity and -Infinity."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return repr(x)
-
-
 # One JSONL line: the json.dumps rendering of the dict of REPORT_FIELDS,
 # with its default ", " and ": " separators
-_JSONL_LINE = "{%s}\n" % ", ".join(f'"{k}": %s' for k in REPORT_FIELDS)
+_JSONL_LINE = '{%s, "elapsed_ms": 0.0}\n' % ", ".join(
+    f'"{k}": %s' for k in VerificationRecord._fields)
 
 # what a report holds before its first record: the CSV header row, as
 # csv.writer writes it
 _REPORT_HEAD = {"jsonl": "", "csv": ",".join(REPORT_FIELDS) + "\r\n"}
+
+
+def _report_head(fmt: str) -> str:
+    """The head of a report in fmt; ValueError for an unknown format."""
+    if fmt not in _REPORT_HEAD:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return _REPORT_HEAD[fmt]
 
 
 def _write_rows(fh, records, fmt: str) -> None:
@@ -572,7 +566,8 @@ def _write_rows(fh, records, fmt: str) -> None:
 
     The one formatter of reports: emit_report writes to the file, and a
     scan's batches to a buffer whose text the parent appends to the file.
-    A JSONL line has the bytes json.dumps gives the record's dict.
+    A JSONL line has the bytes json.dumps gives the dict of the record's
+    fields and "elapsed_ms": 0.0; a CSV row ends in the same 0.0.
     """
     if fmt == "jsonl":
         # imported here, as in _read_rows, so that `import resitan.cli`,
@@ -581,25 +576,23 @@ def _write_rows(fh, records, fmt: str) -> None:
         from json.encoder import encode_basestring_ascii as quote
         fh.writelines(_JSONL_LINE % (rec.p, rec.m, rec.a, quote(rec.check),
                                      quote(rec.status), quote(rec.expected),
-                                     quote(rec.actual),
-                                     _json_number(rec.elapsed_ms))
+                                     quote(rec.actual))
                       for rec in records)
     else:
         import csv
-        csv.writer(fh).writerows(records)
+        csv.writer(fh).writerows(rec + (0.0,) for rec in records)
 
 
 def emit_report(records, fmt: str, path) -> None:
     """Write records to path, one JSONL object or CSV row per record.
 
-    Field order is fixed: p, m, a, check, status, expected, actual, elapsed_ms.
-    Lines are written as they are formatted, so the report is never held
-    whole.
+    Field order is fixed: p, m, a, check, status, expected, actual, then
+    the constant elapsed_ms column, 0.0.  Lines are written as they are
+    formatted, so the report is never held whole.
     """
-    if fmt not in _REPORT_HEAD:
-        raise ValueError(f"unknown report format {fmt!r}")
+    head = _report_head(fmt)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_REPORT_HEAD[fmt])
+        fh.write(head)
         _write_rows(fh, records, fmt)
 
 
@@ -607,23 +600,27 @@ def _read_rows(text: str, fmt: str) -> list[VerificationRecord]:
     """The records of report text written by _write_rows, head excluded.
 
     JSONL lines are split on "\n" alone: json.dumps escapes every other
-    line break inside a string.
+    line break inside a string.  The elapsed_ms column is dropped, whatever
+    it holds, and a JSONL line may lack it.
     """
     if fmt == "jsonl":
         import json
-        return [VerificationRecord(**json.loads(line))
-                for line in text.split("\n") if line]
+
+        def record(line):
+            row = json.loads(line)
+            row.pop("elapsed_ms", None)
+            return VerificationRecord(**row)
+        return [record(line) for line in text.split("\n") if line]
     import csv
     return [VerificationRecord(int(p), int(m), int(a), check, status,
-                               expected, actual, float(elapsed_ms))
-            for p, m, a, check, status, expected, actual, elapsed_ms
+                               expected, actual)
+            for p, m, a, check, status, expected, actual, _
             in csv.reader(StringIO(text, newline=""))]
 
 
 def parse_report(path, fmt: str) -> list[VerificationRecord]:
     """Read a report written by emit_report back into records."""
-    if fmt not in _REPORT_HEAD:
-        raise ValueError(f"unknown report format {fmt!r}")
+    head = _report_head(fmt)
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
-    return _read_rows(text.removeprefix(_REPORT_HEAD[fmt]), fmt)
+    return _read_rows(text.removeprefix(head), fmt)

@@ -307,8 +307,8 @@ def pmd_lemma_identity(n: int, x: float,
     else:
         ok = lhs.sign == rhs.sign and \
             abs(lhs.log2_mag - rhs.log2_mag) <= _log_tolerance(rel_tol)
-    expected = f"x={x:g}: {rhs.render()} (rel_tol={rel_tol:g})"
-    actual = f"x={x:g}: {lhs.render()}"
+    expected = f"x={x!r}: {rhs.render()} (rel_tol={rel_tol:g})"
+    actual = f"x={x!r}: {lhs.render()}"
     return finish(n, 1, 0, "pmd_lemma", ok, expected, actual)
 
 

@@ -45,16 +45,14 @@ def error_status(exc: BaseException) -> str:
 
 
 class VerificationRecord(namedtuple(
-        "VerificationRecord",
-        "p m a check status expected actual elapsed_ms", defaults=(0.0,))):
+        "VerificationRecord", "p m a check status expected actual")):
     """One (p, m, a, check) outcome.
 
     For checks that do not depend on a (or m) the field holds a sentinel:
     a = 0, and a fixed m describing the check's context.
 
-    A frozen tuple of the eight report columns: use _replace to change a
-    field.  No check times itself, so elapsed_ms is 0.0 in every record and
-    reports are timing-free.
+    A frozen tuple of the seven things a check decides: use _replace to
+    change a field.  It carries no clock, so reports are timing-free.
     """
 
     __slots__ = ()
@@ -65,7 +63,6 @@ class VerificationRecord(namedtuple(
     status: str
     expected: str
     actual: str
-    elapsed_ms: float
 
 
 def finish(p: int, m: int, a: int, check: str, passed: bool,

@@ -661,6 +661,27 @@ class TestUnitSign:
         assert len(draws) == 3, draws
         assert math.prod(draws[:2]) <= bound < math.prod(draws)
 
+    @pytest.mark.parametrize("p, l, eta", [(3, 109, 63), (5, 241, 87),
+                                            (7, 673, 229), (11, 1013, 122)])
+    def test_split_prime_where_2_is_a_pth_power(self, p, l, eta, monkeypatch,
+                                                fresh_certificates):
+        # 2^((l-1)/p) = 1 mod l: the root of order p is a power of a larger
+        # base, and the certificate drawn at l is the one drawn at 2^62
+        assert l % (4 * p) == 1 and pow(2, (l - 1) // p, l) == 1
+        assert cyclotomic._root_of_order(p, l) == eta
+        assert eta != 1 and pow(eta, p, l) == 1
+        want = cyclotomic._unit_sign(p, 1)
+        real = cyclotomic._split_prime
+        cyclotomic._unit_sign.cache_clear()
+        cyclotomic._factor_images.cache_clear()
+        monkeypatch.setattr(cyclotomic, "_split_prime",
+                            lambda n, below=None: l if below is None
+                            else real(n, below))
+        try:
+            assert want is not None and cyclotomic._unit_sign(p, 1) == want
+        finally:
+            cyclotomic._factor_images.cache_clear()
+
     def test_cached_sign_is_one_immutable_value(self, fresh_certificates):
         # every record at (p, m) reads the one cached value, an int or None,
         # which no caller can change for the records after it

@@ -29,18 +29,18 @@ from conftest import odd_primes_up_to, require_fork
 
 class TestRecordPickle:
     RECORD = VerificationRecord(31, 3, 2, "thm_main_numeric", "pass",
-                                "+2^5 (rel_tol=1e-06)", "+2^5.000000000", 0.25)
+                                "+2^5 (rel_tol=1e-06)", "+2^5.000000000")
 
     def test_round_trip(self):
         for proto in range(pickle.HIGHEST_PROTOCOL + 1):
             data = pickle.dumps(self.RECORD, protocol=proto)
             assert pickle.loads(data) == self.RECORD
             # the fields travel as one tuple, without their names
-            assert b"elapsed_ms" not in data and b"expected" not in data
+            assert b"actual" not in data and b"expected" not in data
 
     def test_slots_and_replace(self):
         assert not hasattr(self.RECORD, "__dict__")
-        fields = {name: getattr(self.RECORD, name) for name in REPORT_FIELDS}
+        fields = self.RECORD._asdict()
         assert VerificationRecord(**fields) == self.RECORD
         rec = self.RECORD._replace(status="fail")
         assert rec == VerificationRecord(**{**fields, "status": "fail"})
@@ -204,9 +204,12 @@ class TestScan:
         recs = scan(ScanConfig(3, 60, a_count=3))
         assert not [r for r in recs if r.status == "fail" or r.status.startswith("error(")]
 
-    def test_elapsed_zeroed(self):
-        recs = scan(ScanConfig(3, 20))
-        assert all(r.elapsed_ms == 0.0 for r in recs)
+    def test_elapsed_column_is_zero(self, tmp_path):
+        out = tmp_path / "scan.jsonl"
+        recs = scan(ScanConfig(3, 20, out=str(out)))
+        lines = out.read_text().splitlines()
+        assert recs and len(lines) == len(recs)
+        assert all(line.endswith(', "elapsed_ms": 0.0}') for line in lines)
 
     @pytest.mark.parametrize("config", [
         ScanConfig(3, 399),
@@ -215,7 +218,7 @@ class TestScan:
     def test_direct_check_equals_scanned_record(self, config):
         # a scan runs each check once per (m, coset of a) and copies the
         # record to the other a of the coset: it must report exactly the
-        # record each work item gives on its own, elapsed_ms included
+        # record each work item gives on its own
         direct = [rec for p in odd_primes_up_to(config.p_max)
                   for rec in per_item_records(config, p)]
         assert scan(config) == direct
@@ -330,11 +333,17 @@ class TestCosetReuse:
     (ZeroDivisionError(), "error(ZeroDivisionError)"),
     (KeyError(7), "error(KeyError: 7)"),
     (ValueError(" two\n  lines "), "error(ValueError: two lines)")])
-def test_error_record_names_the_exception_type(exc, status):
-    def boom():
+def test_error_record_names_the_exception_type(exc, status, monkeypatch):
+    def boom(*args):
         raise exc
-    rec = harness.run_guarded(resitan.PrimeContext(7), 1, 0, "lemma21", boom)
-    assert (rec.status, rec.expected, rec.actual) == (status, "", "")
+    monkeypatch.setattr(harness, "verify_residue_sum", boom)
+    rec = harness.run_check(resitan.PrimeContext(7), 1, 0, "lemma21", 1e-6)
+    assert rec == (7, 1, 0, "lemma21", status, "", "")
+
+
+def test_unknown_check_name_raises():
+    with pytest.raises(KeyError):
+        harness.run_check(resitan.PrimeContext(7), 1, 1, "no_such_check", 1e-6)
 
 
 def random_records(count, rng):
@@ -346,8 +355,7 @@ def random_records(count, rng):
         out.append(VerificationRecord(
             p=rng.randrange(3, 10 ** 6), m=rng.randrange(1, 50),
             a=rng.randrange(0, 100), check=rng.choice(CHECK_NAMES),
-            status=rng.choice(statuses), expected=text(), actual=text(),
-            elapsed_ms=rng.random() * 1000))
+            status=rng.choice(statuses), expected=text(), actual=text()))
     return out
 
 
@@ -363,10 +371,7 @@ def report_records(draw):
     ints = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
     return VerificationRecord(
         draw(ints), draw(ints), draw(ints), draw(REPORT_TEXT), draw(REPORT_TEXT),
-        draw(REPORT_TEXT), draw(REPORT_TEXT),
-        draw(st.one_of(st.sampled_from([0.0, -0.0, 1e-7, 1e16, math.nan,
-                                        math.inf, -math.inf]),
-                       st.floats())))
+        draw(REPORT_TEXT), draw(REPORT_TEXT))
 
 
 class TestReports:
@@ -376,7 +381,7 @@ class TestReports:
         assert path.read_bytes() == b"p,m,a,check,status,expected,actual,elapsed_ms\r\n"
 
     def test_single_jsonl_record(self, tmp_path):
-        rec = VerificationRecord(31, 3, 1, "gi", "pass", "-1*z^31", "-1*z^31", 1.25)
+        rec = VerificationRecord(31, 3, 1, "gi", "pass", "-1*z^31", "-1*z^31")
         path = tmp_path / "one.jsonl"
         emit_report([rec], "jsonl", path)
         lines = path.read_text().splitlines()
@@ -384,7 +389,22 @@ class TestReports:
         obj = json.loads(lines[0])
         assert obj["status"] == "pass" and obj["p"] == 31
         assert list(obj) == ["p", "m", "a", "check", "status", "expected",
-                             "actual", "elapsed_ms"]
+                             "actual", "elapsed_ms"] == list(REPORT_FIELDS)
+        assert obj["elapsed_ms"] == 0.0
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("jsonl", '{"p": 7, "m": 1, "a": 0, "check": "lemma21", "status": "pass", '
+                  '"expected": "e", "actual": "x", "elapsed_ms": 1.5}\n'
+                  '{"p": 7, "m": 1, "a": 0, "check": "lemma21", "status": "pass", '
+                  '"expected": "e", "actual": "x"}\n'),
+        ("csv", "p,m,a,check,status,expected,actual,elapsed_ms\r\n"
+                "7,1,0,lemma21,pass,e,x,1.5\r\n7,1,0,lemma21,pass,e,x,0.0\r\n")])
+    def test_reader_drops_the_elapsed_column(self, fmt, text, tmp_path):
+        # reports from before records lost the field may hold any value in
+        # it, and a JSONL line may lack it
+        path = tmp_path / f"old.{fmt}"
+        path.write_bytes(text.encode())
+        assert parse_report(path, fmt) == [(7, 1, 0, "lemma21", "pass", "e", "x")] * 2
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_round_trip(self, fmt, tmp_path):
@@ -399,7 +419,7 @@ class TestReports:
     def test_jsonl_lines_are_json_dumps_bytes(self, records, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "encoder.jsonl"
         emit_report(records, "jsonl", path)
-        want = "".join(json.dumps({k: getattr(rec, k) for k in REPORT_FIELDS})
+        want = "".join(json.dumps({**rec._asdict(), "elapsed_ms": 0.0})
                        + "\n" for rec in records)
         assert path.read_bytes() == want.encode("ascii")
 

@@ -182,8 +182,8 @@ def reference_pmd_lemma(n, x, rel_tol=1e-9):
     else:
         ok = lhs.sign == rhs.sign and \
             abs(lhs.log2_mag - rhs.log2_mag) <= _log_tolerance(rel_tol)
-    expected = f"x={x:g}: {rhs.render()} (rel_tol={rel_tol:g})"
-    actual = f"x={x:g}: {lhs.render()}"
+    expected = f"x={x!r}: {rhs.render()} (rel_tol={rel_tol:g})"
+    actual = f"x={x!r}: {lhs.render()}"
     return finish(n, 1, 0, "pmd_lemma", ok, expected, actual)
 
 
@@ -331,6 +331,24 @@ class TestPmdLemmaIdentity:
             rec = pmd_lemma_identity(n, 0.25, rel_tol=1e-9)
             assert rec.status == "pass"
             assert "0 (rel_tol" in rec.expected and rec.actual.endswith("0")
+
+    @pytest.mark.parametrize("x, shown", [
+        (0.75 + 1e-12, "0.750000000001"), (-0.0, "-0.0"), (5e-324, "5e-324"),
+        (1 / 3, "0.3333333333333333")])
+    def test_record_names_the_x_it_checked(self, x, shown):
+        # the shortest text that reads back as x, not a 6-digit rounding
+        rec = pmd_lemma_identity(5, x)
+        assert rec.expected.startswith(f"x={shown}: ")
+        assert rec.actual.startswith(f"x={shown}: ")
+
+    @pytest.mark.parametrize("n, x", [(5, 0.75 + 1e-12), (3, 0.25 + 1e-12)])
+    def test_near_zero_sides_compare_absolutely(self, n, x, monkeypatch):
+        # both sides are about 2^-36, and their log2 magnitudes differ by
+        # 2.0e-4 and 7.6e-5 against a log tolerance of 1.4e-9: only the
+        # absolute comparison below ZERO_CROSS passes them
+        assert pmd_lemma_identity(n, x).status == "pass"
+        monkeypatch.setattr(numeric, "ZERO_CROSS", 0.0)
+        assert pmd_lemma_identity(n, x).status == "fail"
 
     def test_pole_rejection(self):
         with pytest.raises(PoleProximity):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import admissible_m, odd_primes_up_to
 from resitan import (HypothesisViolation, NonRealSymbol, is_mth_residue,
-                     jacobi, residue_set, residue_sum_check, symbol_sign)
+                     jacobi, residue_set, residue_sum_check, symbol_sign,
+                     tan_product, verify_gi, verify_gi_plus, verify_tan_cross,
+                     verify_theorem_main_numeric)
 from resitan import residues
 from resitan.arith import PrimeContext
 from resitan.residues import (coset_name, require_unit, verify_residue_sum,
@@ -72,6 +74,22 @@ class TestRequireUnit:
             require_unit(PrimeContext(13), a)
         assert type(info.value) is ValueError
         assert str(info.value) == f"a={a} is divisible by p=13"
+
+
+@pytest.mark.parametrize("m", [0, -2])
+@pytest.mark.parametrize("check", [
+    lambda m: verify_gi(13, m, 1), lambda m: verify_gi_plus(13, m, 1),
+    lambda m: verify_tan_cross(13, m, 1),
+    lambda m: verify_theorem_main_numeric(13, m, 1),
+    lambda m: tan_product(13, m, 1), lambda m: symbol_sign(2, 13, m),
+    lambda m: verify_residue_sum(13, m)],
+    ids=["gi", "gi_plus", "tan_cross", "main_numeric", "tan_product",
+         "symbol_sign", "residue_sum"])
+def test_nonpositive_m_is_rejected_not_skipped(check, m):
+    # 2m | p - 1 holds for m = 0 and every p; m <= 0 is no index at all
+    with pytest.raises(ValueError, match="^m must be positive$") as info:
+        check(m)
+    assert type(info.value) is ValueError
 
 
 class TestResidueSet:

@@ -25,7 +25,7 @@ PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 def record():
     return VerificationRecord(31, 3, 2, "thm_main_numeric", "pass",
-                              "+2^5 (rel_tol=1e-06)", "+2^5.000000000", 0.25)
+                              "+2^5 (rel_tol=1e-06)", "+2^5.000000000")
 
 
 # (value, its pinned repr, the same fields with one changed)
@@ -44,7 +44,7 @@ FROZEN = [
     (record(),
      "VerificationRecord(p=31, m=3, a=2, check='thm_main_numeric', "
      "status='pass', expected='+2^5 (rel_tol=1e-06)', "
-     "actual='+2^5.000000000', elapsed_ms=0.25)",
+     "actual='+2^5.000000000')",
      record()._replace(status="fail")),
     (ScanConfig(5, 50, m_policy=(3,), checks=("gi",), fmt="csv"),
      "ScanConfig(p_min=5, p_max=50, m_policy=(3,), a_count=5, "
@@ -84,7 +84,14 @@ class TestFrozen:
 def test_defaults():
     assert PrimeContext(31, 5).p_minus_1 == 30   # always p - 1
     assert SignedMagnitude(1).log2_mag == 0.0
-    assert VerificationRecord(31, 3, 2, "gi", "pass", "", "").elapsed_ms == 0.0
+
+
+def test_record_holds_what_a_check_decides():
+    # the report's elapsed_ms column is no record field
+    assert VerificationRecord._fields == ("p", "m", "a", "check", "status",
+                                          "expected", "actual")
+    with pytest.raises(TypeError):
+        VerificationRecord(*record(), 0.0)
 
 
 def tampered(value, old: bytes, new: bytes, proto: int) -> bytes:
