@@ -32,9 +32,10 @@ not by expanding it:
   are the index class j0 mod m of that half of the walk.
 - Splitting.  A prime l = 1 (mod p) splits completely in Q(zeta_p) into
   phi(p) distinct primes, one for each t, and the residue map at the t-th
-  prime is zeta_p -> eta^t in F_l, where eta has order p.  So one table of
-  the (p-1)/2 pair images z_j = eta^x + eta^-x at x = g^j holds every
-  conjugate's image: the product of an index class.  If d = Z - epsilon
+  prime is zeta_p -> eta^t in F_l, where eta has order p.  So every
+  conjugate's image is the product of the pair images eta^x + eta^-x at
+  x = g^j over an index class, and one pass over j < (p-1)/2 folds each
+  pair image into the product of its class.  If d = Z - epsilon
   maps to 0 under all phi(p) maps, d lies in every prime above l, hence in
   their product lZ[zeta_p] (l is unramified).
 - Norm bound.  If every complex conjugate of d has modulus at most B, and d
@@ -47,8 +48,8 @@ not by expanding it:
   splitting needs.  The modulus 4p keeps the range 4p < 2^62: for every
   p > 2^60 no such l lies below 2^62, and the first draw fails at once with
   "split primes 1 mod 4p ran out".  A modulus 2p would find l = 2p + 1 for
-  a Sophie Germain prime p in (2^60, 2^61) and start O(p) work on a table
-  that cannot finish.
+  a Sophie Germain prime p in (2^60, 2^61) and start O(p) work that cannot
+  finish.
 
 Float bound.  The conjugate of Z at the coset cR has modulus 2^L_c, where
 L_c sums log2|zeta^x + zeta^-x| = log2(2|cos(2 pi x/p)|) over one member x
@@ -85,8 +86,8 @@ a limit, proves the first by is_prime and keeps it per (4p, limit).  A
 certificate draws its first prime below 2^62 and each further one below the
 last, so a certificate that closes with one prime searches for no other.
 _unit_sign is cached per (p, m), so gi, gi_plus, thm_main_exact, cor11 and
-cor12 share it for every a; the pair images and the float bound's coset sums
-are kept for the current p only.
+cor12 share it for every a; the float bound's coset sums are kept for the
+current p only, and no pair image outlives the pass that folds it.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.
@@ -97,7 +98,7 @@ exponent fails and renders i^e.  Either way no ring is built.  A rejection
 needs no bound, so _unit_sign reads the first prime's images before it sums
 the float bound, and only a certificate that may pass pays for the bound.
 
-Each split prime drawn costs O(p) time and a table of (p - 1)/2 images, and
+Each split prime drawn costs O(p) time and holds m products modulo l, and
 the float bound O(p) sines, whatever the size of R_m(p); the numeric checks
 walk R_m(p) alone, so they are the ones to run at a large p with a small
 R_m(p).
@@ -107,7 +108,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 
 from .arith import PrimeContext, is_prime
 from .numeric import coset_log2
@@ -162,34 +162,22 @@ def _log2_bound(p: int, m: int) -> int:
     return max(0, math.ceil(worst) + margin)
 
 
-@functools.lru_cache(maxsize=1)
-def _factor_images(p: int, l: int) -> array:
-    """The images z_j = eta^x + eta^-x of zeta_p^x + zeta_p^-x in F_l at
-    x = g^j for 0 <= j < (p - 1)/2, in the order of residues.walk(p, 1), the
-    walk of the primitive root g: one member x of each pair {x, -x}.  eta
-    has order p; each eta^x and eta^-x is the last one raised to g.  Every
-    image is below l < 2^62, so the table is packed 64-bit integers."""
-    g = _subgroup_generator(p, 1)
-    terms = array("q", [0]) * ((p - 1) // 2)
-    y = _root_of_order(p, l)
-    y_inv = pow(y, p - 1, l)
-    for j in range(len(terms)):
-        terms[j] = (y + y_inv) % l
-        y, y_inv = pow(y, g, l), pow(y_inv, g, l)
-    return terms
-
-
 def _coset_images(p: int, m: int, l: int) -> tuple:
     """The images in F_l of the conjugates of Z over the cosets g^j0 * R of
-    R = R_m(p), j0 < m: entry j0 is the product of the index class
-    terms[j0::m] of _factor_images' table, and entry 0 is Z's own image."""
-    terms = _factor_images(p, l)
-    row = []
-    for j0 in range(m):
-        acc = 1
-        for z in terms[j0::m]:
-            acc = acc * z % l
-        row.append(acc)
+    R = R_m(p), j0 < m, in one pass over x = g^j for 0 <= j < (p - 1)/2, in
+    the order of residues.walk(p, 1), the walk of the primitive root g: one
+    member x of each pair {x, -x}.  The pair image eta^x + eta^-x of
+    zeta_p^x + zeta_p^-x is multiplied into entry j mod m, so entry j0 is
+    the product over the index class j0 mod m and entry 0 is Z's own image.
+    eta has order p; each eta^x and eta^-x is the last one raised to g."""
+    g = _subgroup_generator(p, 1)
+    row = [1] * m
+    y = _root_of_order(p, l)
+    y_inv = pow(y, p - 1, l)
+    for j in range((p - 1) // 2):
+        j0 = j % m
+        row[j0] = row[j0] * (y + y_inv) % l
+        y, y_inv = pow(y, g, l), pow(y_inv, g, l)
     return tuple(row)
 
 

@@ -443,22 +443,21 @@ class TestCosetImages:
                     want = want * (eta_x[x] + eta_x[p - x]) % l
                 assert row[j0] == want, (p, m, j0)
 
-    def test_factor_tables_are_packed(self):
-        # one table of (p - 1)/2 pair images, 8 bytes each: 4 bytes per
-        # residue, where a list of ints would take about 22
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_images_fold_into_m_products(self, m):
+        # one pass folds each of the (p - 1)/2 pair images into its coset's
+        # product: what stays alive is the m products and the two walkers,
+        # not a table of images, which would take at least 4 bytes a residue
         p = 100003
         l = cyclotomic._split_prime(4 * p)
-        cyclotomic._factor_images.cache_clear()
         tracemalloc.start()
         try:
-            terms = cyclotomic._factor_images(p, l)
+            row = cyclotomic._coset_images(p, m, l)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            cyclotomic._factor_images.cache_clear()
-        assert (terms.typecode, terms.itemsize, len(terms)) == \
-            ("q", 8, (p - 1) // 2)
-        assert peak < 6 * p, peak / p
+        assert len(row) == m
+        assert peak < 4096, peak
 
 
 class TestFloatBound:
@@ -673,14 +672,10 @@ class TestUnitSign:
         want = cyclotomic._unit_sign(p, 1)
         real = cyclotomic._split_prime
         cyclotomic._unit_sign.cache_clear()
-        cyclotomic._factor_images.cache_clear()
         monkeypatch.setattr(cyclotomic, "_split_prime",
                             lambda n, below=None: l if below is None
                             else real(n, below))
-        try:
-            assert want is not None and cyclotomic._unit_sign(p, 1) == want
-        finally:
-            cyclotomic._factor_images.cache_clear()
+        assert want is not None and cyclotomic._unit_sign(p, 1) == want
 
     def test_cached_sign_is_one_immutable_value(self, fresh_certificates):
         # every record at (p, m) reads the one cached value, an int or None,
