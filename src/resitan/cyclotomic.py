@@ -35,15 +35,15 @@ not by expanding it:
   prime is zeta_p -> eta^t in F_l, where eta has order p.  So every
   conjugate's image is the product of the pair images eta^x + eta^-x at
   x = g^j over an index class, and one pass over j < (p-1)/2 folds each
-  pair image into the product of its class.  If d = Z - epsilon
-  maps to 0 under all phi(p) maps, d lies in every prime above l, hence in
-  their product lZ[zeta_p] (l is unramified).
+  pair image into the product of its class (_coset_images).  If
+  d = Z - epsilon maps to 0 under all phi(p) maps, d lies in every prime
+  above l, hence in their product lZ[zeta_p] (l is unramified).
 - Norm bound.  If every complex conjugate of d has modulus at most B, and d
   is divisible by L = l_1 * ... * l_r with L > B and d != 0, then
   |N(d)| >= L^phi(p) > B^phi(p) >= |N(d)|, which is impossible.  So d = 0
   once the m images are epsilon modulo split primes whose product passes
-  B.  Each prime costs p - 1 steps y -> y^g of two walkers, eta^x and
-  eta^-x, and (p - 1)/2 multiplications modulo l.
+  B.  Each prime costs (p - 1)/2 steps z -> z^g of one walker,
+  z = eta^2x, and (p - 1)/2 multiplications modulo l.
 - Split primes are l = 1 (mod 4p); each is also 1 (mod p), as the
   splitting needs.  The modulus 4p keeps the range 4p < 2^62: for every
   p > 2^60 no such l lies below 2^62, and the first draw fails at once with
@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import cycle, islice
 
 from .arith import PrimeContext, is_prime
 from .numeric import coset_log2
@@ -166,18 +167,23 @@ def _coset_images(p: int, m: int, l: int) -> tuple:
     """The images in F_l of the conjugates of Z over the cosets g^j0 * R of
     R = R_m(p), j0 < m, in one pass over x = g^j for 0 <= j < (p - 1)/2, in
     the order of residues.walk(p, 1), the walk of the primitive root g: one
-    member x of each pair {x, -x}.  The pair image eta^x + eta^-x of
-    zeta_p^x + zeta_p^-x is multiplied into entry j mod m, so entry j0 is
-    the product over the index class j0 mod m and entry 0 is Z's own image.
-    eta has order p; each eta^x and eta^-x is the last one raised to g."""
+    member x of each pair {x, -x}.  Entry j0 is the product over the index
+    class j0 mod m, and entry 0 is Z's own image.
+
+    eta has order p, and each pair image is eta^x + eta^-x =
+    (eta^2x + 1) * eta^-x.  One walker z = eta^2x, raised to g at each step,
+    gives the factors eta^2x + 1; entry j0 starts at eta^-S, S the sum of
+    the class's x, taken mod p: with h = g^m and K = (p - 1)/(2m) members,
+    S = g^j0 * (h^K - 1)/(h - 1) = 2 * g^j0/(1 - h), as
+    h^K = g^((p-1)/2) = -1 and h != 1 (0 < m < p - 1)."""
     g = _subgroup_generator(p, 1)
-    row = [1] * m
-    y = _root_of_order(p, l)
-    y_inv = pow(y, p - 1, l)
-    for j in range((p - 1) // 2):
-        j0 = j % m
-        row[j0] = row[j0] * (y + y_inv) % l
-        y, y_inv = pow(y, g, l), pow(y_inv, g, l)
+    eta = _root_of_order(p, l)
+    c = 2 * pow(pow(g, m, p) - 1, -1, p)   # -S = c * g^j0 (mod p)
+    row = [pow(eta, c * pow(g, j0, p) % p, l) for j0 in range(m)]
+    z = eta * eta % l
+    for j0 in islice(cycle(range(m)), (p - 1) // 2):
+        row[j0] = row[j0] * (z + 1) % l
+        z = pow(z, g, l)
     return tuple(row)
 
 

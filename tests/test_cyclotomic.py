@@ -446,7 +446,7 @@ class TestCosetImages:
     @pytest.mark.parametrize("m", [1, 3])
     def test_images_fold_into_m_products(self, m):
         # one pass folds each of the (p - 1)/2 pair images into its coset's
-        # product: what stays alive is the m products and the two walkers,
+        # product: what stays alive is the m products and the one walker,
         # not a table of images, which would take at least 4 bytes a residue
         p = 100003
         l = cyclotomic._split_prime(4 * p)
