@@ -7,33 +7,18 @@ from collections import namedtuple
 # Deterministic Miller-Rabin witness set: the first 13 primes.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# (psi_k, k): psi_k is the least strong pseudoprime to all of the first k
-# prime bases (OEIS A014233; Jaeschke 1993; Sorenson and Webster 2015), so an
-# odd n < psi_k that passes those k bases is prime.  Where psi_k equals
-# psi_(k+1) the smaller k is kept.
-_MR_PREFIXES = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),           # = psi_8
-    (3825123056546413051, 9),       # = psi_10 = psi_11
-    (318665857834031151167461, 12),
-    (3317044064679887385961981, 13),
-)
-_MR_BOUND = _MR_PREFIXES[-1][0]
+# psi_13, the least strong pseudoprime to all 13 witnesses (Sorenson and
+# Webster 2015): an odd n below it that passes them all is prime.
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3317044064679887385961981 (~3.3e24).
 
-    After trial division by the 13 witnesses, n is tested to the first k
-    prime bases only, for the least k with n < psi_k (_MR_PREFIXES): by the
-    definition of psi_k, no composite below it passes those k bases, so the
-    remaining bases could not reject n.  Below 2047 that is base 2 alone.
-    Raises ValueError for n >= psi_13, where the witness set proves nothing.
+    One rule: after trial division by the 13 witnesses, n is prime iff it
+    is a strong probable prime to every one of them, since no composite
+    below psi_13 = _MR_BOUND passes all 13.  Raises ValueError for
+    n >= psi_13, where the witness set proves nothing.
     """
     if n >= _MR_BOUND:
         raise ValueError(f"{n} is beyond the proven primality range (< {_MR_BOUND})")
@@ -44,13 +29,12 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
-    k = next(k for psi, k in _MR_PREFIXES if n < psi)
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES[:k]:
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -101,17 +85,26 @@ def as_prime(p: int | PrimeContext) -> PrimeContext:
     return p if isinstance(p, PrimeContext) else PrimeContext(p)
 
 
+def prime_factors(n: int) -> dict[int, int]:
+    """The factorization {q: e} of n >= 1 by trial division, q increasing."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 def divisors(n: int) -> list[int]:
     """The positive divisors of n >= 1 in increasing order."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for q, e in prime_factors(n).items():
+        out += [d * q ** k for k in range(1, e + 1) for d in out]
+    return sorted(out)
 
 
 def mod_pow(b: int, e: int, p: int) -> int:

@@ -30,7 +30,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .arith import PrimeContext, as_prime
+from .arith import PrimeContext, as_prime, prime_factors
 from .errors import HypothesisViolation, NonRealSymbol
 from .records import PASS, VerificationRecord, finish
 
@@ -112,17 +112,7 @@ def _subgroup_generator(p: int, m: int) -> int:
     c^m lies in the subgroup and generates it when c is a primitive root.
     """
     order = (p - 1) // m
-    distinct = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            distinct.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        distinct.append(n)
+    distinct = prime_factors(order)
     c = 2
     while True:
         h = pow(c, m, p)

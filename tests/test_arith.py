@@ -60,17 +60,15 @@ class TestIsPrime:
 
     def test_each_witness_prefix_stops_short_of_its_psi(self):
         # psi_k is composite yet passes its first k bases: from psi_k up,
-        # is_prime must test more than k of them
-        least_k = {}
+        # k bases prove nothing, so is_prime tests all 13 below psi_13
         for k, factors in self.PSI.items():
             psi = math.prod(factors)
-            least_k.setdefault(psi, k)
             assert all(self.strong_probable_prime(psi, a)
                        for a in self.BASES[:k]), k
             if k < 13:
                 assert not is_prime(psi), k
-        # below each psi, is_prime tests the least k that psi allows
-        assert arith._MR_PREFIXES == tuple(least_k.items())
+        assert arith._MR_WITNESSES == self.BASES
+        assert arith._MR_BOUND == math.prod(self.PSI[13])
         with pytest.raises(ValueError, match="beyond the proven"):
             is_prime(math.prod(self.PSI[13]))
 
@@ -87,6 +85,26 @@ class TestIsPrime:
                 sieve[p * p::p] = b"\x00" * len(sieve[p * p::p])
         for n in range(limit + 1):
             assert is_prime(n) == bool(sieve[n]), n
+
+
+class TestPrimeFactors:
+    def test_multiplies_back_with_prime_keys(self):
+        for n in range(1, 20001):
+            factors = arith.prime_factors(n)
+            assert math.prod(q ** e for q, e in factors.items()) == n, n
+            assert list(factors) == sorted(factors), n
+            assert all(trial_division_prime(q) and e > 0
+                       for q, e in factors.items()), n
+
+    def test_divisors_are_the_brute_force_list(self):
+        for n in range(1, 3001):
+            assert arith.divisors(n) == [d for d in range(1, n + 1)
+                                         if n % d == 0], n
+
+    def test_p_minus_1_at_the_mersenne_prime_2_61_minus_1(self):
+        assert arith.prime_factors(2 ** 61 - 2) == {
+            2: 1, 3: 2, 5: 2, 7: 1, 11: 1, 13: 1, 31: 1, 41: 1, 61: 1,
+            151: 1, 331: 1, 1321: 1}
 
 
 class TestPrimeContext:

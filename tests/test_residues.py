@@ -200,6 +200,21 @@ class TestWalk:
         assert walk(7, 1) == (1, 3, 2, 6, 4, 5)
         assert walk(7, 2) == (1, 2, 4)
 
+    def test_generator_is_the_least_c_to_the_m_of_full_order(self):
+        # h = c^m for the least c >= 2 whose m-th power has order (p-1)/m,
+        # the order found by stepping through the powers of h
+        def order(h, p):
+            k, x = 1, h
+            while x != 1:
+                k, x = k + 1, x * h % p
+            return k
+
+        for p in odd_primes_up_to(1999):
+            for m in dividing_m(p):
+                c = next(c for c in range(2, p)
+                         if order(pow(c, m, p), p) == (p - 1) // m)
+                assert residues._subgroup_generator(p, m) == pow(c, m, p), (p, m)
+
     def test_a_small_subgroup_is_walked_without_the_full_walk(self):
         p = 1007441
         assert len(walk(p, 2570)) == 392
