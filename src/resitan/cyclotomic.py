@@ -86,8 +86,10 @@ a limit, proves the first by is_prime and keeps it per (4p, limit).  A
 certificate draws its first prime below 2^62 and each further one below the
 last, so a certificate that closes with one prime searches for no other.
 _unit_sign is cached per (p, m), so gi, gi_plus, thm_main_exact, cor11 and
-cor12 share it for every a; the float bound's coset sums are kept for the
-current p only, and no pair image outlives the pass that folds it.
+cor12 share it for every a.  The checks key it by their PrimeContext, which
+it hands on to the float bound, so no certificate proves p prime again.
+The float bound's coset sums are kept for the current p only, and no pair
+image outlives the pass that folds it.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.
@@ -110,7 +112,7 @@ import functools
 import math
 from itertools import cycle, islice
 
-from .arith import PrimeContext, is_prime
+from .arith import as_prime, is_prime
 from .numeric import coset_log2
 from .records import VerificationRecord, finish, int_str
 from .residues import _product_context, _subgroup_generator, symbol_sign
@@ -146,7 +148,7 @@ def _root_of_order(p: int, l: int) -> int:
     return eta
 
 
-def _log2_bound(p: int, m: int) -> int:
+def _log2_bound(p, m: int) -> int:
     """An exponent b >= 0 with |sigma(Z)| <= 2^b for every complex conjugate
     sigma(Z) of Z = prod over the pairs {x, -x} of R_m(p) of
     (zeta_p^x + zeta_p^-x).
@@ -154,12 +156,12 @@ def _log2_bound(p: int, m: int) -> int:
     The float bound of the module docstring: L_c = H(2c), and c -> 2c
     permutes the cosets, so the largest L_c is the largest H(c) that
     numeric.coset_log2 gives over the cosets g^j0 * R_m(p), j0 < m, plus a
-    margin from the per-factor error bound.
+    margin from the per-factor error bound.  p is a PrimeContext or an int.
     """
-    ctx = PrimeContext(p)
-    g = _subgroup_generator(p, 1)
-    worst = max(coset_log2(ctx, m, pow(g, j0, p))[0] for j0 in range(m))
-    margin = math.ceil((p - 1) // m * _FACTOR_ERR)
+    ctx = as_prime(p)
+    g = _subgroup_generator(ctx.p, 1)
+    worst = max(coset_log2(ctx, m, pow(g, j0, ctx.p))[0] for j0 in range(m))
+    margin = math.ceil(ctx.p_minus_1 // m * _FACTOR_ERR)
     return max(0, math.ceil(worst) + margin)
 
 
@@ -188,19 +190,21 @@ def _coset_images(p: int, m: int, l: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def _unit_sign(p: int, m: int) -> int | None:
+def _unit_sign(p, m: int) -> int | None:
     """epsilon in {1, -1} with Z = epsilon certified, Z the product over the
     pairs {x, -x} of R_m(p) of (zeta_p^x + zeta_p^-x), or None if Z is not
     +-1.
 
     The image of Z at the first split prime picks epsilon; then at each
     prime all m images must be epsilon, until the primes' product passes the
-    float bound B = 2^b + 1.
+    float bound B = 2^b + 1.  p is a PrimeContext, as the checks pass it,
+    or an int; the bound reads the same context.
     """
+    ctx = as_prime(p)
     # the first prime comes before any coset work, so where there is none
     # (4p > 2^62, as at p = 2^61 - 1) the certificate fails at once
-    l = _split_prime(4 * p)
-    row = _coset_images(p, m, l)
+    l = _split_prime(4 * ctx.p)
+    row = _coset_images(ctx.p, m, l)
     # an image that is neither 1 nor -1 is not -1 either, and fails below
     sign = -1 if row[0] == l - 1 else 1
     # Equal elements have equal images: Z = +-1 maps to itself at every
@@ -209,11 +213,11 @@ def _unit_sign(p: int, m: int) -> int | None:
     # is all sign pays for summing the bound
     if set(row) != {sign % l}:
         return None
-    bound = 2 ** _log2_bound(p, m) + 1
+    bound = 2 ** _log2_bound(ctx, m) + 1
     modulus = l
     while modulus <= bound:
-        l = _split_prime(4 * p, l)
-        if set(_coset_images(p, m, l)) != {sign % l}:
+        l = _split_prime(4 * ctx.p, l)
+        if set(_coset_images(ctx.p, m, l)) != {sign % l}:
             return None
         modulus *= l
     return sign
@@ -247,7 +251,7 @@ def _verify_i_product(p, m: int, a: int, s: int, check: str) -> VerificationReco
     delta = symbol_sign(2 * s, ctx, m).value
     tangent = check == "thm_main_exact"
     scale = delta * (-2) ** half if tangent else 1
-    sign = _unit_sign(ctx.p, m)
+    sign = _unit_sign(ctx, m)
     # P_s = (s*i)^half * Z, and (s*i)^half = i^((2 - s) * half)
     e = None if sign is None else ((2 - s) * half + 1 - sign) % 4
     claim = _render_i_power(ctx.p, half, scale * delta)

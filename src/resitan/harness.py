@@ -56,7 +56,8 @@ import os
 from collections import Counter, namedtuple
 from functools import partial
 from io import StringIO
-from operator import add, attrgetter
+from itertools import product
+from operator import add, attrgetter, index
 
 from .arith import (PrimeContext, Validated, as_prime, divisors, is_prime,
                     mod_pow)
@@ -151,6 +152,8 @@ class ScanConfig(Validated, namedtuple(
     def __new__(cls, *args, **kwargs):
         p_min, p_max, m_policy, a_count, checks, tolerance, out, fmt = \
             super().__new__(cls, *args, **kwargs)
+        # a float would pass the checks below and fail in range() later
+        p_min, p_max, a_count = map(index, (p_min, p_max, a_count))
         if p_min < 3:
             raise ValueError("p_min must be at least 3")
         if a_count < 1:
@@ -176,8 +179,9 @@ class ScanConfig(Validated, namedtuple(
 
 # One row of CHECKS, the table of checks.  run(ctx, m, a, tol) returns the
 # record of one (m, a) work item exactly as it is reported, with that m and
-# a.  A prime's items are every m of ms and a of az, m outermost (_items):
-# ms None is the scan's m policy, az None its a grid.  mode ("exact",
+# a.  A prime's items are every m of ms and a of az, m outermost
+# (_check_records): ms None is the scan's m policy, az None its a grid, each
+# worked out once per prime (_scan_prime).  mode ("exact",
 # "numeric" or None) says which `resitan verify --mode` runs the check.
 # Runners look their function up by module-global name at call time, so
 # rebinding that name reaches every caller.
@@ -230,18 +234,6 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _items(ctx: PrimeContext, config: ScanConfig, check: Check) -> list:
-    """The (m, a) work items of one check at one prime, m outermost, under
-    the m policy and a grid of config (see ScanConfig)."""
-    ms, az = check.ms, check.az
-    if ms is None:
-        ms = divisors(ctx.p_minus_1 // 2) if config.m_policy == "all" \
-            else config.m_policy
-    if az is None:
-        az = sorted({*range(1, min(config.a_count, ctx.p - 1) + 1), ctx.p - 1})
-    return [(m, a) for m in ms for a in az]
-
-
 def run_check(ctx: PrimeContext, m: int, a: int, check: str,
               tol: float) -> VerificationRecord:
     """Run the table check `check` on one (m, a) work item.  A hypothesis
@@ -256,23 +248,25 @@ def run_check(ctx: PrimeContext, m: int, a: int, check: str,
         return VerificationRecord(ctx.p, m, a, check, error_status(exc), "", "")
 
 
-def _check_records(ctx: PrimeContext, config: ScanConfig,
-                   check: str) -> list[VerificationRecord]:
-    """One check's records for one prime, in the order of its items.  A
-    check with a coset index k runs once per (m, coset of a in R_k(p)), and
-    once per m when that run is skipped; every other a gets a copy of the
-    record with its own a (see CHECKS)."""
+def _check_records(ctx: PrimeContext, check: str, ms, az,
+                   tol: float) -> list[VerificationRecord]:
+    """One check's records for one prime: its work items are every m of
+    row.ms or ms and a of row.az or az, m outermost, where ms and az are
+    the scan's m list and a grid at p.  A check with a coset index k runs
+    once per (m, coset of a in R_k(p)), and once per m when that run is
+    skipped; every other a gets a copy of the record with its own a (see
+    CHECKS)."""
     row = CHECKS[check]
     k = row.k
     records, runs, skips = [], {}, {}
-    for m, a in _items(ctx, config, row):
+    for m, a in product(row.ms or ms, row.az or az):
         rec = skips.get(m)
         if rec is None:
             key = (m, a) if k is None else \
                 (m, coset_name(ctx, m if k == "m" else k, a))
             rec = runs.get(key)
             if rec is None:
-                rec = runs[key] = run_check(ctx, m, a, check, config.tolerance)
+                rec = runs[key] = run_check(ctx, m, a, check, tol)
                 if rec.status == SKIPPED and k is not None:
                     skips[m] = rec
         records.append(rec if rec.a == a else rec._replace(a=a))
@@ -280,10 +274,14 @@ def _check_records(ctx: PrimeContext, config: ScanConfig,
 
 
 def _scan_prime(config: ScanConfig, p: int) -> list[VerificationRecord]:
-    """One prime's records, sorted by (m, a, check)."""
+    """One prime's records, sorted by (m, a, check).  The prime's m list and
+    a grid (see ScanConfig) are worked out once, for every check."""
     ctx = PrimeContext(p)
+    ms = divisors(ctx.p_minus_1 // 2) if config.m_policy == "all" \
+        else config.m_policy
+    az = sorted({*range(1, min(config.a_count, p - 1) + 1), p - 1})
     records = [rec for check in config.selected_checks()
-               for rec in _check_records(ctx, config, check)]
+               for rec in _check_records(ctx, check, ms, az, config.tolerance)]
     records.sort(key=attrgetter("m", "a", "check"))
     return records
 
@@ -371,7 +369,8 @@ def _forked_map(fn, tasks: list, workers: int):
     A child that exits without sending its whole result (the pipe ends
     before a whole object) makes the parent raise RuntimeError naming its
     exit status or signal.  However the generator ends, every child is
-    reaped, and one still running is killed first.  Forking is safe here because a scan's process runs no other thread.
+    reaped, and one still running is killed first.  Forking is safe here
+    because a scan's process runs no other thread.
     """
     import marshal
     import selectors

@@ -679,11 +679,13 @@ class TestUnitSign:
 
     def test_cached_sign_is_one_immutable_value(self, fresh_certificates):
         # every record at (p, m) reads the one cached value, an int or None,
-        # which no caller can change for the records after it
-        sign = cyclotomic._unit_sign(31, 3)
+        # which no caller can change for the records after it.  The checks
+        # key it by their PrimeContext, as here
+        ctx = PrimeContext(31)
+        sign = cyclotomic._unit_sign(ctx, 3)
         assert sign == 1
         hits = cyclotomic._unit_sign.cache_info().hits
-        assert cyclotomic._unit_sign(31, 3) is sign
+        assert cyclotomic._unit_sign(ctx, 3) is sign
         assert verify_gi(31, 3, 5).status == "pass"
         assert cyclotomic._unit_sign.cache_info().hits == hits + 2
 

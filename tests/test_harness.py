@@ -21,10 +21,10 @@ import resitan
 from resitan import (NotRepresentable, PrimeContext, ScanConfig,
                      VerificationRecord, emit_report, parse_report, scan,
                      verify_cor11, verify_cor12)
-from resitan import harness, numeric
+from resitan import arith, cyclotomic, harness, numeric
 from resitan.harness import CHECK_NAMES, PMD_X_GRID, REPORT_FIELDS
 
-from conftest import odd_primes_up_to, require_fork
+from conftest import admissible_m, odd_primes_up_to, require_fork
 
 
 class TestRecordPickle:
@@ -108,14 +108,19 @@ class TestCor12:
 
 def per_item_records(config, p):
     """One prime's records with every work item run by run_check, sorted as
-    _scan_prime sorts them."""
+    _scan_prime sorts them.  A row's items are every m of its ms, or of the
+    m policy, with every a of its az, or of the a grid (see ScanConfig)."""
     ctx = PrimeContext(p)
+    policy = admissible_m(p) if config.m_policy == "all" else config.m_policy
+    grid = sorted({*range(1, min(config.a_count, p - 1) + 1), p - 1})
     records = []
     for check in config.selected_checks():
-        for m, a in harness._items(ctx, config, harness.CHECKS[check]):
-            rec = harness.run_check(ctx, m, a, check, config.tolerance)
-            assert (rec.p, rec.m, rec.a, rec.check) == (p, m, a, check)
-            records.append(rec)
+        row = harness.CHECKS[check]
+        for m in row.ms or policy:
+            for a in row.az or grid:
+                rec = harness.run_check(ctx, m, a, check, config.tolerance)
+                assert (rec.p, rec.m, rec.a, rec.check) == (p, m, a, check)
+                records.append(rec)
     return sorted(records, key=attrgetter("m", "a", "check"))
 
 
@@ -130,6 +135,8 @@ def per_item_records(config, p):
     (5, ScanConfig(3, 3), (1, 2), (1, 2, 3, 4))],
     ids=["default", "explicit-m", "a-count-12", "small-p"])
 def test_items_of_every_row(p, config, policy, grid):
+    # a scanned prime's records of one check, in report order, are its
+    # work items, m outermost
     want = {"gi": (policy, grid), "gi_plus": (policy, grid),
             "thm_main_exact": (policy, grid),
             "thm_main_numeric": (policy, grid), "lemma21": (policy, (0,)),
@@ -138,9 +145,31 @@ def test_items_of_every_row(p, config, policy, grid):
             "pmd_lemma": ((1,), (1, 2, 3, 4, 5, 6, 7, 8, 9)),
             "pmd_thm14": ((1,), grid)}
     assert tuple(want) == CHECK_NAMES
+    records = harness._scan_prime(config, p)
     for check, (ms, az) in want.items():
-        items = harness._items(PrimeContext(p), config, harness.CHECKS[check])
+        items = [(rec.m, rec.a) for rec in records if rec.check == check]
         assert items == [(m, a) for m in ms for a in az], check
+
+
+def test_each_prime_derives_its_grid_once(monkeypatch):
+    # one factoring of (p - 1)/2 serves every check of the m policy, and
+    # the exact certificate's float bound proves no prime again: p is
+    # proven once, by the PrimeContext _scan_prime builds
+    real_divisors, real_is_prime = harness.divisors, arith.is_prime
+    factored, proven = [], []
+    monkeypatch.setattr(harness, "divisors",
+                        lambda n: factored.append(n) or real_divisors(n))
+    monkeypatch.setattr(arith, "is_prime",
+                        lambda n: proven.append(n) or real_is_prime(n))
+    cyclotomic._unit_sign.cache_clear()
+    primes = odd_primes_up_to(250)[4:]
+    assert (primes[0], len(primes)) == (13, 48)
+    for p in primes:
+        factored.clear()
+        proven.clear()
+        harness._scan_prime(ScanConfig(3, 3), p)
+        assert factored == [(p - 1) // 2], p
+        assert proven == [p], p
 
 
 def coset_name(p, m, a):

@@ -153,6 +153,14 @@ class TestScanConfig:
         assert hash(config) == hash(ScanConfig(3, 60, m_policy=(2, 4)))
         assert ScanConfig(3, 60) != ScanConfig(3, 61)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_min", 3.5), ("p_max", 20.0), ("a_count", 2.5)])
+    def test_integer_fields_reject_floats(self, field, value):
+        # the error comes with the config, not from range() inside a scan,
+        # which may be a pool worker
+        with pytest.raises(TypeError, match="'float' object"):
+            ScanConfig(**{"p_min": 3, "p_max": 20, field: value})
+
 
 def imported_modules(path: Path) -> set:
     """The modules a source file imports, by the names its imports give."""
