@@ -78,8 +78,9 @@ log2 of one pair is within 2 * 2^-40 of the true value for every p < 2^62:
   l > 2^61 closes the certificate.  The argument covers every p a
   certificate can take, since split primes l = 1 (mod 4p) below 2^62 need
   4p < 2^62; the first is drawn before the bound is summed, so a larger p
-  fails at once.  The sums are numeric.coset_log2's, so the exact and
-  numeric checks of a prime evaluate one sin per pair between them.
+  fails at once.  The sums are numeric.coset_log2's: slices of the m = 1
+  terms once those exist, else each coset summed cold, and kept only at
+  m = 1.
 
 Primes are found on demand: _split_prime walks the l = 1 (mod 4p) down from
 a limit, proves the first by is_prime and keeps it per (4p, limit).  A
@@ -88,8 +89,8 @@ last, so a certificate that closes with one prime searches for no other.
 _unit_sign is cached per (p, m), so gi, gi_plus, thm_main_exact, cor11 and
 cor12 share it for every a.  The checks key it by their PrimeContext, which
 it hands on to the float bound, so no certificate proves p prime again.
-The float bound's coset sums are kept for the current p only, and no pair
-image outlives the pass that folds it.
+The float bound keeps no sum per coset, and no pair image outlives the
+pass that folds it.
 
 A rejected certificate is a proof, not a doubt: it rejects only when an
 image differs modulo a split prime, and equal elements have equal images.

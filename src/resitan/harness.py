@@ -161,7 +161,8 @@ class ScanConfig(Validated, namedtuple(
         _report_head(fmt)
         check_tolerance(tolerance)
         if m_policy != "all":
-            m_policy = tuple(sorted({int(m) for m in m_policy}))
+            # int() would read 2.5 as 2 and "3" as 3 and scan another grid
+            m_policy = tuple(sorted({index(m) for m in m_policy}))
             if not m_policy or m_policy[0] < 1:
                 raise ValueError("explicit m values must be positive")
         if checks != "all":

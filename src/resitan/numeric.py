@@ -33,17 +33,19 @@ of a*R_m(q), and the number of them with 4r > q.  r -> 2r maps the pairs of
 a*R_m(q) one to one onto those of 2a*R_m(q), so the product over a*R_m(q)
 has log2 magnitude H(2a) - 2*H(a) + (q-1)/(2m).  1 + t > 1, and 1 - t < 0 iff
 x > pi/4, that is iff 4r > q: the sign is the parity of that count.  2a
-lies in the coset of a only when 2 is in R_m(q), the theorem's hypothesis,
-which tan_product does not assume.
+lies in the coset of a exactly when 2 is in R_m(q), the theorem's
+hypothesis, which tan_product does not assume: only then does it take
+H(2a) = H(a).
 
 A sum over R_m(q) depends on a only through the coset a*R_m(q), named by
 c = a^((q-1)/m) mod q (residues.coset_name): a and b give the same c iff
-a*R_m(q) = b*R_m(q).  One sum is stored per (m, c), for the current prime
-only.  This is exact, not an approximation: math.fsum returns the correctly
-rounded value of the exact sum of its inputs, whatever their order, so
-every representative of the coset gives the same float bit for bit.
-Unlike sum() of floats, which is compensated from Python 3.12 on, it gives
-the same float on every Python version.
+a*R_m(q) = b*R_m(q).  Every representative of the coset gives the same
+sum, bit for bit, so a scan runs a numeric check once per coset of a and
+copies its record to the coset's other a.  This is exact, not an
+approximation: math.fsum returns the correctly rounded value of the exact
+sum of its inputs, whatever their order.  Unlike sum() of floats, which is
+compensated from Python 3.12 on, it gives the same float on every Python
+version.
 
 Every coset is a slice of the m = 1 terms.  The m = 1 sum evaluates T for
 the whole group in index order, term j for the pair of g^j,
@@ -55,11 +57,12 @@ order m.  The pair of g^j is that of g^(j + (q-1)/2) = -g^j, and
 m | (q-1)/2 puts both indices in the class of j0, so the class j0 mod m of
 [0, (q-1)/2) names each pair of the coset once.  Its sum is
 fsum(terms[j0::m]): the same floats as a cold sum over the coset's own
-pairs, bit for bit, so the same sum.  A coset met before the m = 1 sum
-exists is summed cold, over a times the first half of its own walk, so a
-small R_m(q) of a large prime costs O(|R_m(q)|).  Either way each prime
-evaluates at most one sin per pair once its m = 1 sum exists, and the
-numeric and exact checks of a prime share the sums.
+pairs, bit for bit, so the same sum.  The m = 1 entry is the only one kept,
+for the current prime only; any other coset is summed again each time it is
+asked for.  Once the m = 1 entry exists that is a slice and one fsum, and no
+sin.  Until then the coset is summed cold, over a times the first half of
+its own walk, so a small R_m(q) of a large prime costs O(|R_m(q)|) and
+keeps nothing.
 
 Error model.  The angle pi*(q - 2r)/(2q) lies in (0, pi/2) and is the
 float product of math.pi and the correctly rounded quotient of two
@@ -130,13 +133,12 @@ def _log_tolerance(rel_tol: float) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _coset_sums(q: int) -> dict[tuple[int, int], tuple]:
-    """The coset sums of prime q computed so far, keyed by (m, a^((q-1)/m)
-    mod q): H, the fsum of T over the pairs of a*R_m(q), and the count of
-    those pairs with 4r > q.  The entry of m = 1 also keeps its terms and
-    flags, indexed along walk(q, 1), which every later coset is sliced from.
-    Only the current prime's are kept."""
-    return {}
+def _whole(q: int) -> list:
+    """The m = 1 entry of prime q, empty until coset_log2 sums it:
+    [H, negatives, terms, flags], the terms and flags indexed along
+    walk(q, 1), which every other coset is sliced from.  Only the current
+    prime's is kept."""
+    return []
 
 
 def _pair_terms(q: int, a: int, ks) -> tuple[array, bytes]:
@@ -173,27 +175,24 @@ def _index_classes(ctx: PrimeContext, m: int) -> dict[int, int]:
 def coset_log2(ctx: PrimeContext, m: int, a: int) -> tuple[float, int]:
     """(H, negatives) of the coset a*R_m(p), 2m | p - 1 (module docstring):
     H is the fsum of T[r] over its pairs, r < p/2, and negatives the number
-    of them with 4r > p.  Stored per coset; sliced from the m = 1 terms once
-    they exist, else summed over a times the first half of walk(p, m)."""
+    of them with 4r > p.  Sliced from the m = 1 terms once they exist, else
+    summed over a times the first half of walk(p, m); only m = 1 is kept."""
     q = ctx.p
-    sums = _coset_sums(q)
-    c = coset_name(ctx, m, a)
-    entry = sums.get((m, c))
-    if entry is None:
-        whole = sums.get((1, 1))
-        if whole is None:
-            # the first half of a walk holds one k of each pair; m = 1 takes
-            # a = 1, so that term j is the pair of g^j along walk(q, 1)
-            ks = walk(ctx, m)
-            terms, flags = _pair_terms(q, a if m > 1 else 1, ks[:len(ks) // 2])
-        else:
-            j0 = _index_classes(ctx, m)[c]
-            terms, flags = whole[2][j0::m], whole[3][j0::m]
-        entry = (math.fsum(terms), flags.count(1))
-        if m == 1:
-            entry += (terms, flags)
-        sums[(m, c)] = entry
-    return entry[:2]
+    whole = _whole(q)
+    if not whole:
+        # the first half of a walk holds one k of each pair; m = 1 takes
+        # a = 1, so that term j is the pair of g^j along walk(q, 1)
+        ks = walk(ctx, m)
+        terms, flags = _pair_terms(q, a if m > 1 else 1, ks[:len(ks) // 2])
+    elif m > 1:
+        j0 = _index_classes(ctx, m)[coset_name(ctx, m, a)]
+        terms, flags = whole[2][j0::m], whole[3][j0::m]
+    else:
+        return whole[0], whole[1]
+    h, negatives = math.fsum(terms), flags.count(1)
+    if m == 1:
+        whole[:] = h, negatives, terms, flags
+    return h, negatives
 
 
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
@@ -210,7 +209,9 @@ def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
     require_unit(ctx, a)
     require_even_index(ctx, m)
     h, negatives = coset_log2(ctx, m, a)
-    h2 = coset_log2(ctx, m, 2 * a)[0]
+    # 2a*R_m(p) = a*R_m(p) iff 2 lies in R_m(p), whose name is 1; then H(2a)
+    # is an fsum of the same terms as H(a), so the same float
+    h2 = h if coset_name(ctx, m, 2) == 1 else coset_log2(ctx, m, 2 * a)[0]
     return SignedMagnitude(-1 if negatives % 2 else 1,
                            math.fsum((h2, -2.0 * h, ctx.p_minus_1 // (2 * m))))
 

@@ -479,28 +479,38 @@ class TestPmdTheorem14:
 
 
 class TestFactorTable:
-    """The per-prime coset sums give the fsum of the T terms bit for bit, in
-    any order and whether the sum is new or stored, and the products stay
-    within 1e-10 of the per-factor tangent loop's left-to-right sum."""
+    """The coset sums give the fsum of the T terms bit for bit, in any order
+    and whether summed cold or sliced from the m = 1 terms, and the products
+    stay within 1e-10 of the per-factor tangent loop's left-to-right sum."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
-        numeric._coset_sums.cache_clear()
+        numeric._whole.cache_clear()
         yield
-        numeric._coset_sums.cache_clear()
+        numeric._whole.cache_clear()
 
     def test_tan_product_bit_identical_cold_and_warm(self):
+        # tan_product takes H(2a) = H(a) where 2 is in R_m(p); the reference
+        # sums the coset of 2a on its own, so a reuse where 2 is not in
+        # R_m(p) would fail here, and both kinds of (p, m) are met
+        reuse = set()
         for p in odd_primes_up_to(399):
-            for m in admissible_m(p):
-                for a in a_values(p):
-                    want = reference_tan_product(p, m, a)
-                    numeric._coset_sums.cache_clear()
-                    assert tan_product(p, m, a) == want, (p, m, a)
-                    assert tan_product(p, m, a) == want, (p, m, a)
-                    assert_near_left_to_right(want, p, coset_residues(p, m, a))
+            ctx = PrimeContext(p)
+            cases = [(m, a) for m in admissible_m(p) for a in a_values(p)]
+            wants = [reference_tan_product(p, m, a) for m, a in cases]
+            for (m, a), want in zip(cases, wants):
+                numeric._whole.cache_clear()
+                assert tan_product(p, m, a) == want, (p, m, a)
+                assert_near_left_to_right(want, p, coset_residues(p, m, a))
+                reuse.add(is_mth_residue(2, ctx, m))
+            tan_product(p, 1, 1)
+            for (m, a), want in zip(cases, wants):
+                assert tan_product(p, m, a) == want, (p, m, a)
+        assert reuse == {True, False}
 
     def test_pmd14_bit_identical_cold_and_warm(self):
-        # pmd_thm14's product is tan_product(p, 2, a) and shares its sums
+        # pmd_thm14's product is tan_product(p, 2, a): cold it keeps no
+        # sum, and warm it is sliced from the m = 1 terms
         for p in odd_primes_up_to(399):
             if p % 8 != 1:
                 continue
@@ -508,16 +518,16 @@ class TestFactorTable:
             for a in a_values(p) + [nonresidue]:
                 want = reference_pmd14_strings(p, a)
                 residues = [a * k * k % p for k in range(1, (p - 1) // 2 + 1)]
-                numeric._coset_sums.cache_clear()
-                for _ in range(2):
+                numeric._whole.cache_clear()
+                for warm in (False, True):
                     rec = pmd_theorem14_numeric(p, a)
                     assert (rec.expected, rec.actual) == want, (p, a)
-                    stored = dict(numeric._coset_sums(p))
                     got = tan_product(p, 2, a)
-                    assert numeric._coset_sums(p) == stored, (p, a)
+                    assert len(numeric._whole(p)) == 4 * warm, (p, a)
                     assert rec.actual == got.render(), (p, a)
                     assert got == fsum_tan_product_mag(p, residues), (p, a)
                     assert_near_left_to_right(got, p, residues)
+                    tan_product(p, 1, 1)
 
     def test_interleaved_primes_do_not_share_a_table(self):
         primes = odd_primes_up_to(399)
@@ -559,25 +569,41 @@ class TestFactorTable:
         grid = (1, 2, 3, 4, 5, 1008)
         got = {a: tan_product(1009, 1, a) for a in grid}
         assert calls == {"sin": 504, "fsum": 1 + len(grid)}
-        assert len(numeric._coset_sums(1009)) == 1
+        h, negatives, terms, flags = numeric._whole(1009)
+        assert len(terms) == len(flags) == 504
+        assert (h, negatives) == numeric.coset_log2(PrimeContext(1009), 1, 7)
         assert len(set(got.values())) == 1
 
     def test_coset_key_names_the_coset(self):
-        # a and b share a stored sum iff a*R_m(p) = b*R_m(p)
+        # a and b get the same name iff a*R_m(p) = b*R_m(p), that name's
+        # index class of walk(p, 1) is the coset, and every a of a coset
+        # gets its sum bit for bit, cold or sliced
         for p in (31, 41, 61, 73):
+            ctx = PrimeContext(p)
             for m in admissible_m(p):
                 members = residue_set(p, m).members
-                numeric._coset_sums.cache_clear()
-                cosets = set()
+                named, sums = {}, {}
                 for a in range(1, p):
-                    tan_product(p, m, a)
-                    cosets.add(frozenset(a * k % p for k in members))
-                assert len(numeric._coset_sums(p)) == len(cosets) == m
+                    coset = frozenset(a * k % p for k in members)
+                    named.setdefault(residues.coset_name(ctx, m, a),
+                                     set()).add(coset)
+                    numeric._whole.cache_clear()
+                    cold = numeric.coset_log2(ctx, m, a)
+                    tan_product(ctx, 1, 1)
+                    warm = numeric.coset_log2(ctx, m, a)
+                    sums.setdefault(coset, set()).update((cold, warm))
+                assert len(named) == len(sums) == m
+                assert all(len(v) == 1 for v in named.values())
+                assert all(len(v) == 1 for v in sums.values())
+                full = residues.walk(ctx, 1)
+                classes = numeric._index_classes(ctx, m)
+                for c, (coset,) in named.items():
+                    assert set(full[classes[c]::m]) == coset, (p, m, c)
 
     def test_zero_factor_raises_on_every_call(self, monkeypatch):
         # make the factor 2 cos(pi*10/31) of residue 10 at p = 31 evaluate to
         # exactly 0; the a below all name the coset 5*R_3(31), and no sum is
-        # stored for it
+        # kept for it
         p, m, a = 31, 3, 5
         residues = [a * k % p for k in residue_set(p, m).members]
         assert residues.index(10) > 0
@@ -588,50 +614,40 @@ class TestFactorTable:
         for b in (a, a, 2 * a, 4 * a):
             with pytest.raises(ValueError, match="math domain error"):
                 tan_product(p, m, b)
-        assert numeric._coset_sums(p) == {}
+        assert numeric._whole(p) == []
         rec = run_check(PrimeContext(p), m, a, "thm_main_numeric", 1e-6)
         assert rec.status == "error(ValueError: math domain error)"
         monkeypatch.undo()
-        # the zero was never stored: with the real sin the product is exact
+        # the zero was never kept: with the real sin the product is exact
         assert tan_product(p, m, a) == reference_tan_product(p, m, a)
 
 
 class TestCosetSlices:
     """Once the m = 1 sum holds the T terms along walk(p, 1), every coset of
-    every m is the index class j0 mod m of them, and its entry is the one a
-    cold sum over the coset's own pairs stores, bit for bit."""
+    every m is the index class j0 mod m of them, and its sum and count are
+    the ones a cold sum over the coset's own pairs gives, bit for bit."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self):
-        numeric._coset_sums.cache_clear()
+        numeric._whole.cache_clear()
         yield
-        numeric._coset_sums.cache_clear()
+        numeric._whole.cache_clear()
 
     def test_slices_bit_identical_to_cold_sums(self):
         for p in odd_primes_up_to(399):
-            ms = admissible_m(p)[1:]
-            keys = {(m, a): (m, pow(a, (p - 1) // m, p))
-                    for m in ms for a in range(1, p)}
             ctx = PrimeContext(p)
+            cases = [(m, a) for m in admissible_m(p)[1:] for a in range(1, p)]
             cold = {}
-            for (m, a), key in keys.items():
-                if key not in cold:
-                    numeric._coset_sums.cache_clear()
-                    numeric.coset_log2(ctx, m, a)
-                    assert set(numeric._coset_sums(p)) == {key}
-                    cold[key] = numeric._coset_sums(p)[key]
-            numeric._coset_sums.cache_clear()
+            for m, a in cases:
+                cold[m, a] = numeric.coset_log2(ctx, m, a)
+                assert numeric._whole(p) == [], (p, m, a)
             tan_product(p, 1, 1)
-            sums = numeric._coset_sums(p)
-            whole = sums[(1, 1)]
-            for (m, a), key in keys.items():
-                # only the m = 1 entry: every a goes through its own slice
-                sums.clear()
-                sums[(1, 1)] = whole
-                got = tan_product(p, m, a)
-                assert sums[key] == cold[key], (p, m, a)
+            for m, a in cases:
+                # every a goes through its own slice
+                assert numeric.coset_log2(ctx, m, a) == cold[m, a], (p, m, a)
                 if a in a_values(p):
-                    assert got == reference_tan_product(p, m, a), (p, m, a)
+                    assert tan_product(p, m, a) == \
+                        reference_tan_product(p, m, a), (p, m, a)
 
     @pytest.mark.parametrize("p", [1009, 5449])
     def test_numeric_checks_of_a_prime_evaluate_each_pair_once(
@@ -666,19 +682,22 @@ class TestCosetSlices:
                                                    "skipped(hypothesis)"}
         assert len(calls) == 504
 
-    def test_verify_both_modes_share_one_sin_per_pair(self, monkeypatch,
-                                                      capsys):
-        # at one (p, m) the bound sums all m = 4 cosets cold, and the
-        # numeric product reads its cosets from them: (1049 - 1)/2 sins
+    def test_verify_both_modes_sum_the_bound_then_the_product_cold(
+            self, monkeypatch, capsys):
+        # at one (p, m) no m = 1 terms exist: the bound sums all m = 4
+        # cosets cold, (1049 - 1)/2 = 524 sins, and keeps none, so the
+        # numeric product sums the 131 pairs of its coset of a = 7 again;
+        # 2 is in R_4(1049), so the coset of 2a is that one
         cyclotomic._unit_sign.cache_clear()
         residues._walks.cache_clear()
+        numeric._whole.cache_clear()
         calls = []
         real_sin = math.sin
         monkeypatch.setattr(math, "sin",
                             lambda x: calls.append(x) or real_sin(x))
         assert main(["verify", "--p", "1049", "--m", "4", "--a", "7"]) == 0
         assert "thm_main_numeric: pass" in capsys.readouterr().out
-        assert len(calls) == 524
+        assert len(calls) == 524 + 131
 
     def test_bound_slices_every_coset_through_one_index_per_m(self):
         # with the m = 1 terms built, the float bound's 126 cosets of
@@ -686,7 +705,6 @@ class TestCosetSlices:
         # walk per coset, and the bound is the one the cold sums give
         p, m = 1009, 126
         cold = cyclotomic._log2_bound(p, m)
-        numeric._coset_sums.cache_clear()
         tan_product(p, 1, 1)
         numeric._index_classes.cache_clear()
         assert cyclotomic._log2_bound(p, m) == cold
@@ -695,16 +713,29 @@ class TestCosetSlices:
 
     def test_small_subgroup_of_a_large_prime_caches_only_its_size(self):
         # R_2570(1007441) has 392 members: no walk, term list or flag string
-        # of length p or (p - 1)/2 may be built for it
+        # of length p or (p - 1)/2 may be built for it, and no sum is kept
         p, m = 1007441, 2570
         residues._walks.cache_clear()
         assert tan_product(p, m, 3).render() == "-2^196.000000000"
-        cached = list(residues._walks(p).values())
-        for entry in numeric._coset_sums(p).values():
-            cached += [x for x in entry if hasattr(x, "__len__")]
         assert set(residues._walks(p)) == {m}
-        assert set(numeric._coset_sums(p)) == {(m, pow(3, (p - 1) // m, p))}
-        assert max(map(len, cached)) <= 392
+        assert len(residues._walks(p)[m]) == 392
+        assert numeric._whole(p) == []
+
+    def test_float_bound_keeps_no_sum_per_coset(self):
+        # 13797 cosets of 38 residues, summed cold with no m = 1 terms: the
+        # bound holds one coset's terms at a time and keeps none
+        cyclotomic._unit_sign.cache_clear()
+        residues._walks.cache_clear()
+        numeric._whole.cache_clear()
+        ctx = PrimeContext(524287)
+        residues.walk(ctx, 13797)
+        tracemalloc.start()
+        try:
+            assert cyclotomic._log2_bound(ctx, 13797) == 2
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4096, retained
 
 
 class TestTanProductErrorModel:

@@ -161,6 +161,13 @@ class TestScanConfig:
         with pytest.raises(TypeError, match="'float' object"):
             ScanConfig(**{"p_min": 3, "p_max": 20, field: value})
 
+    @pytest.mark.parametrize("m_policy", [(2.5, 3), (2, "3"), (2.5, "3"),
+                                          [4.0]])
+    def test_m_policy_rejects_non_integers(self, m_policy):
+        # int() would scan m = (2, 3) for (2.5, "3"), a grid nobody asked for
+        with pytest.raises(TypeError, match="'(float|str)' object"):
+            ScanConfig(3, 50, m_policy=m_policy)
+
 
 def imported_modules(path: Path) -> set:
     """The modules a source file imports, by the names its imports give."""
