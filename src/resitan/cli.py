@@ -25,23 +25,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify tangent and root-of-unity product identities "
                     "over power residues modulo primes")
     sub = ap.add_subparsers(dest="command", required=True)
+    d = ScanConfig._field_defaults   # the defaults of verify and scan
 
     v = sub.add_parser("verify", help="run the identity checks for one (p, m, a)")
     v.add_argument("--p", type=int, required=True)
     v.add_argument("--m", type=int, required=True)
     v.add_argument("--a", type=int, default=1)
     v.add_argument("--mode", choices=("exact", "numeric", "both"), default="both")
-    v.add_argument("--tol", type=float, default=1e-6)
+    v.add_argument("--tol", type=float, default=d["tolerance"])
 
     s = sub.add_parser("scan", help="sweep a prime range and write a report")
     s.add_argument("--pmin", type=int, required=True)
     s.add_argument("--pmax", type=int, required=True)
-    s.add_argument("--m", default="all", help='"all" or comma list, e.g. 1,3,4')
-    s.add_argument("--a-count", type=int, default=5, dest="a_count")
-    s.add_argument("--checks", default="all", help='"all" or comma list of check names')
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--m", default=d["m_policy"], help='"all" or comma list, e.g. 1,3,4')
+    s.add_argument("--a-count", type=int, default=d["a_count"], dest="a_count")
+    s.add_argument("--checks", default=d["checks"], help='"all" or comma list of check names')
+    s.add_argument("--tol", type=float, default=d["tolerance"])
     s.add_argument("--out", required=True)
-    s.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    s.add_argument("--format", choices=("jsonl", "csv"), default=d["fmt"])
 
     r = sub.add_parser("residues", help="print R_m(p) and its sum")
     r.add_argument("--p", type=int, required=True)
@@ -116,7 +117,7 @@ def _cmd_cornacchia(args) -> int:
 
 
 def _cmd_pmd(args) -> int:
-    return _print_records([pmd_lemma_identity(args.n, args.x, rel_tol=1e-9)])
+    return _print_records([pmd_lemma_identity(args.n, args.x)])
 
 
 def _cmd_pmd14(args) -> int:

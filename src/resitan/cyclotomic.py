@@ -44,12 +44,12 @@ not by expanding it:
   once the m images are epsilon modulo split primes whose product passes
   B.  Each prime costs (p - 1)/2 steps z -> z^g of one walker,
   z = eta^2x, and (p - 1)/2 multiplications modulo l.
-- Split primes are l = 1 (mod 4p); each is also 1 (mod p), as the
-  splitting needs.  The modulus 4p keeps the range 4p < 2^62: for every
-  p > 2^60 no such l lies below 2^62, and the first draw fails at once with
-  "split primes 1 mod 4p ran out".  A modulus 2p would find l = 2p + 1 for
-  a Sophie Germain prime p in (2^60, 2^61) and start O(p) work that cannot
-  finish.
+- Split primes are the primes l = 1 (mod 4p) below 2^62, so each is at
+  least 4p + 1 and also 1 (mod p), as the splitting needs.  The modulus 4p
+  keeps the range 4p < 2^62: for every p > 2^60 no such l lies below
+  2^62, and the first draw fails at once with "split primes 1 mod 4p ran
+  out".  A modulus 2p would find l = 2p + 1 for a Sophie Germain prime p
+  in (2^60, 2^61) and start O(p) work that cannot finish.
 
 Float bound.  The conjugate of Z at the coset cR has modulus 2^L_c, where
 L_c sums log2|zeta^x + zeta^-x| = log2(2|cos(2 pi x/p)|) over one member x
@@ -74,18 +74,20 @@ log2 of one pair is within 2 * 2^-40 of the true value for every p < 2^62:
   ceil(|R| * 2^-40), one bit for any feasible p, and every conjugate of
   d = Z - epsilon is at most
       B = 2^(ceil(max_c H(c)) + margin) + 1.
-  Where Z = +-1 each L_c is 0 up to rounding, so B <= 4 + 1 and one prime
-  l > 2^61 closes the certificate.  The argument covers every p a
-  certificate can take, since split primes l = 1 (mod 4p) below 2^62 need
-  4p < 2^62; the first is drawn before the bound is summed, so a larger p
-  fails at once.  The sums are numeric.coset_log2's: slices of the m = 1
-  terms once those exist, else each coset summed cold, and kept only at
-  m = 1.
+  Where Z = +-1 each L_c is 0 up to rounding, so B <= 4 + 1, and one prime
+  closes the certificate, since every split prime is at least
+  4p + 1 >= 13.  The argument covers every p a certificate can take, since
+  split primes l = 1 (mod 4p) below 2^62 need 4p < 2^62; the first is
+  drawn before the bound is summed, so a larger p fails at once.  The sums
+  are numeric.coset_log2's: slices of the m = 1 terms once those exist,
+  else each coset summed cold, and kept only at m = 1.
 
-Primes are found on demand: _split_prime walks the l = 1 (mod 4p) down from
-a limit, proves the first by is_prime and keeps it per (4p, limit).  A
-certificate draws its first prime below 2^62 and each further one below the
-last, so a certificate that closes with one prime searches for no other.
+Primes are found on demand: _split_prime walks the l = 1 (mod 4p) up from
+a floor and proves the first by is_prime.  A certificate draws the least
+split prime first and each further one above the last, so a certificate
+that closes with one prime searches for no other.  The norm argument holds
+for any split primes, so the choice moves no verdict; the least ones are
+found soonest, and near 4p they keep the residues of the image pass small.
 _unit_sign is cached per (p, m), so gi, gi_plus, thm_main_exact, cor11 and
 cor12 share it for every a.  The checks key it by their PrimeContext, which
 it hands on to the float bound, so no certificate proves p prime again.
@@ -119,8 +121,8 @@ from .records import VerificationRecord, finish, int_str
 from .residues import _product_context, _subgroup_generator, symbol_sign
 
 
-# Certificate primes come down from 2^62, so each passes 2^61 and a product
-# of two residues stays near two machine words.
+# Certificate primes lie below 2^62, so a residue fits one machine word and a
+# product of two fits two.  A p with 4p + 1 >= 2^62 has no split prime.
 _SPLIT_TOP = 1 << 62
 
 # The float bound (module docstring): the computed log2 of one factor is
@@ -128,16 +130,13 @@ _SPLIT_TOP = 1 << 62
 _FACTOR_ERR = 2.0 ** -40
 
 
-@functools.lru_cache(maxsize=64)
-def _split_prime(n: int, below: int = _SPLIT_TOP) -> int:
-    """The largest prime l = 1 (mod n) below `below`, proven by is_prime;
-    later certificates for the same n reuse each draw."""
-    candidate = (below - 2) // n * n + 1
-    while candidate > 1 and not is_prime(candidate):
-        candidate -= n
-    if candidate <= 1:
-        raise ArithmeticError(f"split primes 1 mod {n} ran out")
-    return candidate
+def _split_prime(n: int, above: int = 0) -> int:
+    """The least prime l = 1 (mod n) with above < l < 2^62, proven by
+    is_prime."""
+    for l in range(above - (above - 1) % n + n, _SPLIT_TOP, n):
+        if is_prime(l):
+            return l
+    raise ArithmeticError(f"split primes 1 mod {n} ran out")
 
 
 def _root_of_order(p: int, l: int) -> int:
@@ -196,10 +195,11 @@ def _unit_sign(p, m: int) -> int | None:
     pairs {x, -x} of R_m(p) of (zeta_p^x + zeta_p^-x), or None if Z is not
     +-1.
 
-    The image of Z at the first split prime picks epsilon; then at each
-    prime all m images must be epsilon, until the primes' product passes the
-    float bound B = 2^b + 1.  p is a PrimeContext, as the checks pass it,
-    or an int; the bound reads the same context.
+    The image of Z at the least split prime picks epsilon; then at each
+    prime, drawn upward from there, all m images must be epsilon, until the
+    primes' product passes the float bound B = 2^b + 1.  p is a
+    PrimeContext, as the checks pass it, or an int; the bound reads the
+    same context.
     """
     ctx = as_prime(p)
     # the first prime comes before any coset work, so where there is none

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import resitan
-from resitan import ScanConfig, harness, parse_report, scan
+from resitan import ScanConfig, cli, harness, parse_report, scan
 from resitan.cli import main
 from resitan.residues import verify_residue_sum
 
@@ -200,6 +200,19 @@ def test_scan_command(tmp_path, capsys):
     assert set(rec) == {"p", "m", "a", "check", "status", "expected", "actual",
                         "elapsed_ms"}
     assert {json.loads(l)["check"] for l in lines} == {"gi", "lemma21"}
+
+
+def test_scan_defaults_are_the_config_defaults(tmp_path, monkeypatch, capsys):
+    # every option left out takes ScanConfig's own default
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return 0, 0, 0, 0
+    monkeypatch.setattr(cli, "scan_counts", capture)
+    out = str(tmp_path / "report.jsonl")
+    assert main(["scan", "--pmin", "3", "--pmax", "50", "--out", out]) == 0
+    assert seen == [ScanConfig(3, 50, out=out)]
 
 
 def test_scan_beyond_dense_ring_bound(tmp_path, monkeypatch, capsys):

@@ -387,36 +387,48 @@ def count_draws(monkeypatch):
     draws = []
     real = cyclotomic._split_prime
 
-    def counting(n, *below):
-        draws.append(real(n, *below))
+    def counting(n, *above):
+        draws.append(real(n, *above))
         return draws[-1]
     monkeypatch.setattr(cyclotomic, "_split_prime", counting)
     return draws
 
 
+def least_split_primes(n, count):
+    """The count least primes l = 1 (mod n), by trial division from n + 1
+    up."""
+    found, candidate = [], n + 1
+    while len(found) < count:
+        if all(candidate % d for d in range(2, math.isqrt(candidate) + 1)):
+            found.append(candidate)
+        candidate += n
+    return found
+
+
 class TestSplitPrime:
-    def test_draws_step_down_through_the_primes_1_mod_n(self):
-        # three successive draws are the first three l = 1 (mod 4p) below
-        # 2^62 that is_prime accepts, found here by stepping down
+    def test_draws_step_up_through_the_primes_1_mod_n(self):
+        # three successive draws are the three least primes l = 1 (mod 4p),
+        # found here by trial division stepping up from 4p + 1
         for p in odd_primes_up_to(199):
             n = 4 * p
-            # the largest l = 1 (mod n) below 2^62: n is even, so not 2^62
-            want, candidate = [], 2 ** 62 - (2 ** 62 - 1) % n
-            while len(want) < 3:
-                if is_prime(candidate):
-                    want.append(candidate)
-                candidate -= n
             got = [cyclotomic._split_prime(n)]
             while len(got) < 3:
                 got.append(cyclotomic._split_prime(n, got[-1]))
-            assert got == want, p
+            assert got == least_split_primes(n, 3), p
 
     def test_small_cases(self):
-        assert cyclotomic._split_prime(12, 100) == 97
-        assert cyclotomic._split_prime(12, 97) == 73
+        assert cyclotomic._split_prime(12) == 13
+        assert cyclotomic._split_prime(12, 13) == 37
+        assert cyclotomic._split_prime(12, 97) == 109
+        # the last prime 1 mod 12 below 2^62, found by stepping down: above
+        # it the draw runs out at the cap
+        last = 2 ** 62 - (2 ** 62 - 1) % 12
+        while not is_prime(last):
+            last -= 12
+        assert cyclotomic._split_prime(12, last - 1) == last
         with pytest.raises(ArithmeticError,
                            match=r"^split primes 1 mod 12 ran out$"):
-            cyclotomic._split_prime(12, 13)
+            cyclotomic._split_prime(12, last)
 
 
 class TestCosetImages:
@@ -442,6 +454,19 @@ class TestCosetImages:
                     x = c * k % p
                     want = want * (eta_x[x] + eta_x[p - x]) % l
                 assert row[j0] == want, (p, m, j0)
+
+    def test_images_of_a_unit_do_not_depend_on_the_split_prime(self):
+        # Z = epsilon maps to epsilon at every split prime, so the least one
+        # and the least one above 2^61 give the same all-epsilon row
+        for p, m in certified_pairs(400):
+            n = 4 * p
+            high = 2 ** 61 - (2 ** 61 - 1) % n + n
+            while not is_prime(high):
+                high += n
+            want = symbol_sign(2, p, m).value
+            for l in (least_split_primes(n, 1)[0], high):
+                row = cyclotomic._coset_images(p, m, l)
+                assert set(row) == {want % l}, (p, m, l)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_images_fold_into_m_products(self, m):
@@ -604,13 +629,15 @@ class TestUnitSign:
                 assert (rec.status, shown) == ("fail", cyclotomic.NOT_A_UNIT), \
                     (fn.__name__, p, m)
 
-    def test_certificate_over_three_primes(self, monkeypatch, fresh_certificates):
-        # a bound of 2^130 + 1 needs three primes above 2^61; every one of
-        # them is checked, not only the first
+    def test_certificate_over_many_primes(self, monkeypatch, fresh_certificates):
+        # a bound of 2^130 + 1 needs the least primes 1 mod 124 until their
+        # product passes it; every one of them is checked, not only the first
         monkeypatch.setattr(cyclotomic, "_log2_bound", lambda p, m: 130)
         draws = count_draws(monkeypatch)
         assert cyclotomic._unit_sign(31, 3) == 1
-        assert len(set(draws)) == len(draws) == 3
+        assert len(set(draws)) == len(draws) > 1
+        assert draws == least_split_primes(124, len(draws))
+        assert math.prod(draws[:-1]) <= 2 ** 130 + 1 < math.prod(draws)
         # Z = 1 gives gi's exponent 3 and gi_plus's 1 (half = 5)
         assert verify_gi(31, 3).actual == cyclotomic._render_i_power(31, 3, 1)
         assert verify_gi_plus(31, 3).actual == cyclotomic._render_i_power(31, 1, 1)
@@ -649,23 +676,24 @@ class TestUnitSign:
     def test_rows_of_one_sign_certify_only_past_the_bound(self, monkeypatch,
                                                           fresh_certificates):
         # every row all -1: only the bound ends the prime loop, so the
-        # primes are drawn until their product passes 2^130 + 1, which takes
-        # three above 2^61, and a first row alone certifies nothing
+        # least primes 1 mod 124 are drawn until their product passes
+        # 2^130 + 1, and a first row alone certifies nothing
         monkeypatch.setattr(cyclotomic, "_coset_images",
                             lambda p, m, l: (l - 1,) * m)
         monkeypatch.setattr(cyclotomic, "_log2_bound", lambda p, m: 130)
         draws = count_draws(monkeypatch)
         assert cyclotomic._unit_sign(31, 3) == -1
         bound = 2 ** 130 + 1
-        assert len(draws) == 3, draws
-        assert math.prod(draws[:2]) <= bound < math.prod(draws)
+        assert len(draws) > 1 and draws == least_split_primes(124, len(draws))
+        assert math.prod(draws[:-1]) <= bound < math.prod(draws)
 
     @pytest.mark.parametrize("p, l, eta", [(3, 109, 63), (5, 241, 87),
                                             (7, 673, 229), (11, 1013, 122)])
     def test_split_prime_where_2_is_a_pth_power(self, p, l, eta, monkeypatch,
                                                 fresh_certificates):
         # 2^((l-1)/p) = 1 mod l: the root of order p is a power of a larger
-        # base, and the certificate drawn at l is the one drawn at 2^62
+        # base, and the certificate drawn at l is the one drawn at the least
+        # split prime
         assert l % (4 * p) == 1 and pow(2, (l - 1) // p, l) == 1
         assert cyclotomic._root_of_order(p, l) == eta
         assert eta != 1 and pow(eta, p, l) == 1
@@ -673,8 +701,8 @@ class TestUnitSign:
         real = cyclotomic._split_prime
         cyclotomic._unit_sign.cache_clear()
         monkeypatch.setattr(cyclotomic, "_split_prime",
-                            lambda n, below=None: l if below is None
-                            else real(n, below))
+                            lambda n, above=None: l if above is None
+                            else real(n, above))
         assert want is not None and cyclotomic._unit_sign(p, 1) == want
 
     def test_cached_sign_is_one_immutable_value(self, fresh_certificates):
