@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from .arith import PrimeContext
+from .checks import CHECKS, SCAN_DEFAULTS, run_check
 from .errors import ResitanError
-from .harness import CHECKS, ScanConfig, run_check, scan_counts
 from .numeric import check_tolerance, pmd_lemma_identity, pmd_theorem14_numeric
 from .quadforms import cornacchia
 from .records import FAIL
@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify tangent and root-of-unity product identities "
                     "over power residues modulo primes")
     sub = ap.add_subparsers(dest="command", required=True)
-    d = ScanConfig._field_defaults   # the defaults of verify and scan
+    d = SCAN_DEFAULTS   # the defaults of verify and scan
 
     v = sub.add_parser("verify", help="run the identity checks for one (p, m, a)")
     v.add_argument("--p", type=int, required=True)
@@ -86,6 +86,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    # the sweep engine is loaded here, so that no other command compiles it
+    from .harness import ScanConfig, scan_counts
     m_policy = "all" if args.m == "all" else tuple(int(t) for t in args.m.split(","))
     checks = "all" if args.checks == "all" else tuple(t.strip() for t in args.checks.split(","))
     config = ScanConfig(p_min=args.pmin, p_max=args.pmax, m_policy=m_policy,
@@ -142,7 +144,3 @@ def main(argv=None) -> int:
     except (ResitanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -152,13 +152,20 @@ def _walks(p: int) -> dict[int, tuple[int, ...]]:
 
 def _walk(q: int, m: int) -> tuple[int, ...]:
     """The powers of _subgroup_generator(q, m), in order, by doubling: with
-    h^0..h^(n-1) known, h^n times each gives h^n..h^(2n-1)."""
+    h^0..h^(n-1) known, h^n times each gives h^n..h^(2n-1).
+
+    An even order holds -1 = h^(count/2), so only the first half is doubled
+    and the second is q - x of it, a subtraction per member instead of a
+    product and a reduction.  An odd order is doubled to its end."""
     count = (q - 1) // m
+    doubled = count // 2 if count % 2 == 0 else count
     h = _subgroup_generator(q, m)
     out = [1]
-    while len(out) < count:
+    while len(out) < doubled:
         step = pow(h, len(out), q)
-        out += [x * step % q for x in out[:count - len(out)]]
+        out += [x * step % q for x in out[:doubled - len(out)]]
+    if doubled < count:
+        out += [q - x for x in out]
     return tuple(out)
 
 

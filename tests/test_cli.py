@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import resitan
-from resitan import ScanConfig, cli, harness, parse_report, scan
+from resitan import ScanConfig, checks, harness, parse_report, scan
 from resitan.cli import main
 from resitan.residues import verify_residue_sum
 
@@ -84,6 +85,7 @@ UNLOADED_BY_CLI = {
     "csv": "only report I/O needs it, and imports it where it runs",
     "dataclasses": "the value types are namedtuples",
     "inspect": "nothing at start-up introspects code",
+    "resitan.harness": "only `scan` runs the sweep engine",
 }
 
 
@@ -150,6 +152,85 @@ def test_import_loads_no_dataclasses_or_inspect(cli_import):
     assert_not_loaded(cli_import, "dataclasses", "inspect")
 
 
+def test_import_loads_no_sweep_engine(cli_import):
+    assert_not_loaded(cli_import, "resitan.harness")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def console_script_code() -> str:
+    """What the `resitan` console script runs: the target pyproject.toml
+    names, called as pip's wrapper calls it."""
+    line = next(line for line in (ROOT / "pyproject.toml").read_text().splitlines()
+                if line.startswith("resitan = "))
+    module, func = line.split('"')[1].split(":")
+    return (f"import sys; from {module} import {func}; "
+            f"sys.argv[0] = 'resitan'; sys.exit({func}())")
+
+
+# the two ways to start a `resitan` process, which share one entry
+LAUNCHERS = {"module": ["-m", "resitan"],
+             "console script": ["-c", console_script_code()]}
+
+
+def run_entry(launcher, *args, options=()):
+    src = str(Path(resitan.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *options, *LAUNCHERS[launcher], *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+@pytest.mark.parametrize("args, code", [
+    (["verify", "--p", "1049", "--m", "4", "--a", "7"], 0),
+    (["verify", "--p", "13", "--m", "0"], 1)])
+def test_process_entry_exits_with_the_code_and_output_of_main(
+        launcher, args, code, capsys):
+    assert main(args) == code
+    want = capsys.readouterr().out
+    run = run_entry(launcher, *args)
+    assert (run.returncode, run.stdout) == (code, want)
+
+
+def test_verify_process_loads_no_sweep_engine():
+    # -X importtime names on stderr every module the process imports
+    run = run_entry("module", "verify", "--p", "1049", "--m", "4", "--a", "7",
+                    options=["-X", "importtime"])
+    assert run.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "resitan.checks" in imported
+    assert "resitan.harness" not in imported, UNLOADED_BY_CLI["resitan.harness"]
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(tmp_path, capsys):
+    # only the process entry freezes, as it exits
+    assert main(["verify", "--p", "1049", "--m", "4", "--a", "7"]) == 0
+    assert main(["scan", "--pmin", "3", "--pmax", "30",
+                 "--out", str(tmp_path / "report.jsonl")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_package_exports_resolve_lazily():
+    # importing the package loads none of its modules; each name loads its
+    # own module on first use
+    src = str(Path(resitan.__file__).resolve().parent.parent)
+    code = "import sys, resitan; print(*[m for m in sys.modules if 'resitan' in m])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["resitan"]
+    assert len(set(resitan.__all__)) == len(resitan.__all__)
+    for name in resitan.__all__:
+        value = getattr(resitan, name)
+        module = sys.modules[f"resitan.{resitan._MODULE_OF[name]}"]
+        assert value is getattr(module, name), name
+    assert set(resitan.__all__) <= set(dir(resitan))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        resitan.no_such_name
+
+
 def test_verify_hypothesis_skip_is_clean(capsys):
     assert main(["verify", "--p", "13", "--m", "2"]) == 0
     assert "skipped(hypothesis)" in capsys.readouterr().out
@@ -209,7 +290,7 @@ def test_scan_defaults_are_the_config_defaults(tmp_path, monkeypatch, capsys):
     def capture(config):
         seen.append(config)
         return 0, 0, 0, 0
-    monkeypatch.setattr(cli, "scan_counts", capture)
+    monkeypatch.setattr(harness, "scan_counts", capture)
     out = str(tmp_path / "report.jsonl")
     assert main(["scan", "--pmin", "3", "--pmax", "50", "--out", out]) == 0
     assert seen == [ScanConfig(3, 50, out=out)]
@@ -287,7 +368,7 @@ def raise_at_13(ctx, m):
 def test_scan_failure_or_error_exits_1_with_record_counts(
         threads, runner, status, tmp_path, monkeypatch, capsys):
     require_fork(threads)
-    monkeypatch.setattr(harness, "verify_residue_sum", runner)
+    monkeypatch.setattr(checks, "verify_residue_sum", runner)
     monkeypatch.setenv("RESITAN_THREADS", str(threads))
     out = tmp_path / "report.jsonl"
     records = scan(ScanConfig(3, 60, checks=("lemma21", "gi")))

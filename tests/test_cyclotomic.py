@@ -13,7 +13,7 @@ from resitan import (HypothesisViolation, SignSymbol, cyclotomic,
                      is_mth_residue, jacobi, residue_set, symbol_sign, verify_gi,
                      verify_gi_plus, verify_tan_cross)
 from resitan.arith import PrimeContext, is_prime
-from resitan.harness import run_check
+from resitan.checks import run_check
 from resitan.records import int_str
 from resitan.residues import walk
 

@@ -21,8 +21,9 @@ import resitan
 from resitan import (NotRepresentable, PrimeContext, ScanConfig,
                      VerificationRecord, emit_report, parse_report, scan,
                      verify_cor11, verify_cor12)
-from resitan import arith, cyclotomic, harness, numeric
-from resitan.harness import CHECK_NAMES, PMD_X_GRID, REPORT_FIELDS
+from resitan import arith, checks, cyclotomic, harness, numeric
+from resitan.checks import CHECK_NAMES, PMD_X_GRID
+from resitan.harness import REPORT_FIELDS
 
 from conftest import admissible_m, odd_primes_up_to, require_fork
 
@@ -70,12 +71,12 @@ class TestCor11:
 
     def test_numeric_failure_fails_at_every_p(self, monkeypatch):
         # the floating side is checked at every p, also above p = 2000
-        real = resitan.harness.verify_theorem_main_numeric
+        real = checks.verify_theorem_main_numeric
 
         def fails(*args):
             return real(*args)._replace(status="fail")
 
-        monkeypatch.setattr(resitan.harness, "verify_theorem_main_numeric", fails)
+        monkeypatch.setattr(checks, "verify_theorem_main_numeric", fails)
         for p in (31, 2017):
             rec = verify_cor11(p, 1)
             assert rec.status == "fail", p
@@ -115,10 +116,10 @@ def per_item_records(config, p):
     grid = sorted({*range(1, min(config.a_count, p - 1) + 1), p - 1})
     records = []
     for check in config.selected_checks():
-        row = harness.CHECKS[check]
+        row = checks.CHECKS[check]
         for m in row.ms or policy:
             for a in row.az or grid:
-                rec = harness.run_check(ctx, m, a, check, config.tolerance)
+                rec = checks.run_check(ctx, m, a, check, config.tolerance)
                 assert (rec.p, rec.m, rec.a, rec.check) == (p, m, a, check)
                 records.append(rec)
     return sorted(records, key=attrgetter("m", "a", "check"))
@@ -319,7 +320,7 @@ class TestCosetReuse:
         in_cor11 = []
 
         def counting(name):
-            real = getattr(harness, name)
+            real = getattr(checks, name)
 
             def run(ctx, m, a, *rest):
                 if not in_cor11:
@@ -335,10 +336,10 @@ class TestCosetReuse:
             finally:
                 in_cor11.pop()
 
-        real_cor11 = harness.verify_cor11
+        real_cor11 = checks.verify_cor11
         for name in calls:
-            monkeypatch.setattr(harness, name, counting(name))
-        monkeypatch.setattr(harness, "verify_cor11", cor11)
+            monkeypatch.setattr(checks, name, counting(name))
+        monkeypatch.setattr(checks, "verify_cor11", cor11)
         records = scan(ScanConfig(3, 200))
         gi = Counter((p, m) for p, m, a in calls["verify_gi"])
         assert gi == Counter((r.p, r.m) for r in records if r.check == "gi"
@@ -365,14 +366,14 @@ class TestCosetReuse:
 def test_error_record_names_the_exception_type(exc, status, monkeypatch):
     def boom(*args):
         raise exc
-    monkeypatch.setattr(harness, "verify_residue_sum", boom)
-    rec = harness.run_check(resitan.PrimeContext(7), 1, 0, "lemma21", 1e-6)
+    monkeypatch.setattr(checks, "verify_residue_sum", boom)
+    rec = checks.run_check(resitan.PrimeContext(7), 1, 0, "lemma21", 1e-6)
     assert rec == (7, 1, 0, "lemma21", status, "", "")
 
 
 def test_unknown_check_name_raises():
     with pytest.raises(KeyError):
-        harness.run_check(resitan.PrimeContext(7), 1, 1, "no_such_check", 1e-6)
+        checks.run_check(resitan.PrimeContext(7), 1, 1, "no_such_check", 1e-6)
 
 
 def random_records(count, rng):

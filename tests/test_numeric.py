@@ -14,7 +14,8 @@ from resitan import (BranchViolation, HypothesisViolation, PoleProximity,
                      verify_theorem_main_numeric)
 from resitan import cyclotomic, numeric, residues
 from resitan.cli import main
-from resitan.harness import PMD_X_GRID, ScanConfig, _scan_prime, run_check
+from resitan.checks import PMD_X_GRID, run_check
+from resitan.harness import ScanConfig, _scan_prime
 from resitan.numeric import POLE_EPS, ZERO_CROSS, _log_tolerance
 from resitan.records import finish
 

@@ -192,6 +192,23 @@ class TestWalk:
                 assert all(w[i + half] == p - w[i] for i in range(half))
         assert residue_set(p, m).members == tuple(sorted(powers))
 
+    def test_halved_walk_equals_the_plain_walk(self):
+        # an even order is doubled to its half and negated past it, an odd
+        # one doubled to its end: either gives h^0, h^1, ... one by one
+        def plain(q, m):
+            h = residues._subgroup_generator(q, m)
+            out = [1]
+            for _ in range((q - 1) // m - 1):
+                out.append(out[-1] * h % q)
+            return tuple(out)
+
+        orders = set()
+        for p in odd_primes_up_to(2999):
+            for m in dividing_m(p):
+                assert residues._walk(p, m) == plain(p, m), (p, m)
+                orders.add((p - 1) // m % 2)
+        assert orders == {0, 1}
+
     def test_direct_and_sliced_walks_may_differ_in_order(self):
         # R_2(7) = {1, 2, 4}: walked directly from its least generator 4,
         # and as every second power of the primitive root 3
