@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
+from math import isqrt
 
 # Deterministic Miller-Rabin witness set: the first 13 primes.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -45,6 +47,33 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes of [lo, hi], ascending, by one sieve of that window.
+
+    The window is sieved by the primes up to min(isqrt(hi), hi - lo + 1),
+    so its memory is O(hi - lo).  When that base reaches isqrt(hi), every
+    survivor is prime and is_prime is never called; when it stops short (a
+    short window of large numbers), each survivor is proven by is_prime.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    size = hi - lo + 1
+    root = isqrt(hi)
+    top = min(root, size)
+    base = bytearray([1]) * (top + 1)
+    window = bytearray([1]) * size
+    for q in range(2, top + 1):
+        if base[q]:
+            base[q * q::q] = bytes(len(range(q * q, top + 1, q)))
+            # q's multiples in the window from q*q on: below that, a
+            # multiple of q also has a prime factor smaller than q, or is q
+            first = max(q * q, -(-lo // q) * q) - lo
+            window[first::q] = bytes(len(range(first, size, q)))
+    primes = list(compress(range(lo, hi + 1), window))
+    return primes if top == root else [n for n in primes if is_prime(n)]
 
 
 class Validated:

@@ -87,9 +87,9 @@ def verify_cor12(p, a: int = 1) -> VerificationRecord:
 
 # One row of CHECKS, the table of checks.  run(ctx, m, a, tol) returns the
 # record of one (m, a) work item exactly as it is reported, with that m and
-# a.  A prime's items are every m of ms and a of az, m outermost
-# (harness._check_records): ms None is the scan's m policy, az None its a
-# grid, each worked out once per prime (harness._scan_prime).  mode
+# a.  A prime's items are every m of ms and a of az, m outermost: ms None
+# is the scan's m policy, az None its a grid, each worked out once per
+# prime (harness._scan_prime).  mode
 # ("exact", "numeric" or None) says which `resitan verify --mode` runs the
 # check.  Runners look their function up by module-global name at call
 # time, so rebinding that name in this module reaches every caller.
@@ -98,7 +98,7 @@ Check = namedtuple("Check", "run ms az mode k")
 # k says how the record of (m, a) reads a, a unit mod p: only through the
 # coset a*R_k(p), so a scan runs the item once per (m, coset) and gives
 # every other a of that coset the same record with its own a
-# (harness._check_records).  "m" is the item's own m; None means a is no
+# (harness._scan_prime).  "m" is the item's own m; None means a is no
 # unit but an index or 0, and every item runs.  No record's text names a,
 # and no hypothesis reads it.
 #   gi, gi_plus, thm_main_exact (k = 1): one verdict per (p, m) serves

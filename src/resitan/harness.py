@@ -3,63 +3,74 @@
 The checks themselves, one Check row each of the CHECKS table, are in
 the checks module, which `resitan verify` imports alone; this module is the
 engine that only `resitan scan` and the library's scan functions load.
-A scan walks every prime in a range and emits one VerificationRecord per
-requested (p, m, a, check) work item.  Hypothesis failures (2m not dividing
-p-1, 2 not an m-th power residue, p not representable by the relevant
-quadratic form, wrong congruence branch) become skipped(hypothesis) records,
-never silent omissions, so sweep coverage is auditable.
+A scan walks every prime in a range and reports one VerificationRecord, as
+one report line, per requested (p, m, a, check) work item.  Hypothesis
+failures (2m not dividing p-1, 2 not an m-th power residue, p not
+representable by the relevant quadratic form, wrong congruence branch)
+become skipped(hypothesis) records, never silent omissions, so sweep
+coverage is auditable.
 
 A scan runs each check once per (check, m, coset of a), not once per work
 item.  A check whose record reads a only through the coset a*R_k(p), k a
 field of its Check row, runs for the first a of each coset, and once per
-m when that run is skipped; every other a of the grid gets a copy of that
-record with its own a.  The copy is the record the item would give: the
+m when that run is skipped; every other a of the grid reports that run's
+record with its own a.  That is the record the item would give: the
 exact layer certifies one verdict per (p, m) for every a (cyclotomic's
 docstring), and a numeric product reads a through one math.fsum per coset,
 the same float for every a of the coset (numeric's docstring).  The case of
 each check is argued beside the table, in the checks module.
 
+Lines are rendered once per run, not once per work item.  A report line
+splits at its a field (_renderer): the head renders p, m and a, which the
+item fixes, and the tail everything from the check on, which the run's
+record fixes.  A run's tail is rendered and counted in the tally once, and
+each item it serves becomes its own head and that tail, so no record is
+copied to carry another a.
+
 Reports are in (p, m, a, check) order, and no record carries a clock (the
 report's elapsed_ms column is the constant 0.0), which makes repeated scans
 with the same configuration byte-identical at any number of processes.  No
-global sort produces that order.  Each prime's records are sorted by (m, a,
-check) where they are computed, and the per-prime runs are concatenated in
+global sort produces that order.  Each prime's lines are sorted by (m, a,
+check) where they are rendered, and the per-prime runs are concatenated in
 ascending p: the primes are disjoint and p is the leading key, so the
-concatenation is exactly the global sort.  Records are frozen: each is
-reported as its check built it, or as a copy of it with another a of the
-same coset.
+concatenation is exactly the global sort.  Records are frozen: each line
+reports a record as its check built it, under the (p, m, a) of an item
+its run serves.
 
-One engine, scan_counts, runs every scan.  Its unit of work is a batch: a
-contiguous, ascending run of primes, cut in one pass, that ends once its
-sum reaches 1/(8*workers) of the range's (each prime weighted by p, a rough
-cost; see _cost_batches) or once it holds BATCH_PRIMES primes.  That cap
-keeps a worker's memory independent of the range: without it the first
-batch of 50..12000 at two workers holds 384 primes, and its records and
-text all at once.  A batch scans its primes one at a time, formats each
-prime's lines as soon as they exist with the formatter emit_report uses,
-and keeps no record past its prime.  It sends back that text and its counts
-of pass, fail, skipped and error records.  With more than one worker the
-batches run in children forked from the scan's process (_forked_map): they
-inherit the batch list, the parent hands each idle child the index of the
-next batch over a pipe, and a child sends back its text and counts with
-marshal.  The parent writes the texts in batch order, holding any that
-arrives early, so the file is the concatenation of the per-prime runs.  No
-process pool module is imported.  Where os.fork does not exist a scan runs
-in one process.  `resitan scan` takes the counts only, so its parent never
-rebuilds a record; scan() reads its records back from the text with the
-decoder of parse_report.
+One engine, scan_counts, runs every scan.  It lists the range's primes by
+one sieve of the range (arith.primes_between).  Where the range is at least
+as long as the square root of its top, the sieve calls no is_prime, and
+each listed prime is proven once, by the PrimeContext its scan builds.  Its
+unit of work is a batch: a contiguous, ascending run of primes, cut in one
+pass, that ends once its sum reaches 1/(8*workers) of the range's (each
+prime weighted by p, a rough cost; see _cost_batches) or once it holds
+BATCH_PRIMES primes.  That cap keeps a worker's memory independent of the
+range: without it the first batch of 50..12000 at two workers holds 384
+primes, and its text all at once.  A batch scans its primes one at a time,
+renders each prime's lines as its check runs return, with the formatter
+emit_report uses, and keeps no record past its run.  It sends back that
+text and its counts of pass, fail, skipped and error lines.  With more than
+one worker the batches run in children forked from the scan's process
+(_forked_map): they inherit the batch list, the parent hands each idle
+child the index of the next batch over a pipe, and a child sends back its
+text and counts with marshal.  The parent writes the texts in batch order,
+holding any that arrives early, so the file is the concatenation of the
+per-prime runs.  No process pool module is imported.  Where os.fork does
+not exist a scan runs in one process.  `resitan scan` takes the counts
+only, so its parent never rebuilds a record; scan() reads its records back
+from the text with the decoder of parse_report.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import partial
 from io import StringIO
 from itertools import product
-from operator import add, attrgetter, index
+from operator import add, index
 
-from .arith import PrimeContext, Validated, divisors, is_prime
+from .arith import PrimeContext, Validated, divisors, primes_between
 from .checks import CHECK_NAMES, CHECKS, SCAN_DEFAULTS, run_check
 from .numeric import check_tolerance
 from .records import FAIL, SKIPPED, VerificationRecord
@@ -118,42 +129,57 @@ class ScanConfig(Validated, namedtuple(
         return CHECK_NAMES if self.checks == "all" else self.checks
 
 
-def _check_records(ctx: PrimeContext, check: str, ms, az,
-                   tol: float) -> list[VerificationRecord]:
-    """One check's records for one prime: its work items are every m of
-    row.ms or ms and a of row.az or az, m outermost, where ms and az are
-    the scan's m list and a grid at p.  A check with a coset index k runs
-    once per (m, coset of a in R_k(p)), and once per m when that run is
-    skipped; every other a gets a copy of the record with its own a (see
-    checks.CHECKS)."""
-    row = CHECKS[check]
-    k = row.k
-    records, runs, skips = [], {}, {}
-    for m, a in product(row.ms or ms, row.az or az):
-        rec = skips.get(m)
-        if rec is None:
-            key = (m, a) if k is None else \
-                (m, coset_name(ctx, m if k == "m" else k, a))
-            rec = runs.get(key)
-            if rec is None:
-                rec = runs[key] = run_check(ctx, m, a, check, tol)
-                if rec.status == SKIPPED and k is not None:
-                    skips[m] = rec
-        records.append(rec if rec.a == a else rec._replace(a=a))
-    return records
+def _scan_prime(config: ScanConfig, p: int) -> tuple[str, tuple]:
+    """One prime's report text, its lines sorted by (m, a, check), and its
+    counts of (pass, fail, skipped, error) lines.
 
-
-def _scan_prime(config: ScanConfig, p: int) -> list[VerificationRecord]:
-    """One prime's records, sorted by (m, a, check).  The prime's m list and
-    a grid (see ScanConfig) are worked out once, for every check."""
+    The prime's m list and a grid (see ScanConfig) are worked out once, for
+    every check.  A check's work items are every m of row.ms or of that
+    list, and a of row.az or of that grid, m outermost.  A check with a
+    coset index k runs once per (m, coset of a in R_k(p)), and once per m
+    when that run is skipped (see checks.CHECKS).  Each run's record is
+    rendered once, as the tail of its line, and every item it serves is
+    the head of that item's (p, m, a) and the run's tail.
+    """
     ctx = PrimeContext(p)
     ms = divisors(ctx.p_minus_1 // 2) if config.m_policy == "all" \
         else config.m_policy
     az = sorted({*range(1, min(config.a_count, p - 1) + 1), p - 1})
-    records = [rec for check in config.selected_checks()
-               for rec in _check_records(ctx, check, ms, az, config.tolerance)]
-    records.sort(key=attrgetter("m", "a", "check"))
-    return records
+    head, tail = _renderer(config.fmt)
+    tally = [0, 0, 0, 0]
+    lines = []
+    for check in config.selected_checks():
+        row = CHECKS[check]
+        k = row.k
+        # a run's (tail, tally slot), by (m, a) or (m, coset) and, once
+        # skipped, by m
+        runs, skips = {}, {}
+        for m, a in product(row.ms or ms, row.az or az):
+            run = skips.get(m)
+            if run is None:
+                key = (m, a) if k is None else \
+                    (m, coset_name(ctx, m if k == "m" else k, a))
+                run = runs.get(key)
+                if run is None:
+                    rec = run_check(ctx, m, a, check, config.tolerance)
+                    run = runs[key] = (tail(rec), _tally_slot(rec.status))
+                    if rec.status == SKIPPED and k is not None:
+                        skips[m] = run
+            lines.append((m, a, check, run[0]))
+            tally[run[1]] += 1
+    # (m, a, check) is unique, so the sort never compares two tails
+    lines.sort()
+    return "".join([head(p, m, a) + text for m, a, _, text in lines]), \
+        tuple(tally)
+
+
+def _tally_slot(status: str) -> int:
+    """Where a status counts in a (pass, fail, skipped, error) tally."""
+    if status == FAIL:
+        return 1
+    if status == SKIPPED:
+        return 2
+    return 3 if status.startswith("error(") else 0
 
 
 def _thread_count() -> int:
@@ -205,20 +231,14 @@ def _sweep_batch(config: ScanConfig, primes: list[int]):
     """One pool task: scan a contiguous run of primes.
 
     Returns the run's report text and its counts of (pass, fail, skipped,
-    error) records.  Each prime's records are formatted and counted as soon
-    as they exist and dropped with the next prime.
+    error) lines, each prime's text and counts as _scan_prime gives them.
     """
-    buf = StringIO(newline="")
-    seen = Counter()
+    texts, counts = [], (0, 0, 0, 0)
     for p in primes:
-        records = _scan_prime(config, p)
-        _write_rows(buf, records, config.fmt)
-        seen.update(rec.status for rec in records)
-    total = seen.total()
-    failed, skipped = seen.pop(FAIL, 0), seen.pop(SKIPPED, 0)
-    errored = sum(n for status, n in seen.items() if status.startswith("error("))
-    tally = (total - failed - skipped - errored, failed, skipped, errored)
-    return buf.getvalue(), tally
+        text, tally = _scan_prime(config, p)
+        texts.append(text)
+        counts = tuple(map(add, counts, tally))
+    return "".join(texts), counts
 
 
 def _forked_map(fn, tasks: list, workers: int):
@@ -359,7 +379,7 @@ def scan_counts(config: ScanConfig,
     before the exception propagates, so a failed scan leaves no partial
     report.
     """
-    primes = [p for p in range(config.p_min, config.p_max + 1) if is_prime(p)]
+    primes = primes_between(config.p_min, config.p_max)
     threads = _thread_count()
     batches = _cost_batches(primes, max(1, min(threads, len(primes))))
     # the pool is capped at the number of batches, so no worker sits idle
@@ -375,7 +395,7 @@ def scan_counts(config: ScanConfig,
         if workers > 1:
             # the formatter imports its module on first use: do it here,
             # once, rather than once in every child
-            _write_rows(StringIO(), (), config.fmt)
+            _renderer(config.fmt)
             pool = results = _forked_map(run, batches, workers)
         else:
             results = map(run, batches)
@@ -413,11 +433,6 @@ def scan(config: ScanConfig) -> list[VerificationRecord]:
     return _read_rows("".join(texts), config.fmt)
 
 
-# One JSONL line: the json.dumps rendering of the dict of REPORT_FIELDS,
-# with its default ", " and ": " separators
-_JSONL_LINE = '{%s, "elapsed_ms": 0.0}\n' % ", ".join(
-    f'"{k}": %s' for k in VerificationRecord._fields)
-
 # what a report holds before its first record: the CSV header row, as
 # csv.writer writes it
 _REPORT_HEAD = {"jsonl": "", "csv": ",".join(REPORT_FIELDS) + "\r\n"}
@@ -430,26 +445,53 @@ def _report_head(fmt: str) -> str:
     return _REPORT_HEAD[fmt]
 
 
-def _write_rows(fh, records, fmt: str) -> None:
-    """Write records to the text stream fh, one JSONL line or CSV row each.
+def _renderer(fmt: str):
+    """The one formatter of report lines, as (head, tail): head(p, m, a)
+    renders a line up to its a field, and tail(rec) the rest from rec's
+    check on, line end included.  A scan renders each check run's tail
+    once and gives it every (p, m, a) the run serves; emit_report renders
+    both halves per record.
 
-    The one formatter of reports: emit_report writes to the file, and a
-    scan's batches to a buffer whose text the parent appends to the file.
     A JSONL line has the bytes json.dumps gives the dict of the record's
-    fields and "elapsed_ms": 0.0; a CSV row ends in the same 0.0.
+    fields and "elapsed_ms": 0.0, with its default ", " and ": "
+    separators.  A CSV line has the bytes csv.writer gives the row of the
+    record's fields and 0.0: an integer never needs quoting, so the head
+    is the three joined by commas, and the tail is a comma and csv.writer's
+    row of the rest.  Quoted text is only ever interpolated into an f-string
+    or concatenated, never put through %, since it may hold % or braces.
     """
     if fmt == "jsonl":
         # imported here, as in _read_rows, so that `import resitan.cli`,
         # and with it every `resitan verify`, does not load json or csv.
         # This is the escaper json.dumps itself uses for ASCII output.
         from json.encoder import encode_basestring_ascii as quote
-        fh.writelines(_JSONL_LINE % (rec.p, rec.m, rec.a, quote(rec.check),
-                                     quote(rec.status), quote(rec.expected),
-                                     quote(rec.actual))
-                      for rec in records)
-    else:
-        import csv
-        csv.writer(fh).writerows(rec + (0.0,) for rec in records)
+
+        def head(p, m, a):
+            return f'{{"p": {p}, "m": {m}, "a": {a}'
+
+        def tail(rec):
+            return (f', "check": {quote(rec.check)}, '
+                    f'"status": {quote(rec.status)}, '
+                    f'"expected": {quote(rec.expected)}, '
+                    f'"actual": {quote(rec.actual)}, "elapsed_ms": 0.0}}\n')
+        return head, tail
+    import csv
+
+    def head(p, m, a):
+        return f"{p},{m},{a}"
+
+    def tail(rec):
+        buf = StringIO(newline="")
+        csv.writer(buf).writerow(
+            (rec.check, rec.status, rec.expected, rec.actual, 0.0))
+        return "," + buf.getvalue()
+    return head, tail
+
+
+def _write_rows(fh, records, fmt: str) -> None:
+    """Write records to the text stream fh, one line each, in fmt."""
+    head, tail = _renderer(fmt)
+    fh.writelines(head(rec.p, rec.m, rec.a) + tail(rec) for rec in records)
 
 
 def emit_report(records, fmt: str, path) -> None:

@@ -87,6 +87,48 @@ class TestIsPrime:
             assert is_prime(n) == bool(sieve[n]), n
 
 
+class TestPrimesBetween:
+    @staticmethod
+    def listed_by_is_prime(lo, hi):
+        return [n for n in range(lo, hi + 1) if is_prime(n)]
+
+    def test_edge_windows(self):
+        windows = [(10, 9), (24, 28), (0, 1), (0, 2), (2, 2), (3, 3), (4, 4),
+                   (97, 97), (2147483647, 2147483647), (2 ** 31, 2 ** 31),
+                   (1, 400), (97, 6000)]
+        # around the square of a prime: the base stops one short of q when
+        # the window is shorter than q, and reaches q when it is not
+        for q in (2, 3, 5, 7, 11, 13, 31, 97, 1009, 65521):
+            for lo, hi in ((q * q - 3, q * q + 3), (q * q, q * q),
+                           (q * q - q, q * q), (q * q - q - 1, q * q - 1),
+                           (q * q - 2 * q, q * q + 2 * q)):
+                windows.append((max(lo, 0), hi))
+        for lo, hi in windows:
+            assert arith.primes_between(lo, hi) == \
+                self.listed_by_is_prime(lo, hi), (lo, hi)
+
+    def test_random_windows(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            lo = rng.choice((rng.randrange(3, 5000),
+                             rng.randrange(10 ** 6, 10 ** 9)))
+            hi = lo + rng.randrange(0, 400)
+            assert arith.primes_between(lo, hi) == \
+                self.listed_by_is_prime(lo, hi), (lo, hi)
+
+    def test_proves_only_what_survives_a_short_base(self, monkeypatch):
+        calls = []
+        real = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime",
+                            lambda n: calls.append(n) or real(n))
+        # 6000 - 97 + 1 >= isqrt(6000): the sieve alone decides
+        assert len(arith.primes_between(97, 6000)) == 759
+        assert calls == []
+        # a window of one large prime: no base, one proof
+        assert arith.primes_between(2 ** 31 - 1, 2 ** 31 - 1) == [2 ** 31 - 1]
+        assert calls == [2 ** 31 - 1]
+
+
 class TestPrimeFactors:
     def test_multiplies_back_with_prime_keys(self):
         for n in range(1, 20001):

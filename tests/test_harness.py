@@ -1,5 +1,6 @@
 import ast
 import copy
+import csv
 import decimal
 import hashlib
 import itertools
@@ -24,6 +25,7 @@ from resitan import (NotRepresentable, PrimeContext, ScanConfig,
 from resitan import arith, checks, cyclotomic, harness, numeric
 from resitan.checks import CHECK_NAMES, PMD_X_GRID
 from resitan.harness import REPORT_FIELDS
+from resitan.records import error_status
 
 from conftest import admissible_m, odd_primes_up_to, require_fork
 
@@ -125,6 +127,11 @@ def per_item_records(config, p):
     return sorted(records, key=attrgetter("m", "a", "check"))
 
 
+def scanned_records(config, p):
+    """The records of the report text _scan_prime renders for p."""
+    return harness._read_rows(harness._scan_prime(config, p)[0], config.fmt)
+
+
 # p = 13: the m policy "all" is every m with 2m | 12, and the a grid of
 # a_count 5 is 1..5 plus p - 1 = 12; p = 5: m in (1, 2) and a in 1..4
 @pytest.mark.parametrize("p, config, policy, grid", [
@@ -146,7 +153,7 @@ def test_items_of_every_row(p, config, policy, grid):
             "pmd_lemma": ((1,), (1, 2, 3, 4, 5, 6, 7, 8, 9)),
             "pmd_thm14": ((1,), grid)}
     assert tuple(want) == CHECK_NAMES
-    records = harness._scan_prime(config, p)
+    records = scanned_records(config, p)
     for check, (ms, az) in want.items():
         items = [(rec.m, rec.a) for rec in records if rec.check == check]
         assert items == [(m, a) for m in ms for a in az], check
@@ -171,6 +178,88 @@ def test_each_prime_derives_its_grid_once(monkeypatch):
         harness._scan_prime(ScanConfig(3, 3), p)
         assert factored == [(p - 1) // 2], p
         assert proven == [p], p
+
+
+def test_serial_scan_proves_each_listed_prime_once(monkeypatch):
+    # the listing sieve of 3..400 reaches isqrt(400) and proves nothing, so
+    # the PrimeContext of each prime's scan is its one proof.  A window of
+    # one large prime is shorter than its root: its survivor is proven by
+    # the sieve and again by its PrimeContext
+    monkeypatch.setenv("RESITAN_THREADS", "1")
+    real_is_prime = arith.is_prime
+    proven = []
+    monkeypatch.setattr(arith, "is_prime",
+                        lambda n: proven.append(n) or real_is_prime(n))
+    numeric_checks = ("thm_main_numeric", "pmd_thm14", "lemma21", "lemma31",
+                      "criterion")
+    counts = harness.scan_counts(ScanConfig(3, 400, checks=numeric_checks))
+    assert sum(counts) and proven == odd_primes_up_to(400)
+    proven.clear()
+    p = 2 ** 31 - 1
+    assert harness.scan_counts(ScanConfig(
+        p, p, m_policy=(34636833,), checks=("thm_main_numeric", "lemma21"))) \
+        == (7, 0, 0, 0)
+    assert proven == [p, p]
+
+
+# text a runner's record may hold: format directives, braces, a quote, a
+# backslash, a line break and non-ASCII characters
+AWKWARD = 'p%8in{1,3} %s %d {} {0} "q" \\ two\nlines \u00e9\u2211'
+
+
+def rendered(records, fmt):
+    """records as json.dumps or csv.writer renders them, line by line."""
+    if fmt == "jsonl":
+        return "".join(json.dumps({**rec._asdict(), "elapsed_ms": 0.0}) + "\n"
+                       for rec in records)
+    from io import StringIO
+    buf = StringIO(newline="")
+    csv.writer(buf).writerows(rec + (0.0,) for rec in records)
+    return buf.getvalue()
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(data=st.data())
+def test_scan_text_equals_the_rendered_records(data):
+    # the scan renders each run's line once and gives it every a of its
+    # coset: its text must be the lines of every work item's own record
+    fmt = data.draw(st.sampled_from(("jsonl", "csv")))
+    p_min = data.draw(st.integers(3, 150))
+    p_max = data.draw(st.integers(p_min, p_min + 50))
+    m_policy = data.draw(st.one_of(
+        st.just("all"), st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    checks_ = data.draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1,
+                                 max_size=4, unique=True))
+    config = ScanConfig(p_min, p_max, m_policy=m_policy,
+                        a_count=data.draw(st.integers(1, 12)),
+                        checks=checks_, fmt=fmt)
+    fault = data.draw(st.sampled_from((None, "raise", "record")))
+    faulty = data.draw(st.sampled_from(checks_))
+    threads = data.draw(st.sampled_from((1, 2)))
+
+    def run(ctx, m, a, tol):
+        if fault == "raise":
+            raise ValueError(AWKWARD)
+        return VerificationRecord(ctx.p, m, a, faulty,
+                                  error_status(ValueError(AWKWARD)),
+                                  AWKWARD, AWKWARD)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("RESITAN_THREADS", str(threads))
+        if fault is not None:
+            patch.setitem(checks.CHECKS, faulty,
+                          checks.CHECKS[faulty]._replace(run=run))
+        texts = []
+        counts = harness.scan_counts(config, texts)
+        records = [rec for p in odd_primes_up_to(p_max) if p >= p_min
+                   for rec in per_item_records(config, p)]
+    assert "".join(texts) == rendered(records, fmt)
+    statuses = Counter("error" if rec.status.startswith("error(")
+                       else rec.status for rec in records)
+    assert counts == (statuses["pass"], statuses["fail"],
+                      statuses["skipped(hypothesis)"], statuses["error"])
+    if fault is not None and records:
+        assert statuses["error"]
 
 
 def coset_name(p, m, a):
@@ -296,9 +385,9 @@ class TestCosetReuse:
 
         config = ScanConfig(3, 3, a_count=p - 1,
                             checks=("thm_main_numeric", "cor11", "pmd_thm14"))
-        clean = harness._scan_prime(config, p)
+        clean = scanned_records(config, p)
         monkeypatch.setattr(numeric, "coset_log2", wrong)
-        faulty = harness._scan_prime(config, p)
+        faulty = scanned_records(config, p)
         assert faulty == per_item_records(config, p)
         coset = [a for a in range(1, p) if coset_name(p, m, a) == bad]
         assert len(coset) == (p - 1) // m
@@ -452,6 +541,17 @@ class TestReports:
         want = "".join(json.dumps({**rec._asdict(), "elapsed_ms": 0.0})
                        + "\n" for rec in records)
         assert path.read_bytes() == want.encode("ascii")
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(records=st.lists(report_records(), max_size=4))
+    def test_csv_rows_are_csv_writer_bytes(self, records):
+        # the head renders p, m and a unquoted and the tail is csv.writer's
+        # row of the rest, so the line is csv.writer's row of the record
+        from io import StringIO
+        got, want = StringIO(newline=""), StringIO(newline="")
+        harness._write_rows(got, records, "csv")
+        csv.writer(want).writerows(rec + (0.0,) for rec in records)
+        assert got.getvalue() == want.getvalue()
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -774,8 +874,7 @@ class TestPool:
         config = ScanConfig(3, 200, checks=("gi", "lemma21", "pmd_thm14"),
                             fmt=fmt)
         primes = odd_primes_up_to(200)
-        records = [rec for p in primes
-                   for rec in harness._scan_prime(config, p)]
+        records = [rec for p in primes for rec in scanned_records(config, p)]
         from io import StringIO
         buf = StringIO(newline="")
         harness._write_rows(buf, records, fmt)

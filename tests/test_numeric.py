@@ -15,7 +15,7 @@ from resitan import (BranchViolation, HypothesisViolation, PoleProximity,
 from resitan import cyclotomic, numeric, residues
 from resitan.cli import main
 from resitan.checks import PMD_X_GRID, run_check
-from resitan.harness import ScanConfig, _scan_prime
+from resitan.harness import ScanConfig, _read_rows, _scan_prime
 from resitan.numeric import POLE_EPS, ZERO_CROSS, _log_tolerance
 from resitan.records import finish
 
@@ -663,7 +663,7 @@ class TestCosetSlices:
                             lambda x: calls.append(x) or real_sin(x))
         config = ScanConfig(3, 3, checks=("thm_main_numeric", "pmd_thm14",
                                           "lemma21", "lemma31", "criterion"))
-        records = _scan_prime(config, p)
+        records = _read_rows(_scan_prime(config, p)[0], config.fmt)
         assert {rec.status for rec in records} <= {"pass",
                                                    "skipped(hypothesis)"}
         assert len(calls) == (p - 1) // 2 == {1009: 504, 5449: 2724}[p]
@@ -678,7 +678,8 @@ class TestCosetSlices:
         real_sin = math.sin
         monkeypatch.setattr(math, "sin",
                             lambda x: calls.append(x) or real_sin(x))
-        records = _scan_prime(ScanConfig(3, 3), 1009)
+        config = ScanConfig(3, 3)
+        records = _read_rows(_scan_prime(config, 1009)[0], config.fmt)
         assert {rec.status for rec in records} <= {"pass",
                                                    "skipped(hypothesis)"}
         assert len(calls) == 504
