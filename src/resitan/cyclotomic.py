@@ -79,8 +79,9 @@ log2 of one pair is within 2 * 2^-40 of the true value for every p < 2^62:
   4p + 1 >= 13.  The argument covers every p a certificate can take, since
   split primes l = 1 (mod 4p) below 2^62 need 4p < 2^62; the first is
   drawn before the bound is summed, so a larger p fails at once.  The sums
-  are numeric.coset_log2's: slices of the m = 1 terms once those exist,
-  else each coset summed cold, and kept only at m = 1.
+  are numeric.coset_log2's: at m = 1 one sum in natural order, which walks
+  nothing; at m > 1 slices of the m = 1 terms once those exist, else each
+  coset summed cold.  Only the m = 1 sum is kept.
 
 Primes are found on demand: _split_prime walks the l = 1 (mod 4p) up from
 a floor and proves the first by is_prime.  A certificate draws the least

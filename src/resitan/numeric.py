@@ -47,20 +47,25 @@ sum of its inputs, whatever their order.  Unlike sum() of floats, which is
 compensated from Python 3.12 on, it gives the same float on every Python
 version.
 
-Every coset is a slice of the m = 1 terms.  The m = 1 sum evaluates T for
-the whole group in index order, term j for the pair of g^j,
-0 <= j < (q-1)/2, over the walk of a primitive root g, and keeps the terms
-with one flag per pair (4r > q, as bytes).  g^j lies in
-a*R_m(q) = g^j0*<g^m> iff j = j0 (mod m), and j0 < m solves
-(g^((q-1)/m))^j0 = c: x -> x^((q-1)/m) maps g^j to (g^((q-1)/m))^j, of
-order m.  The pair of g^j is that of g^(j + (q-1)/2) = -g^j, and
-m | (q-1)/2 puts both indices in the class of j0, so the class j0 mod m of
-[0, (q-1)/2) names each pair of the coset once.  Its sum is
-fsum(terms[j0::m]): the same floats as a cold sum over the coset's own
-pairs, bit for bit, so the same sum.  The m = 1 entry is the only one kept,
-for the current prime only; any other coset is summed again each time it is
-asked for.  Once the m = 1 entry exists that is a slice and one fsum, and no
-sin.  Until then the coset is summed cold, over a times the first half of
+The m = 1 sum needs no walk.  R_1(q) is the whole group, so its pairs are
+all r = 1..(q-1)/2, once each, and H(1) is the fsum of T in natural order,
+T[r] for the odd numerators q - 2r = q - 2, q - 4, ..., 1.  q is odd, so
+4r > q iff r > floor(q/4), and the pairs with 4r > q number
+(q-1)/2 - floor(q/4): the m = 1 sum keeps no flags.
+
+Every other coset is a slice of the m = 1 terms reordered along the walk of
+a primitive root g: term j for the pair of g^j, 0 <= j < (q-1)/2, with one
+flag per pair (4r > q, as bytes).  g^j lies in a*R_m(q) = g^j0*<g^m> iff
+j = j0 (mod m), and j0 < m solves (g^((q-1)/m))^j0 = c: x -> x^((q-1)/m)
+maps g^j to (g^((q-1)/m))^j, of order m.  The pair of g^j is that of
+g^(j + (q-1)/2) = -g^j, and m | (q-1)/2 puts both indices in the class of
+j0, so the class j0 mod m of [0, (q-1)/2) names each pair of the coset
+once.  Its sum is fsum(terms[j0::m]): the same floats as a cold sum over the
+coset's own pairs, bit for bit, so the same sum.  The walk-ordered view is
+gathered from the natural-order terms on the first m > 1 request, with no
+further sin.  The m = 1 entry is the only one kept, for the current prime
+only; any other coset is summed again each time it is asked for.  Until the
+m = 1 terms exist the coset is summed cold, over a times the first half of
 its own walk, so a small R_m(q) of a large prime costs O(|R_m(q)|) and
 keeps nothing.
 
@@ -135,32 +140,46 @@ def _log_tolerance(rel_tol: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _whole(q: int) -> list:
     """The m = 1 entry of prime q, empty until coset_log2 sums it:
-    [H, negatives, terms, flags], the terms and flags indexed along
-    walk(q, 1), which every other coset is sliced from.  Only the current
-    prime's is kept."""
+    [H, negatives, terms, flags].  The m = 1 sum leaves the terms of
+    _half_table(q) in natural order and flags None; the first m > 1 slice
+    replaces them with the terms and flags along walk(q, 1), which every
+    other coset is sliced from.  Only the current prime's is kept."""
     return []
+
+
+def _half_table(q: int) -> list[float]:
+    """T[r] = log2(2 sin(pi*(q - 2r)/(2q))) for r = 1..(q-1)/2, in order:
+    the same float expression as _pair_terms, so the same bits."""
+    two_q = 2 * q
+    sin, log2, pi = math.sin, math.log2, math.pi
+    return [log2(2.0 * sin(pi * (j / two_q))) for j in range(q - 2, 0, -2)]
+
+
+def _flag_band(q: int) -> bytes:
+    """q bytes, byte k set iff q/4 < k < 3q/4, that is iff 4r > q for
+    r = min(k, q - k)."""
+    lo, hi = q // 4 + 1, (3 * q - 1) // 4 + 1
+    return bytes(lo) + b"\x01" * (hi - lo) + bytes(q - hi)
 
 
 def _pair_terms(q: int, a: int, ks) -> tuple[array, bytes]:
     """T[r] = log2(2 sin(pi*(q - 2r)/(2q))) and the flags 4r > q of the pairs
     named by a*k mod q for k in ks, in order, r = min(k', q - k') < q/2 for
     the image k'.  q - 2r is |q - 2k'|, so the angle's quotient is of two
-    integers, and 4r > q iff q/4 < k' < 3q/4.  The terms are packed doubles:
-    the m = 1 entry keeps (q-1)/2 of them."""
+    integers, and 4r > q iff q/4 < k' < 3q/4.  The terms are packed
+    doubles."""
     if a != 1:
         ks = [a * k % q for k in ks]
     two_q = 2 * q
     sin, log2, pi = math.sin, math.log2, math.pi
     terms = array("d", [log2(2.0 * sin(pi * (abs(q - 2 * k) / two_q)))
                         for k in ks])
-    lo, hi = q // 4 + 1, (3 * q - 1) // 4 + 1
     if 1 < len(ks) and q <= 8 * len(ks):
-        # a q-byte table of the flags, built only where it is no larger
-        # than the terms (m < 4): at a large q and m it would not fit.  A
-        # single k would make itemgetter return a scalar
-        band = bytes(lo) + b"\x01" * (hi - lo) + bytes(q - hi)
-        return terms, bytes(itemgetter(*ks)(band))
-    return terms, bytes([lo <= k < hi for k in ks])
+        # the q-byte flag band, built only where it is no larger than the
+        # terms (m < 4): at a large q and m it would not fit.  A single k
+        # would make itemgetter return a scalar
+        return terms, bytes(itemgetter(*ks)(_flag_band(q)))
+    return terms, bytes([q < 4 * k < 3 * q for k in ks])
 
 
 @functools.lru_cache(maxsize=1)
@@ -175,24 +194,32 @@ def _index_classes(ctx: PrimeContext, m: int) -> dict[int, int]:
 def coset_log2(ctx: PrimeContext, m: int, a: int) -> tuple[float, int]:
     """(H, negatives) of the coset a*R_m(p), 2m | p - 1 (module docstring):
     H is the fsum of T[r] over its pairs, r < p/2, and negatives the number
-    of them with 4r > p.  Sliced from the m = 1 terms once they exist, else
-    summed over a times the first half of walk(p, m); only m = 1 is kept."""
+    of them with 4r > p.  At m = 1 summed in natural order and kept; else
+    sliced from the m = 1 terms once they exist, or summed over a times the
+    first half of walk(p, m)."""
     q = ctx.p
     whole = _whole(q)
-    if not whole:
-        # the first half of a walk holds one k of each pair; m = 1 takes
-        # a = 1, so that term j is the pair of g^j along walk(q, 1)
-        ks = walk(ctx, m)
-        terms, flags = _pair_terms(q, a if m > 1 else 1, ks[:len(ks) // 2])
-    elif m > 1:
-        j0 = _index_classes(ctx, m)[coset_name(ctx, m, a)]
-        terms, flags = whole[2][j0::m], whole[3][j0::m]
-    else:
-        return whole[0], whole[1]
-    h, negatives = math.fsum(terms), flags.count(1)
     if m == 1:
-        whole[:] = h, negatives, terms, flags
-    return h, negatives
+        if not whole:
+            # the pairs are r = 1..(q-1)/2, and 4r > q iff r > floor(q/4)
+            terms = _half_table(q)
+            whole[:] = math.fsum(terms), len(terms) - q // 4, terms, None
+        return whole[0], whole[1]
+    if not whole:
+        # the first half of a walk holds one k of each pair
+        ks = walk(ctx, m)
+        terms, flags = _pair_terms(q, a, ks[:len(ks) // 2])
+        return math.fsum(terms), flags.count(1)
+    if whole[3] is None:
+        # term j for the pair of g^j: k = g^j folds to r = min(k, q - k),
+        # which [0.0] + T + reversed(T) holds at index k.  2m | q - 1 with
+        # m > 1 gives at least two k, so itemgetter returns tuples
+        terms = whole[2]
+        pick = itemgetter(*walk(ctx, 1)[:len(terms)])
+        whole[2:] = (pick([0.0, *terms, *reversed(terms)]),
+                     bytes(pick(_flag_band(q))))
+    j0 = _index_classes(ctx, m)[coset_name(ctx, m, a)]
+    return math.fsum(whole[2][j0::m]), whole[3][j0::m].count(1)
 
 
 def tan_product(p, m: int, a: int = 1) -> SignedMagnitude:
@@ -330,6 +357,6 @@ def pmd_theorem14_numeric(p, a: int = 1,
     require_unit(ctx, a)
     got = tan_product(ctx, 2, a)
     quarter = ctx.p_minus_1 // 4
-    low = len([k for k in walk(ctx, 2) if k <= quarter])
+    low = sum(map(quarter.__ge__, walk(ctx, 2)))
     return _power_record(ctx.p, 1, a, "pmd_thm14", got, -1 if low % 2 else 1,
                          quarter, rel_tol)

@@ -511,7 +511,8 @@ class TestFactorTable:
 
     def test_pmd14_bit_identical_cold_and_warm(self):
         # pmd_thm14's product is tan_product(p, 2, a): cold it keeps no
-        # sum, and warm it is sliced from the m = 1 terms
+        # sum, and warm it is sliced from the m = 1 terms, which its first
+        # slice has gathered into walk order with their flags
         for p in odd_primes_up_to(399):
             if p % 8 != 1:
                 continue
@@ -524,7 +525,9 @@ class TestFactorTable:
                     rec = pmd_theorem14_numeric(p, a)
                     assert (rec.expected, rec.actual) == want, (p, a)
                     got = tan_product(p, 2, a)
-                    assert len(numeric._whole(p)) == 4 * warm, (p, a)
+                    whole = numeric._whole(p)
+                    assert (whole[3] is not None) if warm else whole == [], \
+                        (p, a)
                     assert rec.actual == got.render(), (p, a)
                     assert got == fsum_tan_product_mag(p, residues), (p, a)
                     assert_near_left_to_right(got, p, residues)
@@ -556,7 +559,8 @@ class TestFactorTable:
 
     def test_one_fill_and_one_sum_serve_every_a_of_a_coset(self, monkeypatch):
         # at m = 1 the whole grid a = 1..5, 1008 is one coset of 504 pairs,
-        # 2a included; each product adds its three sums with one more fsum
+        # 2a included; each product adds its three sums with one more fsum.
+        # The fill keeps the terms in natural order and no flags
         calls = {"sin": 0, "fsum": 0}
         real_sin, real_fsum = math.sin, math.fsum
 
@@ -571,7 +575,7 @@ class TestFactorTable:
         got = {a: tan_product(1009, 1, a) for a in grid}
         assert calls == {"sin": 504, "fsum": 1 + len(grid)}
         h, negatives, terms, flags = numeric._whole(1009)
-        assert len(terms) == len(flags) == 504
+        assert terms == t_terms(1009, range(1, 1009)) and flags is None
         assert (h, negatives) == numeric.coset_log2(PrimeContext(1009), 1, 7)
         assert len(set(got.values())) == 1
 
@@ -644,11 +648,56 @@ class TestCosetSlices:
                 assert numeric._whole(p) == [], (p, m, a)
             tan_product(p, 1, 1)
             for m, a in cases:
-                # every a goes through its own slice
+                # every a goes through its own slice of the walk-ordered
+                # view, which the first of them gathers
                 assert numeric.coset_log2(ctx, m, a) == cold[m, a], (p, m, a)
+                assert numeric._whole(p)[3] is not None, (p, m, a)
                 if a in a_values(p):
                     assert tan_product(p, m, a) == \
                         reference_tan_product(p, m, a), (p, m, a)
+
+    def test_natural_sum_is_the_walk_ordered_sum(self):
+        # H(1), summed in natural order, is the fsum of the terms along
+        # walk(q, 1) bit for bit, and the closed-form count of 4r > q is
+        # their flag count; the view a slice gathers is those very terms
+        # and flags
+        for q in odd_primes_up_to(2999):
+            ctx = PrimeContext(q)
+            numeric._whole.cache_clear()
+            residues._walks.cache_clear()
+            h, negatives = numeric.coset_log2(ctx, 1, 1)
+            terms, flags = numeric._pair_terms(
+                q, 1, residues.walk(ctx, 1)[:(q - 1) // 2])
+            assert (h, negatives) == (math.fsum(terms), flags.count(1)), q
+            if q > 3:
+                numeric.coset_log2(ctx, (q - 1) // 2, 1)
+                assert numeric._whole(q) == [h, negatives, tuple(terms),
+                                             flags], q
+
+    def test_m1_sums_walk_nothing(self):
+        # R_1(p) is the whole group: neither the numeric products nor the
+        # float bound at m = 1 builds a walk
+        for p in (3, 1009, 5449):
+            ctx = PrimeContext(p)
+            for run in (lambda: [tan_product(p, 1, a) for a in a_values(p)],
+                        lambda: cyclotomic._log2_bound(ctx, 1)):
+                numeric._whole.cache_clear()
+                residues._walks.cache_clear()
+                run()
+                assert residues._walks(p) == {}, p
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_negatives_off_by_one_fails_thm_main_numeric(self, delta):
+        # the sign of the m = 1 product is the parity of the kept count of
+        # 4r > p: a count one off must fail the check
+        for p in odd_primes_up_to(99):
+            ctx = PrimeContext(p)
+            numeric._whole.cache_clear()
+            rec = run_check(ctx, 1, 1, "thm_main_numeric", 1e-6)
+            assert rec.status == "pass", p
+            numeric._whole(p)[1] += delta
+            rec = run_check(ctx, 1, 1, "thm_main_numeric", 1e-6)
+            assert rec.status == "fail", p
 
     @pytest.mark.parametrize("p", [1009, 5449])
     def test_numeric_checks_of_a_prime_evaluate_each_pair_once(

@@ -15,7 +15,10 @@ In the timed runs, timers wrap:
 - harness.run_check, summed per check name;
 - the head and tail functions harness._renderer hands each prime, which
   render its lines;
-- harness.primes_between, which lists the range.
+- harness.primes_between, which lists the range;
+- numeric._half_table, which fills a prime's m = 1 table, and
+  residues._walk, which walks a subgroup: two kernels inside the checks,
+  printed apart and not subtracted from them.
 
 Each timed run follows an untimed one.  Prints the median ms of each part,
 of what is left of the timed scan_counts call, the engine's own work (grids,
@@ -60,8 +63,10 @@ def profile(options: list[str], runs: int) -> dict[str, list[float]]:
                 spent[name] += clock() - t0
         return call
 
-    real = {name: getattr(harness, name) for name in
+    home = {name: harness for name in
             ("scan_counts", "run_check", "_renderer", "primes_between")}
+    home.update(_half_table=numeric, _walk=residues)
+    real = {name: getattr(module, name) for name, module in home.items()}
 
     def run_check(ctx, m, a, check, tol):
         t0 = clock()
@@ -76,7 +81,9 @@ def profile(options: list[str], runs: int) -> dict[str, list[float]]:
 
     timers = {"scan_counts": timed("scan", real["scan_counts"]),
               "run_check": run_check, "_renderer": renderer,
-              "primes_between": timed("listing", real["primes_between"])}
+              "primes_between": timed("listing", real["primes_between"]),
+              "_half_table": timed("m = 1 table", real["_half_table"]),
+              "_walk": timed("residues._walk", real["_walk"])}
     samples = {}
     for _ in range(runs):
         for patch in ({"scan_counts": timers["scan_counts"]}, timers):
@@ -86,12 +93,12 @@ def profile(options: list[str], runs: int) -> dict[str, list[float]]:
             spent.clear()
             try:
                 for name, fn in patch.items():
-                    setattr(harness, name, fn)
+                    setattr(home[name], name, fn)
                 with redirect_stdout(StringIO()):
                     cli.main(["scan", *options, "--out", os.devnull])
             finally:
                 for name in patch:
-                    setattr(harness, name, real[name])
+                    setattr(home[name], name, real[name])
             if patch is not timers:
                 spent["untimed"] = spent.pop("scan")
             for name, seconds in spent.items():
@@ -114,6 +121,8 @@ def main(argv: list[str]) -> int:
     parts = [*checks, "rendering", "listing"]
     rows = [*((name, ms.get(name, 0.0)) for name in parts),
             ("checks, all", sum(ms[name] for name in checks)),
+            *((f"  of which {name}", ms.get(name, 0.0))
+              for name in ("m = 1 table", "residues._walk")),
             ("rest of the engine",
              ms["scan"] - sum(ms.get(name, 0.0) for name in parts)),
             ("whole scan, timed", ms["scan"]),
